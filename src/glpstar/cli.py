@@ -410,6 +410,10 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except RecursionError:
+        # formula traversals recurse on nesting depth
+        print("resource limit: formula nesting too deep to traverse", file=sys.stderr)
+        return EXIT_RESOURCE
 
 
 def main() -> None:

@@ -306,7 +306,11 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
 
 
 def is_adequate(delta: Iterable[Formula]) -> bool:
-    """Check adequacy directly against the closure conditions."""
+    """Check adequacy directly against the closure conditions.
+
+    Closure under subformulas is checked one step down: when every member's
+    immediate children are members, so is every subtree, by induction on depth.
+    """
     dset = frozenset(delta)
     if TOP not in dset:
         return False
@@ -314,7 +318,9 @@ def is_adequate(delta: Iterable[Formula]) -> bool:
     for f in dset:
         if modified_negation(f) not in dset:
             return False
-        if not subformulas(f) <= dset:
+        if isinstance(f, (Neg, Dia)) and f.child not in dset:
+            return False
+        if isinstance(f, (And, Or)) and (f.left not in dset or f.right not in dset):
             return False
         if isinstance(f, Dia):
             if any(Dia(m, f.child) not in dset for m in levels):

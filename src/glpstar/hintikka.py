@@ -7,11 +7,15 @@ closure constraints mirroring the completeness axioms: a diamond whose body
 has sort at most its level pulls the body in, and a nested diamond <m><n>x
 with m < n pulls <m>x in.
 
-The engine enumerates assignments in blocks with numpy, keeping one packed
-row per candidate: per level, the candidate's diamond mask, the diamonds a
-witness demand would impose on a predecessor, and the concatenated masks of
-the lower levels. The canonical relation then reduces to a few integer
-comparisons, and the witness-elimination fixpoint to masked reductions.
+Atoms are ordered variables first, then diamonds by size, so everything a
+diamond forces mentions only lower atoms. The engine grows the candidates
+one atom at a time with numpy, appending the rows where the next atom may be
+true, so it only ever builds consistent assignments: work is at most atoms
+times candidates, not 2^atoms. It keeps one packed row per candidate: per
+level, the candidate's diamond mask, the diamonds a witness demand would
+impose on a predecessor, and the concatenated masks of the lower levels.
+The canonical relation then reduces to a few integer comparisons, and the
+witness-elimination fixpoint to masked reductions.
 
 The relation follows the four textbook conditions with condition (2) widened
 from "same level" to "same or higher level": an edge at level n absorbs a
@@ -43,12 +47,11 @@ from .formulas import (
     modal_levels,
     sort_key,
     sort_of,
+    subformulas,
 )
 from .kripke import KripkeModel
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
-_SPACE_SLACK = 64
-_CHUNK_BITS = 16
 
 
 class ResourceLimitError(RuntimeError):
@@ -116,44 +119,36 @@ class CanonicalEngine:
         self.level_dias: dict[int, list[Dia]] = {
             n: sorted((d for d in diamonds if d.index == n), key=sort_key) for n in self.levels
         }
-        self.level_bit = {
-            d: i for n in self.levels for i, d in enumerate(self.level_dias[n])
-        }
-        for n in self.levels:
-            if len(self.level_dias[n]) > 32:
-                raise ResourceLimitError(f"more than 32 diamonds at level {n}")
-        self.low_offset: dict[int, int] = {}
-        offset = 0
-        for n in self.levels:
-            self.low_offset[n] = offset
-            offset += len(self.level_dias[n])
-        if offset > 63:
+        # Rediamonding puts every diamond body at every level, so all levels
+        # list the same bodies in the same order: a body has one bit for all.
+        self.bodies = [d.child for d in self.level_dias[self.levels[0]]] if self.levels else []
+        if any([d.child for d in self.level_dias[n]] != self.bodies for n in self.levels):
+            raise AssertionError("adequate set is missing a level twin")
+        width = len(self.bodies)
+        if width > 32:
+            raise ResourceLimitError(f"{width} diamonds at each level exceed 32")
+        if len(self.levels) * width > 63:
             raise ResourceLimitError("more than 63 diamond positions overall")
+        self.low_offset = {n: k * width for k, n in enumerate(self.levels)}
 
-        # sigma constraints: <n>x true and sort(x) <= n forces x true
-        self.sigma: list[tuple[int, Formula]] = []
-        # transit constraints: <m><n>x true (m < n) forces <m>x true
-        self.transit: list[tuple[int, int]] = []
+        # Per atom, the formulas its truth forces: sigma (<n>x with
+        # sort(x) <= n forces x) and transit (<m><n>x with m < n forces
+        # <m>x). Variables come first and diamonds grow in size, so every
+        # forced formula mentions only lower atoms.
+        self.forces: list[list[Formula]] = [[] for _ in self.atoms]
         for d in diamonds:
+            forced = self.forces[self.atom_pos[d]]
             body_sort = sort_of(d.child)
             if body_sort is not OMEGA and body_sort <= d.index:
-                self.sigma.append((self.atom_pos[d], d.child))
+                forced.append(d.child)
             if isinstance(d.child, Dia) and d.index < d.child.index:
                 partner = Dia(d.index, d.child.child)
                 if partner not in self.atom_pos:
                     raise AssertionError("adequate set is missing a transit partner")
-                self.transit.append((self.atom_pos[d], self.atom_pos[partner]))
-
-        # per level: (atom position of a >= level diamond, bit of its twin here)
-        self.absorb_pairs: dict[int, list[tuple[int, int]]] = {n: [] for n in self.levels}
-        for d in diamonds:
-            for n in self.levels:
-                if n > d.index:
-                    continue
-                twin = Dia(n, d.child)
-                if twin not in self.level_bit:
-                    raise AssertionError("adequate set is missing a level twin")
-                self.absorb_pairs[n].append((self.atom_pos[d], self.level_bit[twin]))
+                forced.append(partner)
+            mentioned = (g for f in forced for g in subformulas(f))
+            if any(self.atom_pos.get(g, -1) >= self.atom_pos[d] for g in mentioned):
+                raise AssertionError("a forced formula mentions an atom at or above its diamond")
 
         self._enumerate()
         self.alive = np.ones(self.count, dtype=bool)
@@ -190,84 +185,63 @@ class CanonicalEngine:
         n_atoms = len(self.atoms)
         if n_atoms > 63:
             raise ResourceLimitError(f"{n_atoms} atoms exceed the 63-bit index budget")
-        space = 1 << n_atoms
-        if space > self.cap * _SPACE_SLACK:
-            raise ResourceLimitError(
-                f"assignment space 2^{n_atoms} exceeds the candidate cap {self.cap}"
-            )
-        kept_idx: list[np.ndarray] = []
-        kept_cols: dict[tuple[str, int], list[np.ndarray]] = {}
-        for n in self.levels:
-            for kind in ("d", "need", "req", "low"):
-                kept_cols[(kind, n)] = []
-        pop_parts: list[np.ndarray] = []
-        total = 0
+        grown = self._grow()
+        if grown is None:
+            # raised here rather than in _grow, so the traceback holds no partial table
+            raise ResourceLimitError(f"candidate count exceeds the cap {self.cap}")
+        indices, memo = grown
 
-        chunk = 1 << min(_CHUNK_BITS, n_atoms)
-        for start in range(0, space, chunk):
-            stop = min(start + chunk, space)
-            indices = np.arange(start, stop, dtype=np.uint64)
-            memo: dict = {}
-            ok = np.ones(len(indices), dtype=bool)
-            for atom_pos, body in self.sigma:
-                dia_true = ((indices >> np.uint64(atom_pos)) & np.uint64(1)).astype(bool)
-                ok &= ~dia_true | self._eval_block(indices, body, memo)
-            for atom_pos, partner_pos in self.transit:
-                dia_true = ((indices >> np.uint64(atom_pos)) & np.uint64(1)).astype(bool)
-                partner_true = ((indices >> np.uint64(partner_pos)) & np.uint64(1)).astype(bool)
-                ok &= ~dia_true | partner_true
-            if not ok.any():
-                continue
-            indices = indices[ok]
-            memo = {k: v[ok] for k, v in memo.items()}
-            total += len(indices)
-            if total > self.cap:
-                raise ResourceLimitError(
-                    f"candidate count exceeds the cap {self.cap}"
-                )
-            kept_idx.append(indices)
-
-            level_d: dict[int, np.ndarray] = {}
-            pop = np.zeros(len(indices), dtype=np.uint16)
-            for n in self.levels:
-                d = np.zeros(len(indices), dtype=np.uint32)
-                need = np.zeros(len(indices), dtype=np.uint32)
-                for bit, dia in enumerate(self.level_dias[n]):
-                    dia_true = self._eval_block(indices, dia, memo)
-                    d |= dia_true.astype(np.uint32) << np.uint32(bit)
-                    body_true = self._eval_block(indices, dia.child, memo)
-                    need |= body_true.astype(np.uint32) << np.uint32(bit)
-                req = need.copy()
-                for atom_pos, twin_bit in self.absorb_pairs[n]:
-                    dia_true = ((indices >> np.uint64(atom_pos)) & np.uint64(1)).astype(np.uint32)
-                    req |= dia_true << np.uint32(twin_bit)
-                level_d[n] = d
-                kept_cols[("d", n)].append(d)
-                kept_cols[("need", n)].append(need)
-                kept_cols[("req", n)].append(req)
-                pop += np.bitwise_count(d).astype(np.uint16)
-            for n in self.levels:
-                low = np.zeros(len(indices), dtype=np.uint64)
-                for m in self.levels:
-                    if m >= n:
-                        break
-                    low |= level_d[m].astype(np.uint64) << np.uint64(self.low_offset[m])
-                kept_cols[("low", n)].append(low)
-            pop_parts.append(pop)
-
-        self.count = total
+        self.count = len(indices)
+        self.atom_index = indices
         self._truth_cache: dict[Formula, np.ndarray] = {}
-        if total:
-            self.atom_index = np.concatenate(kept_idx)
-            self.dia_pop = np.concatenate(pop_parts)
-            self.col = {key: np.concatenate(parts) for key, parts in kept_cols.items()}
-        else:
-            self.atom_index = np.zeros(0, dtype=np.uint64)
-            self.dia_pop = np.zeros(0, dtype=np.uint16)
-            self.col = {
-                key: np.zeros(0, dtype=np.uint64 if key[0] == "low" else np.uint32)
-                for key in kept_cols
-            }
+        # An edge at level n absorbs the successor's diamonds at levels >= n
+        # as their level-n twins, which sit at the same bits.
+        need = np.zeros(self.count, dtype=np.uint32)
+        for bit, body in enumerate(self.bodies):
+            need |= self._eval_block(indices, body, memo).astype(np.uint32) << np.uint32(bit)
+        self.col: dict[tuple[str, int], np.ndarray] = {}
+        absorbed = np.zeros(self.count, dtype=np.uint32)
+        for n in reversed(self.levels):
+            d = np.zeros(self.count, dtype=np.uint32)
+            for bit, dia in enumerate(self.level_dias[n]):
+                true = (indices >> np.uint64(self.atom_pos[dia])).astype(np.uint32) & np.uint32(1)
+                d |= true << np.uint32(bit)
+            absorbed |= d
+            self.col[("d", n)] = d
+            self.col[("need", n)] = need
+            self.col[("req", n)] = need | absorbed
+        self.dia_pop = np.zeros(self.count, dtype=np.uint16)
+        for n in self.levels:
+            self.dia_pop += np.bitwise_count(self.col[("d", n)]).astype(np.uint16)
+            low = np.zeros(self.count, dtype=np.uint64)
+            for m in self.levels:
+                if m >= n:
+                    break
+                low |= self.col[("d", m)].astype(np.uint64) << np.uint64(self.low_offset[m])
+            self.col[("low", n)] = low
+
+    def _grow(self) -> Optional[tuple[np.ndarray, dict]]:
+        """Consistent assignments in ascending order, or None past the cap.
+
+        Grown one atom at a time: every row over the atoms below position i
+        stays with bit i clear, and the rows satisfying what atom i forces
+        are appended with bit i set. Appended rows all exceed the kept ones,
+        so the order holds, and the row count never falls, so the cap is
+        checked as the table grows. The evaluation memo, returned with the
+        table, holds formulas over the lower atoms, whose values the
+        appended rows copy.
+        """
+        indices = np.zeros(1, dtype=np.uint64)
+        memo: dict = {}
+        for pos, forced in enumerate(self.forces):
+            ok = np.ones(len(indices), dtype=bool)
+            for f in forced:
+                ok &= self._eval_block(indices, f, memo)
+            if len(indices) + int(np.count_nonzero(ok)) > self.cap:
+                return None
+            indices = np.concatenate((indices, indices[ok] | np.uint64(1 << pos)))
+            memo = {k: np.concatenate((v, v[ok])) for k, v in memo.items()}
+        return (indices, memo) if len(indices) <= self.cap else None
 
     # ----- vector queries -----
 

@@ -89,6 +89,12 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def is_variable_name(text: str) -> bool:
+    """True for a name a formula can refer to: an identifier other than T, F."""
+    return (text[:1] in _NAME_START and all(c in _NAME_CHARS for c in text)
+            and text not in ("T", "F"))
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
@@ -335,7 +341,8 @@ def parse_model(text: str) -> KripkeModel:
     """Parse the line-oriented model file format.
 
     Sections in any order: 'worlds a b ...', 'rel <n>: <x> <y>' (one pair per
-    line), 'val <name>:<sort> = {w1, w2, ...}', optional 'root <w>'.
+    line), 'val <name>:<sort> = {w1, w2, ...}', optional 'root <w>'. A val
+    name follows the formula grammar's name rule and is not T or F.
     """
     worlds: list[str] = []
     world_set: set[str] = set()
@@ -379,8 +386,11 @@ def parse_model(text: str) -> KripkeModel:
                 err("expected 'val <name>:<sort> = {..}'", lineno)
             name_part = name_part.strip()
             vname, csep, sort_text = name_part.partition(":")
-            if not csep or not vname:
+            if not csep:
                 err("expected '<name>:<sort>' on val line", lineno)
+            vname = vname.strip()
+            if not is_variable_name(vname):
+                err(f"bad variable name {vname!r}", lineno)
             sort_text = sort_text.strip()
             if sort_text in ("w", "ω"):
                 sort: Sort = OMEGA

@@ -80,6 +80,17 @@ class TestDecideCommand:
         assert code == 3
         assert "resource" in err
 
+    def test_deep_formula_is_a_resource_limit(self, capsys):
+        code, out, err = invoke(capsys, "decide", "--system", "glpstar", "~" * 500 + "p")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("resource limit:") and err.count("\n") == 1
+
+    def test_sparse_33_atom_closure_decides(self, capsys):
+        code, out, _ = invoke(capsys, "decide", "--system", "glpstar", "<0><3>(q:0 & F) & <1><2><1>F")
+        assert code == 1
+        assert out.startswith("non-theorem")
+
     def test_verbose_stats(self, capsys):
         code, _, err = invoke(
             capsys, "decide", "--system", "glpstar", "--verbose", "<1>p -> <0>p"
@@ -151,6 +162,13 @@ class TestOtherCommands:
             code, _, err = invoke(capsys, argv[0], "--model", str(path), *argv[1:])
             assert code == 2
             assert err.startswith("error:")
+
+    def test_bad_val_name_in_model_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("worlds a\nval p q:0 = {a}\n", encoding="utf-8")
+        code, _, err = invoke(capsys, "validate", "--model", str(path))
+        assert code == 2
+        assert err.startswith("error:") and "bad variable name 'p q'" in err
 
     def test_non_ascii_numeral_in_proof_usage_error(self, capsys, tmp_path):
         path = tmp_path / "p.proof"

@@ -210,3 +210,49 @@ def test_sugar_rejected_by_core_operations():
         sort_of(Box(1, p0))
     with pytest.raises(ValueError):
         subformulas(Implies(p0, q1))
+
+
+def _adequate_by_definition(delta):
+    """Adequacy with closure under subformulas tested on whole subtrees."""
+    dset = frozenset(delta)
+    if TOP not in dset:
+        return False
+    levels = modal_levels(dset)
+    for f in dset:
+        if modified_negation(f) not in dset or not subformulas(f) <= dset:
+            return False
+        if isinstance(f, Dia) and any(Dia(m, f.child) not in dset for m in levels):
+            return False
+        if isinstance(f, Var) and f.sort is not OMEGA:
+            if any(Dia(n, f) not in dset for n in levels if n >= f.sort):
+                return False
+        if isinstance(f, Neg) and isinstance(f.child, Var) and f.child.sort is not OMEGA:
+            if any(Dia(n, f) not in dset for n in levels if n > f.child.sort):
+                return False
+    return True
+
+
+def test_adequacy_check_matches_definition():
+    rng = random.Random(6)
+    checked = pair_cases = 0
+    for _ in range(60):
+        delta = adequate_closure({gen_sorted_formula(rng, depth=3, mods=(0, 1, 2))})
+        members = sorted(delta, key=repr)
+        damaged = [delta]
+        for _ in range(5):
+            damaged.append(delta - {rng.choice(members)})
+        # drop a pair {x, ~x} under a surviving member: the set stays closed
+        # under modified negation and is only caught by the subformula rule
+        children = [g.child for g in members if isinstance(g, (Neg, Dia))]
+        children += [c for g in members if isinstance(g, (And, Or)) for c in (g.left, g.right)]
+        for x in rng.sample(children, min(3, len(children))):
+            cut = delta - {x, modified_negation(x)}
+            if x != TOP and all(modified_negation(g) in cut for g in cut) and \
+                    any(not subformulas(g) <= cut for g in cut):
+                damaged.append(cut)
+                pair_cases += 1
+                assert not is_adequate(cut)
+        for dset in damaged:
+            assert is_adequate(dset) == _adequate_by_definition(dset)
+            checked += 1
+    assert pair_cases > 20 and checked > 400

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from glpstar.decide import decide
 from glpstar.formulas import (
     BOT,
     OMEGA,
@@ -9,6 +10,8 @@ from glpstar.formulas import (
     And,
     Dia,
     Neg,
+    Or,
+    Top,
     Var,
     adequate_closure,
     modified_negation,
@@ -23,6 +26,7 @@ from glpstar.hintikka import (
     hintikka_candidates,
 )
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
+from glpstar.parsing import parse_formula
 from conftest import gen_sorted_formula
 
 p0 = Var("p", 0)
@@ -85,6 +89,69 @@ class TestHintikkaCandidates:
         delta = closure_of(And(Dia(0, pw), Dia(1, Var("q", OMEGA))))
         with pytest.raises(ResourceLimitError):
             hintikka_candidates(delta, candidate_cap=2)
+
+
+def _holds(formula, truth):
+    """Boolean value of a formula under an assignment to its atoms."""
+    if isinstance(formula, (Var, Dia)):
+        return truth[formula]
+    if isinstance(formula, Neg):
+        return not _holds(formula.child, truth)
+    if isinstance(formula, And):
+        return _holds(formula.left, truth) and _holds(formula.right, truth)
+    if isinstance(formula, Or):
+        return _holds(formula.left, truth) or _holds(formula.right, truth)
+    return isinstance(formula, Top)
+
+
+def _scan_indices(atoms):
+    """Ascending indices in range(2**len(atoms)) passing the sigma and transit rules."""
+    out = []
+    for idx in range(1 << len(atoms)):
+        truth = {a: bool(idx >> j & 1) for j, a in enumerate(atoms)}
+        for d, true in truth.items():
+            if not (true and isinstance(d, Dia)):
+                continue
+            body_sort = sort_of(d.child)
+            if body_sort is not OMEGA and body_sort <= d.index and not _holds(d.child, truth):
+                break
+            if isinstance(d.child, Dia) and d.index < d.child.index \
+                    and not truth[Dia(d.index, d.child.child)]:
+                break
+        else:
+            out.append(idx)
+    return out
+
+
+class TestEnumeration:
+    def test_matches_scan_of_all_assignments(self):
+        rng = random.Random(44)
+        checked = constrained = wide = 0
+        while checked < 40:
+            f = gen_sorted_formula(rng, depth=5, mods=(0, 1, 2, 3))
+            delta = closure_of(f)
+            if not 4 <= sum(isinstance(g, (Var, Dia)) for g in delta) <= 14:
+                continue
+            engine = CanonicalEngine(delta)
+            assert engine.atom_index.tolist() == _scan_indices(engine.atoms)
+            checked += 1
+            constrained += engine.count < 1 << len(engine.atoms)
+            wide += len(engine.atoms) > 10
+        assert constrained > 30 and wide > 3
+
+    def test_sparse_33_atom_closure_decides(self):
+        # 33 atoms: 2^33 assignments, of which 768 are candidates
+        f = parse_formula("<0><3>(q:0 & F) & <1><2><1>F")
+        v = decide("glpstar", f)
+        assert (v.stats.atom_count, v.stats.candidates) == (33, 768)
+        assert not v.theorem
+        model = v.countermodel
+        assert check_jstar_frame(model) == []
+        assert check_strong_persistence(model) == []
+        assert not model_check(model, model.root, v.falsified)
+        decide("glpstar", f, candidate_cap=768)
+        with pytest.raises(ResourceLimitError):
+            decide("glpstar", f, candidate_cap=767)
 
 
 class TestCanonicalRelation:

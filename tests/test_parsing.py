@@ -148,6 +148,17 @@ class TestParseModel:
             # the span of line 2, which starts after "worlds a\n"
             assert err.value.span == (9, len(text.encode("utf-8")) - 1), text
 
+    @pytest.mark.parametrize("name", ["p q", "日本", "1p", "p-q", "T", "F", ""])
+    def test_val_name_must_be_a_variable_name(self, name):
+        text = f"worlds a\nval {name}:0 = {{a}}\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(text)
+        assert err.value.span == (9, len(text.encode("utf-8")) - 1)
+
+    def test_val_name_identifiers_accepted(self):
+        m = parse_model("worlds a\nval _p1:0 = {a}\nval Tx :w = {}\n")
+        assert m.valuation == {"_p1": frozenset({"a"}), "Tx": frozenset()}
+
     def test_round_trip(self):
         m = parse_model(MODEL_TEXT)
         assert parse_model(render_model(m)) == m
