@@ -4,7 +4,9 @@ Exit status contract: 0 affirmative (theorem / valid / accepted / nothing
 found), 1 negative (non-theorem / invalid / rejected / countermodel found),
 2 usage or input error, 3 resource limit. Formula arguments are read from
 the command line, or from a file when prefixed with '@' (one formula per
-line, '#' comments). `--format json` emits one JSON object instead of text.
+line, '#' comments). `--format json` emits one JSON object instead of text;
+for a resource limit it carries the message and the closure's atom count,
+the candidate count reached and the candidate cap (null where unknown).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import sys
 from typing import Optional
 
 from .decide import SystemId, Verdict, decide
-from .formulas import Formula, adequate_closure, modal_levels, render_sort, sort_of, subformulas
+from .formulas import Formula, adequate_closure, modal_levels, render_sort, sort_of
 from .hintikka import DEFAULT_CANDIDATE_CAP, ResourceLimitError
 from .kripke import check_jstar_frame, check_strong_persistence, model_check, valid_in_model
 from .oracle import SearchBudget, brute_force_countermodel
@@ -23,6 +25,7 @@ from .parsing import (
     ParseError,
     export_dot,
     parse_formula,
+    parse_formula_file,
     parse_model,
     render_formula,
     render_formula_set,
@@ -57,11 +60,10 @@ def _read_formulas(arg: str) -> list[Formula]:
                 text = handle.read()
         except OSError as exc:
             raise _UsageError(f"cannot read {arg[1:]!r}: {exc}") from exc
-        formulas = []
-        for line in text.splitlines():
-            stripped = line.split("#", 1)[0].strip()
-            if stripped:
-                formulas.append(_parse(stripped))
+        try:
+            formulas = parse_formula_file(text)
+        except ParseError as exc:
+            raise _UsageError(f"bad formula: {exc}") from exc
         if not formulas:
             raise _UsageError(f"no formulas in {arg[1:]!r}")
         return formulas
@@ -251,7 +253,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_closure(args) -> int:
     formula = _read_formulas(args.formula)[0]
-    delta = adequate_closure({formula} | subformulas(formula))
+    delta = adequate_closure({formula})
     levels = sorted(modal_levels(delta))
     payload = {
         "command": "closure",
@@ -408,12 +410,26 @@ def run(argv: Optional[list[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:
-        print(f"resource limit: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+        return _resource_limit(args, exc)
     except RecursionError:
-        # formula traversals recurse on nesting depth
-        print("resource limit: formula nesting too deep to traverse", file=sys.stderr)
-        return EXIT_RESOURCE
+        # the parser, desugar, rendering and model checking recurse once per
+        # nesting level; building formula nodes does not recurse
+        return _resource_limit(args, ResourceLimitError("formula nesting too deep to traverse"))
+
+
+def _resource_limit(args, exc: ResourceLimitError) -> int:
+    """One stderr line, and under --format json the structured cause on stdout."""
+    print(f"resource limit: {exc}", file=sys.stderr)
+    if args.format == "json":
+        print(json.dumps({
+            "command": args.command,
+            "error": "resource limit",
+            "message": str(exc),
+            "atoms": exc.atoms,
+            "candidates": exc.candidates,
+            "cap": exc.cap,
+        }, indent=2, sort_keys=True))
+    return EXIT_RESOURCE
 
 
 def main() -> None:

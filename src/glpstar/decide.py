@@ -120,7 +120,9 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
         system = SystemId.parse(system)
     target = reduction_target(system, formula, via, nplus_variant)
     negated = modified_negation(target)
-    delta = adequate_closure({negated} | subformulas(target))
+    # the target's closure holds its subformulas and negated; the closure
+    # of negated alone lacks the target when the target is a double negation
+    delta = adequate_closure({target})
 
     engine = CanonicalEngine(delta, candidate_cap)
     refuting = engine.truth_column(negated)

@@ -1,9 +1,16 @@
 """Sorted polymodal formulas: AST, sort calculus, modified negation, closures.
 
-Formulas are immutable trees. The core connectives are T, F, variables,
-negation, conjunction, disjunction and the indexed diamonds <n>. Boxes [n]
-and implications are sugar removed by :func:`desugar`; every operation below
-except :func:`desugar` itself expects core formulas.
+Formula nodes are hash-consed: building a node equal to a live one returns
+that same node, so structurally equal formulas are identical objects and
+``==`` and ``hash`` are the identity ones, O(1) at any depth. Construction
+is thread-safe: two threads building equal formulas get one node. Nodes are
+immutable; ``copy`` and ``pickle`` round-trip to the interned node. Each
+node computes its sort key, size and sort once, from its children's.
+
+The core connectives are T, F, variables, negation, conjunction,
+disjunction and the indexed diamonds <n>. Boxes [n] and implications are
+sugar removed by :func:`desugar`; every operation below except
+:func:`desugar` itself expects core formulas.
 
 Variable sorts range over 0, 1, 2, ... and the top sort omega. Negation
 bumps a sort by one; the successor saturates at omega so sorts stay in range.
@@ -11,7 +18,9 @@ bumps a sort by one; the successor saturates at omega so sorts stay in range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+import weakref
+from dataclasses import FrozenInstanceError
 from typing import Iterable, Iterator, Union
 
 
@@ -78,68 +87,184 @@ def render_sort(s: Sort) -> str:
     return "w" if s is OMEGA else str(s)
 
 
+class Formula:
+    """Base class; use the concrete node classes below.
+
+    A node's fields are named in ``__match_args__``. Each node also carries
+    its structural sort key, its node count and its sort, computed once from
+    its children's values when the node is first built. The sort is None
+    when a Box or an Implies occurs in the node: only core formulas have one.
+    """
+
+    __slots__ = ("_key", "_size", "_sort", "__weakref__")
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # slot setters, which bypass __setattr__, for fields then derived values
+        names = (*cls.__match_args__, "_key", "_size", "_sort")
+        cls._setters = tuple(getattr(cls, name).__set__ for name in names)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        # copy and pickle rebuild through the constructor, which interns
+        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+
+
+# Live nodes by (class, *fields). An entry lives as long as its node; the key
+# holds the children, which the node holds anyway.
+_nodes: "weakref.WeakValueDictionary[tuple, Formula]" = weakref.WeakValueDictionary()
+_nodes_lock = threading.Lock()
+
+
+def _intern(cls: type, fields: tuple) -> Formula:
+    """The live node of this class with these fields, built on a miss.
+
+    On a miss the node is built, then inserted under the lock by
+    ``setdefault``, which looks the key up again: when another thread
+    inserted an equal node first, that one is returned and ours is dropped,
+    so equal formulas are one node. ``cls._derive`` maps the fields to the
+    node's (sort key, size, sort).
+    """
+    key = (cls, *fields)
+    node = _nodes.get(key)
+    if node is None:
+        node = object.__new__(cls)
+        for setter, value in zip(cls._setters, (*fields, *cls._derive(*fields))):
+            setter(node, value)
+        with _nodes_lock:
+            node = _nodes.setdefault(key, node)
+    return node
+
+
 def _sort_key_of_sort(s: Sort):
     return (1, 0) if s is OMEGA else (0, s)
 
 
-@dataclass(frozen=True)
-class Formula:
-    """Base class; use the concrete node classes below."""
+def _join_sort(left: Formula, right: Formula):
+    if left._sort is None or right._sort is None:
+        return None
+    return sort_max(left._sort, right._sort)
 
 
-@dataclass(frozen=True, slots=True)
 class Top(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _intern(cls, ())
+
+    @staticmethod
+    def _derive():
+        return (0,), 1, 0
 
 
-@dataclass(frozen=True, slots=True)
 class Bot(Formula):
-    pass
+    __slots__ = ()
+
+    def __new__(cls):
+        return _intern(cls, ())
+
+    @staticmethod
+    def _derive():
+        return (1,), 1, 0
 
 
-@dataclass(frozen=True, slots=True)
 class Var(Formula):
-    name: str
-    sort: Sort = OMEGA
+    __slots__ = ("name", "sort")
+    __match_args__ = ("name", "sort")
+
+    def __new__(cls, name: str, sort: Sort = OMEGA):
+        return _intern(cls, (name, sort))
+
+    @staticmethod
+    def _derive(name, sort):
+        return (2, name, _sort_key_of_sort(sort)), 1, sort
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Formula):
-    child: Formula
+    __slots__ = ("child",)
+    __match_args__ = ("child",)
+
+    def __new__(cls, child: Formula):
+        return _intern(cls, (child,))
+
+    @staticmethod
+    def _derive(child):
+        sort = None if child._sort is None else sort_succ(child._sort)
+        return (3, child._key), 1 + child._size, sort
 
 
-@dataclass(frozen=True, slots=True)
 class And(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _intern(cls, (left, right))
+
+    @staticmethod
+    def _derive(left, right):
+        return (4, left._key, right._key), 1 + left._size + right._size, _join_sort(left, right)
 
 
-@dataclass(frozen=True, slots=True)
 class Or(Formula):
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _intern(cls, (left, right))
+
+    @staticmethod
+    def _derive(left, right):
+        return (5, left._key, right._key), 1 + left._size + right._size, _join_sort(left, right)
 
 
-@dataclass(frozen=True, slots=True)
 class Dia(Formula):
-    index: int
-    child: Formula
+    __slots__ = ("index", "child")
+    __match_args__ = ("index", "child")
+
+    def __new__(cls, index: int, child: Formula):
+        return _intern(cls, (index, child))
+
+    @staticmethod
+    def _derive(index, child):
+        return (6, index, child._key), 1 + child._size, None if child._sort is None else index
 
 
-@dataclass(frozen=True, slots=True)
 class Box(Formula):
     """Sugar: [n]x stands for ~<n>~x."""
 
-    index: int
-    child: Formula
+    __slots__ = ("index", "child")
+    __match_args__ = ("index", "child")
+
+    def __new__(cls, index: int, child: Formula):
+        return _intern(cls, (index, child))
+
+    @staticmethod
+    def _derive(index, child):
+        return (7, index, child._key), 1 + child._size, None
 
 
-@dataclass(frozen=True, slots=True)
 class Implies(Formula):
     """Sugar: x -> y stands for ~x | y."""
 
-    left: Formula
-    right: Formula
+    __slots__ = ("left", "right")
+    __match_args__ = ("left", "right")
+
+    def __new__(cls, left: Formula, right: Formula):
+        return _intern(cls, (left, right))
+
+    @staticmethod
+    def _derive(left, right):
+        return (8, left._key, right._key), 1 + left._size + right._size, None
 
 
 TOP = Top()
@@ -148,7 +273,7 @@ BOT = Bot()
 
 def desugar(formula: Formula) -> Formula:
     """Rewrite boxes and implications into the core connectives. Idempotent."""
-    if isinstance(formula, (Top, Bot, Var)):
+    if formula._sort is not None:
         return formula
     if isinstance(formula, Neg):
         return Neg(desugar(formula.child))
@@ -171,19 +296,13 @@ def _require_core(formula: Formula) -> None:
 
 
 def sort_of(formula: Formula) -> Sort:
-    """Sort of a core formula: T/F are 0, <n>x is n, negation adds one."""
-    _require_core(formula)
-    if isinstance(formula, (Top, Bot)):
-        return 0
-    if isinstance(formula, Var):
-        return formula.sort
-    if isinstance(formula, Neg):
-        return sort_succ(sort_of(formula.child))
-    if isinstance(formula, (And, Or)):
-        return sort_max(sort_of(formula.left), sort_of(formula.right))
-    if isinstance(formula, Dia):
-        return formula.index
-    raise TypeError(f"not a formula: {formula!r}")
+    """Sort of a core formula: T/F are 0, <n>x is n, negation adds one.
+
+    A formula with a Box or an Implies anywhere in it is rejected.
+    """
+    if formula._sort is None:
+        raise ValueError(f"expected a desugared formula, got {formula!r}")
+    return formula._sort
 
 
 def modified_negation(formula: Formula) -> Formula:
@@ -272,13 +391,28 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
     delta: set[Formula] = set()
 
     def absorb(f: Formula) -> None:
-        for g in subformulas(f):
+        # delta stays closed under subformulas and modified negations, so
+        # the walk stops at members: a negation's modified negation is its
+        # child, and any other node g brings ~g.
+        stack = [f]
+        while stack:
+            g = stack.pop()
+            if g in delta:
+                continue
             delta.add(g)
-            delta.add(modified_negation(g))
+            if isinstance(g, Neg):
+                stack.append(g.child)
+                continue
+            _require_core(g)
+            stack.append(Neg(g))
+            if isinstance(g, (And, Or)):
+                stack.append(g.left)
+                stack.append(g.right)
+            elif isinstance(g, Dia):
+                stack.append(g.child)
 
     absorb(TOP)
     for f in gamma:
-        _require_core(f)
         absorb(f)
 
     changed = True
@@ -356,31 +490,17 @@ def to_omega_sorted(formula: Formula) -> Formula:
 
 
 def formula_size(formula: Formula) -> int:
-    """Node count."""
-    if isinstance(formula, (Top, Bot, Var)):
-        return 1
-    if isinstance(formula, (Neg, Dia, Box)):
-        return 1 + formula_size(formula.child)
-    if isinstance(formula, (And, Or, Implies)):
-        return 1 + formula_size(formula.left) + formula_size(formula.right)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-_KIND_ORDER = {Top: 0, Bot: 1, Var: 2, Neg: 3, And: 4, Or: 5, Dia: 6, Box: 7, Implies: 8}
+    """Node count of the tree, shared subtrees counted once per occurrence."""
+    return formula._size
 
 
 def sort_key(formula: Formula):
-    """Total structural order on formulas, for deterministic enumeration."""
-    k = _KIND_ORDER[type(formula)]
-    if isinstance(formula, (Top, Bot)):
-        return (k,)
-    if isinstance(formula, Var):
-        return (k, formula.name, _sort_key_of_sort(formula.sort))
-    if isinstance(formula, (Dia, Box)):
-        return (k, formula.index, sort_key(formula.child))
-    if isinstance(formula, Neg):
-        return (k, sort_key(formula.child))
-    return (k, sort_key(formula.left), sort_key(formula.right))
+    """Total structural order on formulas, for deterministic enumeration.
+
+    Nodes compare by kind (T, F, variable, ~, &, |, <n>, [n], ->), then by
+    name and sort or by index, then by their children's keys.
+    """
+    return formula._key
 
 
 def conjoin(conjuncts: list[Formula]) -> Formula:

@@ -55,7 +55,19 @@ DEFAULT_CANDIDATE_CAP = 1 << 20
 
 
 class ResourceLimitError(RuntimeError):
-    """The candidate enumeration exceeded its cap; no verdict was produced."""
+    """The candidate enumeration exceeded a limit; no verdict was produced.
+
+    ``atoms`` is the closure's atom count, ``candidates`` the candidate
+    count reached when the cap stopped the enumeration (None when a fixed
+    limit refused the closure before enumerating), ``cap`` the candidate cap.
+    """
+
+    def __init__(self, message: str, *, atoms: Optional[int] = None,
+                 candidates: Optional[int] = None, cap: Optional[int] = None):
+        super().__init__(message)
+        self.atoms = atoms
+        self.candidates = candidates
+        self.cap = cap
 
 
 @dataclass
@@ -125,10 +137,11 @@ class CanonicalEngine:
         if any([d.child for d in self.level_dias[n]] != self.bodies for n in self.levels):
             raise AssertionError("adequate set is missing a level twin")
         width = len(self.bodies)
+        limits = {"atoms": len(self.atoms), "cap": candidate_cap}
         if width > 32:
-            raise ResourceLimitError(f"{width} diamonds at each level exceed 32")
+            raise ResourceLimitError(f"{width} diamonds at each level exceed 32", **limits)
         if len(self.levels) * width > 63:
-            raise ResourceLimitError("more than 63 diamond positions overall")
+            raise ResourceLimitError("more than 63 diamond positions overall", **limits)
         self.low_offset = {n: k * width for k, n in enumerate(self.levels)}
 
         # Per atom, the formulas its truth forces: sigma (<n>x with
@@ -184,11 +197,13 @@ class CanonicalEngine:
     def _enumerate(self) -> None:
         n_atoms = len(self.atoms)
         if n_atoms > 63:
-            raise ResourceLimitError(f"{n_atoms} atoms exceed the 63-bit index budget")
-        grown = self._grow()
+            raise ResourceLimitError(f"{n_atoms} atoms exceed the 63-bit index budget",
+                                     atoms=n_atoms, cap=self.cap)
+        reached, grown = self._grow()
         if grown is None:
             # raised here rather than in _grow, so the traceback holds no partial table
-            raise ResourceLimitError(f"candidate count exceeds the cap {self.cap}")
+            raise ResourceLimitError(f"candidate count exceeds the cap {self.cap}",
+                                     atoms=n_atoms, candidates=reached, cap=self.cap)
         indices, memo = grown
 
         self.count = len(indices)
@@ -220,8 +235,9 @@ class CanonicalEngine:
                 low |= self.col[("d", m)].astype(np.uint64) << np.uint64(self.low_offset[m])
             self.col[("low", n)] = low
 
-    def _grow(self) -> Optional[tuple[np.ndarray, dict]]:
-        """Consistent assignments in ascending order, or None past the cap.
+    def _grow(self) -> tuple[int, Optional[tuple[np.ndarray, dict]]]:
+        """Row count reached, and the consistent assignments in ascending
+        order with their evaluation memo, or None past the cap.
 
         Grown one atom at a time: every row over the atoms below position i
         stays with bit i clear, and the rows satisfying what atom i forces
@@ -237,11 +253,12 @@ class CanonicalEngine:
             ok = np.ones(len(indices), dtype=bool)
             for f in forced:
                 ok &= self._eval_block(indices, f, memo)
-            if len(indices) + int(np.count_nonzero(ok)) > self.cap:
-                return None
+            reached = len(indices) + int(np.count_nonzero(ok))
+            if reached > self.cap:
+                return reached, None
             indices = np.concatenate((indices, indices[ok] | np.uint64(1 << pos)))
             memo = {k: np.concatenate((v, v[ok])) for k, v in memo.items()}
-        return (indices, memo) if len(indices) <= self.cap else None
+        return len(indices), ((indices, memo) if len(indices) <= self.cap else None)
 
     # ----- vector queries -----
 

@@ -15,8 +15,9 @@ Numerals (modality indices, sorts, and the indices in model files and
 proof files) are ASCII digits 0-9 only. The nine unicode aliases accepted
 on input are '¬' for '~', '∧' for '&', '∨' for '|', '→' for '->',
 '◊n' for '<n>', '□n' for '[n]', '⊤' for 'T', '⊥' for 'F' and 'ω' for the
-sort 'w'. Any other non-ASCII character outside whitespace is a
-ParseError.
+sort 'w'. Whitespace is the six ASCII characters space, tab, newline,
+carriage return, form feed and vertical tab; any other character outside
+the grammar, non-ASCII spaces such as U+3000 included, is a ParseError.
 
 A bare variable name defaults to sort omega. Parsed formulas come out
 desugared. Errors carry byte-offset spans into the input.
@@ -71,7 +72,7 @@ def _byte_span(text: str, start: int, end: int) -> SourceSpan:
     return SourceSpan(b0, b1)
 
 
-@dataclass
+@dataclass(slots=True)
 class _Token:
     kind: str
     value: object
@@ -80,6 +81,7 @@ class _Token:
 
 
 _DIGITS = frozenset(string.digits)
+_WHITESPACE = " \t\n\r\f\v"
 _NAME_START = frozenset(string.ascii_letters + "_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
@@ -100,7 +102,7 @@ def _tokenize(text: str) -> list[_Token]:
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c.isspace():
+        if c in _WHITESPACE:
             i += 1
             continue
         if c == "#":
@@ -194,7 +196,6 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.var_sorts: dict[str, Sort] = {}
-        self.var_spans: dict[str, SourceSpan] = {}
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -265,17 +266,12 @@ class _Parser:
             name, sort = tok.value
             if sort is None:
                 sort = OMEGA
-            span = _byte_span(self.text, tok.start, tok.end)
-            if name in self.var_sorts:
-                if self.var_sorts[name] != sort:
-                    raise ParseError(
-                        f"variable {name!r} used with sorts "
-                        f"{render_sort(self.var_sorts[name])} and {render_sort(sort)}",
-                        span,
-                    )
-            else:
-                self.var_sorts[name] = sort
-                self.var_spans[name] = span
+            if self.var_sorts.setdefault(name, sort) != sort:
+                self.error(
+                    f"variable {name!r} used with sorts "
+                    f"{render_sort(self.var_sorts[name])} and {render_sort(sort)}",
+                    tok,
+                )
             return Var(name, sort)
         self.error("expected a formula", tok)
 
@@ -289,7 +285,7 @@ def parse_formula_file(text: str) -> list[Formula]:
     """One formula per non-blank line; '#' starts a comment."""
     out = []
     for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip()
+        stripped = line.split("#", 1)[0].strip(_WHITESPACE)
         if stripped:
             out.append(parse_formula(stripped))
     return out

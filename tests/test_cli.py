@@ -66,7 +66,7 @@ class TestDecideCommand:
         assert code == 2
         assert "error" in err
 
-    @pytest.mark.parametrize("formula", ["<²>p", "p:²", "日本"])
+    @pytest.mark.parametrize("formula", ["<²>p", "p:²", "日本", "p &\u3000q"])
     def test_non_ascii_formula_usage_error(self, capsys, formula):
         code, _, err = invoke(capsys, "decide", "--system", "jstar", formula)
         assert code == 2
@@ -80,8 +80,28 @@ class TestDecideCommand:
         assert code == 3
         assert "resource" in err
 
+    def test_resource_limit_json(self, capsys):
+        code, out, err = invoke(
+            capsys, "decide", "--system", "glpstar", "--candidate-cap", "5",
+            "--format", "json", "<0>p & <1>q",
+        )
+        assert code == 3
+        assert err.startswith("resource limit:")
+        payload = json.loads(out)
+        assert payload["command"] == "decide" and payload["error"] == "resource limit"
+        assert payload["cap"] == 5
+        assert payload["candidates"] > 5
+        assert payload["atoms"] == 8
+        assert "cap 5" in payload["message"]
+
+    def test_nested_formula_decides(self, capsys):
+        code, out, _ = invoke(capsys, "decide", "--system", "glpstar", "~" * 100 + "p")
+        assert code == 1
+        assert out.startswith("non-theorem")
+
     def test_deep_formula_is_a_resource_limit(self, capsys):
-        code, out, err = invoke(capsys, "decide", "--system", "glpstar", "~" * 500 + "p")
+        # the parser recurses once per prefix operator
+        code, out, err = invoke(capsys, "decide", "--system", "glpstar", "~" * 5000 + "p")
         assert code == 3
         assert out == ""
         assert err.startswith("resource limit:") and err.count("\n") == 1

@@ -124,9 +124,7 @@ class TestReductionRoutes:
             via_m = decide(SystemId.JSTAR, reduction_target(SystemId.GLPSTAR, f)).theorem
             via_n = decide(SystemId.JSTAR, desugar(Implies(n_plus(f, "default"), f))).theorem
             theta = sorted(occurring_modalities(f))
-            via_r = decide(
-                SystemId.GLP, desugar(Implies(r_theta_plus(f, theta), f)), candidate_cap=1 << 22
-            ).theorem
+            via_r = decide(SystemId.GLP, desugar(Implies(r_theta_plus(f, theta), f))).theorem
             assert direct == via_m == via_n == via_r
 
     def test_premises_are_theorems(self):
@@ -138,7 +136,7 @@ class TestReductionRoutes:
             assert decide(SystemId.GLPSTAR, m_plus(f)).theorem
             assert decide(SystemId.GLPSTAR, n_plus(f, "default")).theorem
             theta = sorted(occurring_modalities(f))
-            assert decide(SystemId.GLPSTAR, r_theta_plus(f, theta), candidate_cap=1 << 22).theorem
+            assert decide(SystemId.GLPSTAR, r_theta_plus(f, theta)).theorem
 
     def test_glpsstar_extends_glpstar(self):
         rng = random.Random(55)

@@ -1,7 +1,15 @@
+import copy
+import os
+import pickle
 import random
+import sys
+import threading
+import uuid
 
 import pytest
 
+from glpstar import formulas
+from glpstar.decide import SystemId, reduction_target
 from glpstar.formulas import (
     BOT,
     OMEGA,
@@ -12,13 +20,16 @@ from glpstar.formulas import (
     Implies,
     Neg,
     Or,
+    Top,
     Var,
     adequate_closure,
     desugar,
     diamond_subformulas,
+    formula_size,
     is_adequate,
     modal_levels,
     modified_negation,
+    sort_key,
     sort_of,
     sort_succ,
     subformulas,
@@ -192,6 +203,157 @@ class TestAdequateClosure:
     def test_rediamond_rule(self):
         delta = adequate_closure({And(Dia(0, pw), Dia(1, qw))})
         assert Dia(0, qw) in delta and Dia(1, pw) in delta
+
+    def test_goal_alone_matches_subformula_walk(self):
+        # decide closes only the goal; the walk that stops at members must
+        # give what the full subformula walk gave on the negated goal and
+        # the goal's subformulas
+        rng = random.Random(7)
+        double_negations = 0
+        for k in range(160):
+            f = gen_sorted_formula(rng, depth=4, max_vars=3, mods=(0, 1, 2, 3))
+            system = (SystemId.JSTAR, SystemId.GLPSTAR, SystemId.GLP, SystemId.GLPSSTAR)[k % 4]
+            target = reduction_target(system, f)
+            negated = modified_negation(target)
+            expected = _closure_by_subformula_walk({negated} | subformulas(target))
+            assert adequate_closure({target}) == expected
+            if isinstance(target, Neg) and isinstance(negated, Neg):
+                # ~~x as the goal: the closure of ~x alone would miss it
+                double_negations += 1
+                assert target not in adequate_closure({negated})
+            else:
+                assert adequate_closure({negated}) == expected
+        assert double_negations > 0
+
+    def test_sugar_below_the_top_rejected(self):
+        with pytest.raises(ValueError):
+            adequate_closure({Dia(0, Neg(Box(1, p0)))})
+
+
+def _closure_by_subformula_walk(gamma):
+    """The closure as first written: every subformula of every absorbed
+    formula, with its modified negation, then the three rules to a fixpoint."""
+    delta = set()
+
+    def absorb(f):
+        for g in subformulas(f):
+            delta.add(g)
+            delta.add(modified_negation(g))
+
+    absorb(TOP)
+    for f in gamma:
+        absorb(f)
+    changed = True
+    while changed:
+        changed = False
+        levels = modal_levels(delta)
+        todo = []
+        for f in delta:
+            if isinstance(f, Dia):
+                todo.extend(Dia(m, f.child) for m in levels)
+            elif isinstance(f, Var) and f.sort is not OMEGA:
+                todo.extend(Dia(n, f) for n in levels if n >= f.sort)
+            elif isinstance(f, Neg) and isinstance(f.child, Var) and f.child.sort is not OMEGA:
+                todo.extend(Dia(n, f) for n in levels if n > f.child.sort)
+        for f in todo:
+            if f not in delta:
+                absorb(f)
+                changed = True
+    return frozenset(delta)
+
+
+class TestInterning:
+    def test_equal_constructions_are_identical(self):
+        rng = random.Random(8)
+        for _ in range(50):
+            state = rng.getstate()
+            f = gen_sorted_formula(rng, depth=4)
+            rng.setstate(state)
+            assert gen_sorted_formula(rng, depth=4) is f
+        assert Var("p", 0) is p0 and Var("p") is pw and Var("p", OMEGA) is pw
+        assert Neg(Dia(1, And(p0, TOP))) is Neg(Dia(1, And(Var("p", 0), Top())))
+        assert Box(2, p0) is Box(2, p0) and Implies(p0, q1) is Implies(p0, q1)
+        assert Dia(1, p0) is not Dia(2, p0) and And(p0, q1) is not Or(p0, q1)
+
+    def test_equality_and_hash_are_identity(self):
+        f = Or(Neg(p0), Dia(0, q1))
+        assert f == Or(Neg(p0), Dia(0, q1)) and hash(f) == hash(Or(Neg(p0), Dia(0, q1)))
+        assert type(f).__eq__ is object.__eq__ and type(f).__hash__ is object.__hash__
+        assert f != Or(Neg(p0), Dia(1, q1))
+
+    def test_copy_pickle_and_repr_round_trip(self):
+        f = And(Dia(1, Neg(Var("p", 2))), Or(TOP, Box(0, Implies(BOT, qw))))
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(f, protocol)) is f
+        assert repr(Var("p", 2)) == "Var(name='p', sort=2)"
+        assert repr(pw) == "Var(name='p', sort=w)"
+        assert repr(Neg(TOP)) == "Neg(child=Top())"
+        assert repr(Dia(1, BOT)) == "Dia(index=1, child=Bot())"
+        assert repr(Implies(p0, q1)) == (
+            "Implies(left=Var(name='p', sort=0), right=Var(name='q', sort=1))"
+        )
+        assert eval(repr(f), vars(formulas) | {"w": OMEGA}) is f
+
+    def test_fields_cannot_be_assigned(self):
+        f = Dia(1, p0)
+        for name, value in (("index", 2), ("child", q1), ("_key", ()), ("fresh", 0)):
+            with pytest.raises(AttributeError):
+                setattr(f, name, value)
+        with pytest.raises(AttributeError):
+            del f.child
+        assert f.index == 1 and f.child is p0 and Dia(1, p0) is f
+
+    def test_derived_values_match_the_tree(self):
+        f = And(Neg(Dia(2, Neg(Var("p", 1)))), Or(Var("q", 0), Neg(Var("q", 0))))
+        assert formula_size(f) == 9
+        assert sort_of(f) == 3
+        assert sort_key(Neg(p0)) == (3, (2, "p", (0, 0)))
+        assert sort_key(TOP) < sort_key(BOT) < sort_key(p0) < sort_key(Neg(TOP))
+        assert sort_key(Var("p", 5)) < sort_key(pw)
+        with pytest.raises(ValueError):
+            sort_of(And(p0, Box(1, p0)))
+        with pytest.raises(ValueError):
+            sort_of(Dia(1, Neg(Box(1, p0))))
+
+    def test_concurrent_construction_yields_one_node(self):
+        # fresh names, so every thread races to build nodes none has built
+        threads_n = (os.cpu_count() or 1) + 4
+        prefix = f"t{uuid.uuid4().hex}_"
+        barrier = threading.Barrier(threads_n)
+        built = [None] * threads_n
+        errors = []
+
+        def build(slot):
+            try:
+                barrier.wait(timeout=10)
+                out = []
+                for k in range(300):
+                    v = Var(f"{prefix}{k % 23}", k % 3)
+                    f = Dia(k % 4, And(Neg(v), Or(v, Var(f"{prefix}{k % 7}"))))
+                    out.append(Neg(And(f, Dia(k % 2, f))))
+                built[slot] = out
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=build, args=(i,)) for i in range(threads_n)]
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in workers)
+        assert errors == []
+        first = built[0]
+        assert len(first) == 300
+        for other in built[1:]:
+            assert all(a is b for a, b in zip(first, other, strict=True))
+            for a, b in zip(first, other):
+                assert a.child.left.child is b.child.left.child
 
 
 class TestToOmegaSorted:

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from glpstar.decide import decide
@@ -26,7 +27,7 @@ from glpstar.hintikka import (
     hintikka_candidates,
 )
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
-from glpstar.parsing import parse_formula
+from glpstar.parsing import parse_formula, render_model
 from conftest import gen_sorted_formula
 
 p0 = Var("p", 0)
@@ -150,8 +151,52 @@ class TestEnumeration:
         assert check_strong_persistence(model) == []
         assert not model_check(model, model.root, v.falsified)
         decide("glpstar", f, candidate_cap=768)
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError) as err:
             decide("glpstar", f, candidate_cap=767)
+        assert (err.value.atoms, err.value.candidates, err.value.cap) == (33, 768, 767)
+
+
+class TestCoverageKernels:
+    def test_crossjoin_matches_lattice(self):
+        rng = random.Random(45)
+        compared = uncovered = 0
+        for _ in range(60):
+            f = gen_sorted_formula(rng, depth=4, mods=(0, 1, 2))
+            engine = CanonicalEngine(closure_of(modified_negation(f)))
+            for n in engine.levels:
+                width = len(engine.level_dias[n])
+                for keep in (1.0, 0.7, 0.3):
+                    # all candidates, then random alive sets as elimination leaves them
+                    rows = np.flatnonzero(rng_mask(rng, engine.count, keep))
+                    if len(rows) == 0:
+                        continue
+                    cols = [engine.col[(name, n)][rows] for name in ("low", "d", "req", "need")]
+                    assert len(np.unique(cols[0])) << width <= CanonicalEngine._LATTICE_LIMIT
+                    lattice = CanonicalEngine._uncovered(*cols, width)
+                    cross = CanonicalEngine._uncovered_crossjoin(*cols)
+                    assert lattice.tolist() == cross.tolist()
+                    compared += 1
+                    uncovered += len(lattice) > 0
+        assert compared > 100 and uncovered > 40
+
+    def test_decide_agrees_on_crossjoin_alone(self, monkeypatch):
+        rng = random.Random(46)
+        formulas = [gen_sorted_formula(rng, depth=4, mods=(0, 1, 2)) for _ in range(80)]
+        systems = ["jstar", "glpstar", "glp", "glpsstar"]
+        expected = [decide(systems[k % 4], f) for k, f in enumerate(formulas)]
+        monkeypatch.setattr(CanonicalEngine, "_LATTICE_LIMIT", 1)
+        for k, (f, want) in enumerate(zip(formulas, expected)):
+            got = decide(systems[k % 4], f)
+            assert got.theorem == want.theorem
+            assert got.stats == want.stats
+            if not want.theorem:
+                assert render_model(got.countermodel) == render_model(want.countermodel)
+        assert sum(not v.theorem for v in expected) > 10
+        assert sum(v.stats.rounds != [] for v in expected) > 10
+
+
+def rng_mask(rng, count, keep):
+    return np.array([keep == 1.0 or rng.random() < keep for _ in range(count)], dtype=bool)
 
 
 class TestCanonicalRelation:

@@ -84,6 +84,19 @@ class TestParseFormula:
             assert 0 <= span.start <= span.end <= len(data), text
             assert culprit.encode("utf-8") in data[span.start:span.end], text
 
+    def test_only_ascii_whitespace(self):
+        assert parse_formula(" p\t&\nq\r|\f~\vT ") == Or(And(Var("p"), Var("q")), Neg(TOP))
+        # str.isspace accepts these; the grammar does not
+        for space in ("\u3000", "\u00a0", "\u2003", "\u2028", "\x1c", "\x85"):
+            text = f"p &{space}q"
+            with pytest.raises(ParseError) as err:
+                parse_formula(text)
+            data = text.encode("utf-8")
+            assert data[err.value.span.start:err.value.span.end] == space.encode("utf-8")
+            if len(f"q{space}q".splitlines()) == 1:
+                with pytest.raises(ParseError):
+                    parse_formula_file(f"p & q{space}\n")
+
     def test_ascii_identifiers(self):
         assert parse_formula("_x9 & A_b:12") == And(Var("_x9"), Var("A_b", 12))
 
