@@ -310,6 +310,7 @@ def _cmd_oracle(args) -> int:
         "found": result.found,
         "truncated": result.truncated,
         "models_examined": result.models_examined,
+        "by_worlds": [count._asdict() for count in result.by_worlds],
         "countermodel": _model_json(result.model) if result.found else None,
         "world": result.world,
     }

@@ -5,13 +5,20 @@ relations. The frame validator checks the three conditions that carve out
 the target frame class (per-level transitive irreflexive relations and the
 two inter-level conditions); the persistence validator checks the two
 valuation clauses tying variable truth to sorts along edges.
+
+Model checking has one kernel: :func:`compile_formula` turns a core formula
+into a post-order program, and :func:`evaluate` runs it over world bitmasks
+given each world's successor bitmask per modality and each variable's
+extension. :class:`Evaluator` feeds it a :class:`KripkeModel`; the oracle
+feeds it the bitmasks it enumerates.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from functools import lru_cache
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .formulas import (
     OMEGA,
@@ -199,8 +206,119 @@ def check_strong_persistence(model: KripkeModel) -> list[Violation]:
     return out
 
 
+# Opcodes of a compiled program. Instruction i of a program computes the
+# extension of node i: (TOP|BOT, 0, 0), (VAR, variable slot, 0),
+# (NEG, child, 0), (AND|OR, left, right) and (DIA, modality, child), where
+# child, left and right are the numbers of earlier instructions.
+_TOP, _BOT, _VAR, _NEG, _AND, _OR, _DIA = range(7)
+
+
+class Program(NamedTuple):
+    """A core formula compiled to a post-order program over world bitmasks.
+
+    ``nodes`` are the distinct subformulas, each after its children;
+    ``code`` holds one instruction per node; ``variables`` are the distinct
+    variables in leftmost-outermost order, indexed by the VAR instructions;
+    ``modalities`` are the diamond indices that occur.
+    """
+
+    nodes: tuple[Formula, ...]
+    code: tuple[tuple[int, int, int], ...]
+    variables: tuple[Var, ...]
+    modalities: frozenset[int]
+
+
+@lru_cache(maxsize=1)
+def compile_formula(formula: Formula) -> Program:
+    """Compile a core formula by one iterative post-order walk.
+
+    Children are walked left to right, so variables come out in
+    leftmost-outermost order; a shared subformula is compiled once. The
+    last program is kept: a search checks its refutation, and ``decide``
+    checks each candidate countermodel, against the formula it just compiled.
+    """
+    slot: dict[Formula, int] = {}
+    variables: list[Var] = []
+    code: list[tuple[int, int, int]] = []
+    modalities: set[int] = set()
+    stack = [formula]
+    while stack:
+        f = stack[-1]
+        if f in slot:
+            stack.pop()
+            continue
+        cls = type(f)
+        if cls is Neg or cls is Dia:
+            child = slot.get(f.child)
+            if child is None:
+                stack.append(f.child)
+                continue
+            if cls is Neg:
+                op = (_NEG, child, 0)
+            else:
+                op = (_DIA, f.index, child)
+                modalities.add(f.index)
+        elif cls is And or cls is Or:
+            left, right = slot.get(f.left), slot.get(f.right)
+            if left is None or right is None:
+                if right is None:
+                    stack.append(f.right)
+                if left is None:
+                    stack.append(f.left)
+                continue
+            op = (_AND if cls is And else _OR, left, right)
+        elif cls is Var:
+            op = (_VAR, len(variables), 0)
+            variables.append(f)
+        elif cls is Top:
+            op = (_TOP, 0, 0)
+        elif cls is Bot:
+            op = (_BOT, 0, 0)
+        else:
+            raise TypeError(f"not a core formula: {f!r}")
+        stack.pop()
+        slot[f] = len(code)
+        code.append(op)
+    return Program(tuple(slot), tuple(code), tuple(variables), frozenset(modalities))
+
+
+def evaluate(code: Sequence[tuple[int, int, int]], full: int,
+             succ: Mapping[int, Sequence[int]], values: Sequence[int]) -> list[int]:
+    """Run a program: the extension of every node, as world bitmasks.
+
+    ``full`` has one bit per world; ``succ`` maps a modality to the
+    successor bitmask of each world (a missing modality has no edges);
+    ``values`` holds each variable slot's extension.
+    """
+    ext: list[int] = []
+    push = ext.append
+    for op, a, b in code:
+        if op == _DIA:
+            child = ext[b]
+            rows = succ.get(a)
+            out = 0
+            if rows and child:
+                bit = 1
+                for row in rows:
+                    if row & child:
+                        out |= bit
+                    bit <<= 1
+            push(out)
+        elif op == _NEG:
+            push(full & ~ext[a])
+        elif op == _AND:
+            push(ext[a] & ext[b])
+        elif op == _OR:
+            push(ext[a] | ext[b])
+        elif op == _VAR:
+            push(values[a])
+        else:
+            push(full if op == _TOP else 0)
+    return ext
+
+
 class Evaluator:
-    """Bottom-up extension computation over a model, as world bitmasks."""
+    """Extensions over a model, as world bitmasks (bit i is world i)."""
 
     def __init__(self, model: KripkeModel):
         self.model = model
@@ -215,45 +333,29 @@ class Evaluator:
         self._cache: dict[Formula, int] = {}
         self._warned: set[str] = set()
 
+    def _members(self, name: str) -> int:
+        members = self.model.valuation.get(name)
+        if members is None:
+            if name not in self._warned:
+                self._warned.add(name)
+                warnings.warn(
+                    f"variable {name!r} not in valuation; treated as false everywhere",
+                    MissingVariableWarning,
+                    stacklevel=4,
+                )
+            return 0
+        mask = 0
+        for w in members:
+            mask |= 1 << self.index[w]
+        return mask
+
     def extension(self, formula: Formula) -> int:
         cached = self._cache.get(formula)
         if cached is not None:
             return cached
-        if isinstance(formula, Top):
-            ext = self.full
-        elif isinstance(formula, Bot):
-            ext = 0
-        elif isinstance(formula, Var):
-            members = self.model.valuation.get(formula.name)
-            if members is None:
-                if formula.name not in self._warned:
-                    self._warned.add(formula.name)
-                    warnings.warn(
-                        f"variable {formula.name!r} not in valuation; treated as false everywhere",
-                        MissingVariableWarning,
-                        stacklevel=4,
-                    )
-                ext = 0
-            else:
-                ext = 0
-                for w in members:
-                    ext |= 1 << self.index[w]
-        elif isinstance(formula, Neg):
-            ext = self.full & ~self.extension(formula.child)
-        elif isinstance(formula, And):
-            ext = self.extension(formula.left) & self.extension(formula.right)
-        elif isinstance(formula, Or):
-            ext = self.extension(formula.left) | self.extension(formula.right)
-        elif isinstance(formula, Dia):
-            child = self.extension(formula.child)
-            masks = self.succ.get(formula.index)
-            ext = 0
-            if masks is not None:
-                for i, mask in enumerate(masks):
-                    if mask & child:
-                        ext |= 1 << i
-        else:
-            raise TypeError(f"not a core formula: {formula!r}")
+        program = compile_formula(formula)
+        values = [self._members(v.name) for v in program.variables]
+        ext = evaluate(program.code, self.full, self.succ, values)[-1]
         self._cache[formula] = ext
         return ext
 

@@ -2,12 +2,22 @@
 
 Models are enumerated by world count, then by the relation bitmaps in
 ascending order (lowest modality outermost), then by valuation bitmaps.
-Frames are built level by level from precomputed strict orders, checking the
-two inter-level conditions incrementally, so every yielded frame passes the
-frame validator by construction. Valuations are generated directly as
-persistence-closed sets per variable (closed under predecessors at levels
-from the sort up and successors strictly above it) instead of filtering the
-full power set; that closure is what makes the search space tractable.
+The strict orders on k worlds are built from those on k-1 worlds, one new
+world at a time, and sorted. Frames are stacked level by level from these
+tables, checking the two inter-level conditions incrementally, so every
+frame passes the frame validator by construction. Valuations are generated
+directly as persistence-closed sets per variable (closed under predecessors
+at levels from the sort up and successors strictly above it) instead of
+filtering the full power set; that closure is what makes the search space
+tractable.
+
+The search runs in index space. The goal is compiled once into a post-order
+program (:func:`kripke.compile_formula`), and each enumerated model, as
+relation rows and valuation bitmasks, runs it through the same kernel as
+:class:`kripke.Evaluator`. Only the refuting model is materialized as a
+:class:`KripkeModel`, which both validators and an ``Evaluator`` then check.
+The model budget is checked before a world count's frame table or a frame's
+valuations are built.
 
 Absence of a countermodel within the budget proves nothing; this module
 never claims theoremhood.
@@ -16,11 +26,18 @@ never claims theoremhood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from itertools import product
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .formulas import OMEGA, Formula, Sort, desugar, variables_of
-from .kripke import Evaluator, KripkeModel, check_jstar_frame, check_strong_persistence
-from .reductions import occurring_modalities
+from .formulas import OMEGA, Formula, Sort, desugar
+from .kripke import (
+    Evaluator,
+    KripkeModel,
+    check_jstar_frame,
+    check_strong_persistence,
+    compile_formula,
+    evaluate,
+)
 
 
 @dataclass(frozen=True)
@@ -34,7 +51,7 @@ class SearchBudget:
             raise ValueError("budget bounds must be positive")
 
 
-_strict_orders_cache: dict[int, list[int]] = {}
+_strict_orders_cache: dict[int, list[int]] = {1: [0]}
 _compat_cache: dict[tuple[int, int, int], bool] = {}
 
 
@@ -42,32 +59,49 @@ def _rows(mask: int, k: int) -> list[int]:
     return [(mask >> (i * k)) & ((1 << k) - 1) for i in range(k)]
 
 
+def _bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _strict_orders(k: int) -> list[int]:
-    """All transitive irreflexive relations on k worlds, ascending bitmaps."""
+    """All transitive irreflexive relations on k worlds, ascending bitmaps.
+
+    Bit ``x * k + y`` stands for x R y. Each order on worlds 0..k-2 is
+    extended by world m = k-1 with predecessors P and successors S: P is
+    closed downwards, S upwards, and every member of P sees every member of
+    S (so P and S are disjoint, as no world sees itself). Those conditions
+    are exactly transitivity and irreflexivity at m, so each order on k
+    worlds arises once.
+    """
     cached = _strict_orders_cache.get(k)
     if cached is not None:
         return cached
-    diag = 0
-    for i in range(k):
-        diag |= 1 << (i * k + i)
+    m = k - 1
+    subsets = range(1 << m)
     out = []
-    for mask in range(1 << (k * k)):
-        if mask & diag:
-            continue
-        rows = _rows(mask, k)
-        ok = True
-        for x in range(k):
-            scan = rows[x]
-            while scan:
-                y = (scan & -scan).bit_length() - 1
-                if rows[y] & ~rows[x]:
-                    ok = False
-                    break
-                scan &= scan - 1
-            if not ok:
-                break
-        if ok:
-            out.append(mask)
+    for prev in _strict_orders(m):
+        succ = _rows(prev, m)
+        pred = [0] * m
+        base = 0
+        for x, row in enumerate(succ):
+            base |= row << (x * k)
+            for y in _bits(row):
+                pred[y] |= 1 << x
+        downs = [p for p in subsets if all(pred[y] & ~p == 0 for y in _bits(p))]
+        ups = [s for s in subsets if all(succ[y] & ~s == 0 for y in _bits(s))]
+        for p in downs:
+            allowed = (1 << m) - 1
+            column = 0
+            for x in _bits(p):
+                allowed &= succ[x]
+                column |= 1 << (x * k + m)
+            for s in ups:
+                if s & ~allowed == 0:
+                    out.append(base | column | s << (m * k))
+    out.sort()
     _strict_orders_cache[k] = out
     return out
 
@@ -119,14 +153,13 @@ def _normalize_variables(variables) -> list[tuple[str, Sort]]:
     return out
 
 
-def _closed_valuations(rel_masks: Sequence[int], levels: Sequence[int], k: int, sort: Sort) -> list[int]:
+def _closed_valuations(succ: Mapping[int, list[int]], k: int, sort: Sort) -> list[int]:
     """Persistence-closed member sets for one variable, ascending bitmaps."""
     # requirement graph: including u drags creach(u) in
     edges = [0] * k
-    for level, mask in zip(levels, rel_masks):
+    for level, rows in succ.items():
         if sort is OMEGA:
             continue
-        rows = _rows(mask, k)
         for x in range(k):
             scan = rows[x]
             while scan:
@@ -178,8 +211,22 @@ def _closed_valuations(rel_masks: Sequence[int], levels: Sequence[int], k: int, 
     return sorted(set(out))
 
 
+class WorldCount(NamedTuple):
+    """Search effort at one world count: frames and models examined."""
+
+    worlds: int
+    frames: int
+    models: int
+
+
 class ModelEnumeration:
-    """Iterable over the valid models within a budget; exposes truncation."""
+    """Iterable over the valid models within a budget; exposes truncation.
+
+    :meth:`masks` yields each model as ``(k, succ, val_masks)``: the world
+    count, the successor rows of each level (one dict per frame, shared by
+    its valuations) and one member bitmask per variable. Iterating yields
+    the same models materialized as :class:`KripkeModel` (worlds w0, w1, ...).
+    """
 
     def __init__(self, variables, modalities: Iterable[int], budget: Optional[SearchBudget] = None):
         self.variables = _normalize_variables(variables)
@@ -187,26 +234,53 @@ class ModelEnumeration:
         self.budget = budget or SearchBudget()
         self.truncated = False
         self.models_examined = 0
+        self._counts: list[list[int]] = []  # per world count: frames, first model
+
+    @property
+    def by_worlds(self) -> tuple[WorldCount, ...]:
+        """Frames and models examined for each world count begun."""
+        ends = [first for _, first in self._counts[1:]] + [self.models_examined]
+        return tuple(
+            WorldCount(k, frames, end - first)
+            for k, ((frames, first), end) in enumerate(zip(self._counts, ends), start=1)
+        )
 
     def __iter__(self) -> Iterator[KripkeModel]:
+        for k, succ, val_masks in self.masks():
+            yield self.materialize(k, succ, val_masks)
+
+    def masks(self) -> Iterator[tuple[int, dict[int, list[int]], tuple[int, ...]]]:
         self.truncated = False
         self.models_examined = 0
+        self._counts = []
+        max_models = self.budget.max_models
+        sorts = [sort for _, sort in self.variables]
         for k in range(1, self.budget.max_worlds + 1):
-            names = tuple(f"w{i}" for i in range(k))
-            orders = _strict_orders(k)
-            for rel_masks in self._frames(orders, k):
-                for val_masks in self._valuations(rel_masks, k):
-                    if self.models_examined >= self.budget.max_models:
+            if self.models_examined >= max_models:
+                self.truncated = True
+                return
+            counts = [0, self.models_examined]
+            self._counts.append(counts)
+            for rel_masks in self._frames(k):
+                if self.models_examined >= max_models:
+                    self.truncated = True
+                    return
+                counts[0] += 1
+                succ = {level: _rows(mask, k) for level, mask in zip(self.levels, rel_masks)}
+                per_var = [_closed_valuations(succ, k, sort) for sort in sorts]
+                for val_masks in product(*per_var):
+                    if self.models_examined >= max_models:
                         self.truncated = True
                         return
                     self.models_examined += 1
-                    yield self._materialize(names, rel_masks, val_masks, k)
+                    yield k, succ, val_masks
 
-    def _frames(self, orders: list[int], k: int) -> Iterator[tuple[int, ...]]:
+    def _frames(self, k: int) -> Iterator[tuple[int, ...]]:
         levels = self.levels
         if not levels:
             yield ()
             return
+        orders = _strict_orders(k)
 
         def extend(chosen: list[int]) -> Iterator[tuple[int, ...]]:
             if len(chosen) == len(levels):
@@ -220,46 +294,21 @@ class ModelEnumeration:
 
         yield from extend([])
 
-    def _valuations(self, rel_masks: tuple[int, ...], k: int) -> Iterator[tuple[int, ...]]:
-        per_var = [
-            _closed_valuations(rel_masks, self.levels, k, sort)
-            for _, sort in self.variables
-        ]
-        if not per_var:
-            yield ()
-            return
-
-        def product(i: int, acc: list[int]) -> Iterator[tuple[int, ...]]:
-            if i == len(per_var):
-                yield tuple(acc)
-                return
-            for mask in per_var[i]:
-                acc.append(mask)
-                yield from product(i + 1, acc)
-                acc.pop()
-
-        yield from product(0, [])
-
-    def _materialize(self, names: tuple[str, ...], rel_masks: tuple[int, ...],
-                     val_masks: tuple[int, ...], k: int) -> KripkeModel:
+    def materialize(self, k: int, succ: Mapping[int, list[int]], val_masks: tuple[int, ...],
+                    root: Optional[str] = None) -> KripkeModel:
+        names = tuple(f"w{i}" for i in range(k))
         relations = {}
-        for level, mask in zip(self.levels, rel_masks):
-            pairs = set()
-            rows = _rows(mask, k)
-            for x in range(k):
-                scan = rows[x]
-                while scan:
-                    y = (scan & -scan).bit_length() - 1
-                    pairs.add((names[x], names[y]))
-                    scan &= scan - 1
+        for level, rows in succ.items():
+            pairs = frozenset((names[x], names[y]) for x, row in enumerate(rows) for y in _bits(row))
             if pairs:
-                relations[level] = frozenset(pairs)
+                relations[level] = pairs
         valuation = {}
         sorts = {}
         for (name, sort), mask in zip(self.variables, val_masks):
-            valuation[name] = frozenset(names[i] for i in range(k) if mask >> i & 1)
+            valuation[name] = frozenset(names[i] for i in _bits(mask))
             sorts[name] = sort
-        return KripkeModel(worlds=names, relations=relations, valuation=valuation, sorts=sorts)
+        return KripkeModel(worlds=names, relations=relations, valuation=valuation,
+                           sorts=sorts, root=root)
 
 
 def enumerate_models(variables, modalities: Iterable[int],
@@ -274,6 +323,7 @@ class SearchResult:
     world: Optional[str]
     truncated: bool
     models_examined: int
+    by_worlds: tuple[WorldCount, ...] = ()
 
     @property
     def found(self) -> bool:
@@ -287,24 +337,32 @@ def brute_force_countermodel(formula: Formula, budget: Optional[SearchBudget] = 
     """First enumerated model and world refuting the formula, if any."""
     budget = budget or SearchBudget()
     f = desugar(formula)
-    modalities = budget.modalities if budget.modalities is not None else tuple(sorted(occurring_modalities(f)))
-    variables = variables_of(f)
-    enumeration = ModelEnumeration(variables, modalities, budget)
-    for model in enumeration:
-        ev = Evaluator(model)
-        ext = ev.extension(f)
-        if ext != ev.full:
-            world = next(w for w in model.worlds if not ext >> ev.index[w] & 1)
+    program = compile_formula(f)
+    modalities = budget.modalities if budget.modalities is not None else program.modalities
+    enumeration = ModelEnumeration(program.variables, modalities, budget)
+    # a model's valuation is keyed by name: when two variables share a name
+    # (p:0 and p:1), the one enumerated last gives both their extension
+    pick = None
+    names = [name for name, _ in enumeration.variables]
+    if len(set(names)) < len(names):
+        last = {name: i for i, name in enumerate(names)}
+        pick = [last[name] for name in names]
+    code = program.code
+    for k, succ, val_masks in enumeration.masks():
+        full = (1 << k) - 1
+        values = val_masks if pick is None else [val_masks[i] for i in pick]
+        missed = full & ~evaluate(code, full, succ, values)[-1]
+        if missed:
+            world = f"w{(missed & -missed).bit_length() - 1}"
+            model = enumeration.materialize(k, succ, val_masks, root=world)
             if check_jstar_frame(model) or check_strong_persistence(model):
                 raise AssertionError("enumerator produced an invalid model")
-            if ev.holds(world, f):
+            if Evaluator(model).holds(world, f):
                 raise AssertionError("refutation does not refute")
-            witness = KripkeModel(
-                worlds=model.worlds, relations=model.relations,
-                valuation=model.valuation, sorts=model.sorts, root=world,
-            )
-            return SearchResult(witness, world, enumeration.truncated, enumeration.models_examined)
-    return SearchResult(None, None, enumeration.truncated, enumeration.models_examined)
+            return SearchResult(model, world, enumeration.truncated,
+                                enumeration.models_examined, enumeration.by_worlds)
+    return SearchResult(None, None, enumeration.truncated,
+                        enumeration.models_examined, enumeration.by_worlds)
 
 
 @dataclass
@@ -337,7 +395,7 @@ def cross_validate(formula: Formula, system, budget: Optional[SearchBudget] = No
     verdict = decide(system, formula)
     search = brute_force_countermodel(target, budget)
     searched_modalities = (
-        set(budget.modalities) if budget.modalities is not None else set(occurring_modalities(target))
+        set(budget.modalities) if budget.modalities is not None else compile_formula(target).modalities
     )
     if verdict.theorem:
         if search.found:

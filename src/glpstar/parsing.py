@@ -18,6 +18,8 @@ on input are '¬' for '~', '∧' for '&', '∨' for '|', '→' for '->',
 sort 'w'. Whitespace is the six ASCII characters space, tab, newline,
 carriage return, form feed and vertical tab; any other character outside
 the grammar, non-ASCII spaces such as U+3000 included, is a ParseError.
+In formula, model and proof files a line ends at \\n, \\r\\n or \\r only, and
+the fields of a line are separated by that ASCII whitespace only.
 
 A bare variable name defaults to sort omega. Parsed formulas come out
 desugared. Errors carry byte-offset spans into the input.
@@ -25,6 +27,7 @@ desugared. Errors carry byte-offset spans into the input.
 
 from __future__ import annotations
 
+import re
 import string
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
@@ -81,7 +84,9 @@ class _Token:
 
 
 _DIGITS = frozenset(string.digits)
-_WHITESPACE = " \t\n\r\f\v"
+WHITESPACE = " \t\n\r\f\v"
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
+_SPACES = re.compile(f"[{re.escape(WHITESPACE)}]+")
 _NAME_START = frozenset(string.ascii_letters + "_")
 _NAME_CHARS = _NAME_START | _DIGITS
 
@@ -97,12 +102,27 @@ def is_variable_name(text: str) -> bool:
             and text not in ("T", "F"))
 
 
+def split_lines(text: str) -> list[str]:
+    """The lines of a file: a line ends at \\n, \\r\\n or \\r, nowhere else."""
+    return _LINE_BREAK.split(text)
+
+
+def strip_line(line: str) -> str:
+    """A line without its '#' comment and surrounding ASCII whitespace."""
+    return line.split("#", 1)[0].strip(WHITESPACE)
+
+
+def split_fields(text: str) -> list[str]:
+    """The fields of a text, separated by runs of ASCII whitespace."""
+    return [field for field in _SPACES.split(text) if field]
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
     while i < n:
         c = text[i]
-        if c in _WHITESPACE:
+        if c in WHITESPACE:
             i += 1
             continue
         if c == "#":
@@ -284,8 +304,8 @@ def parse_formula(text: str) -> Formula:
 def parse_formula_file(text: str) -> list[Formula]:
     """One formula per non-blank line; '#' starts a comment."""
     out = []
-    for line in text.splitlines():
-        stripped = line.split("#", 1)[0].strip(_WHITESPACE)
+    for line in split_lines(text):
+        stripped = strip_line(line)
         if stripped:
             out.append(parse_formula(stripped))
     return out
@@ -354,56 +374,55 @@ def parse_model(text: str) -> KripkeModel:
     def err(message: str, lineno: int):
         raise ParseError(message, _line_span(text, lineno))
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        line = strip_line(raw)
         if not line:
             continue
         head, _, rest = line.partition(" ")
-        rest = rest.strip()
+        rest = rest.strip(WHITESPACE)
         if head == "worlds":
             if not rest:
                 err("empty worlds line", lineno)
-            for name in rest.split():
+            for name in split_fields(rest):
                 if name in world_set:
                     err(f"duplicate world name {name!r}", lineno)
                 world_set.add(name)
                 worlds.append(name)
         elif head == "rel":
             label, sep, pair = rest.partition(":")
-            if not sep or not is_numeral(label.strip()):
+            label = label.strip(WHITESPACE)
+            if not sep or not is_numeral(label):
                 err("expected 'rel <n>: <x> <y>'", lineno)
-            parts = pair.split()
+            parts = split_fields(pair)
             if len(parts) != 2:
                 err("expected 'rel <n>: <x> <y>'", lineno)
-            deferred_rel.append((int(label.strip()), parts[0], parts[1], lineno))
+            deferred_rel.append((int(label), parts[0], parts[1], lineno))
         elif head == "val":
             name_part, sep, set_part = rest.partition("=")
             if not sep:
                 err("expected 'val <name>:<sort> = {..}'", lineno)
-            name_part = name_part.strip()
             vname, csep, sort_text = name_part.partition(":")
             if not csep:
                 err("expected '<name>:<sort>' on val line", lineno)
-            vname = vname.strip()
+            vname = vname.strip(WHITESPACE)
             if not is_variable_name(vname):
                 err(f"bad variable name {vname!r}", lineno)
-            sort_text = sort_text.strip()
+            sort_text = sort_text.strip(WHITESPACE)
             if sort_text in ("w", "ω"):
                 sort: Sort = OMEGA
             elif is_numeral(sort_text):
                 sort = int(sort_text)
             else:
                 err(f"bad sort {sort_text!r}", lineno)
-            set_part = set_part.strip()
+            set_part = set_part.strip(WHITESPACE)
             if not (set_part.startswith("{") and set_part.endswith("}")):
                 err("expected world set in braces", lineno)
-            inner = set_part[1:-1].strip()
-            members = [w.strip() for w in inner.split(",") if w.strip()] if inner else []
+            members = [w for w in (w.strip(WHITESPACE) for w in set_part[1:-1].split(",")) if w]
             deferred_val.append((vname, sort, members, lineno))
         elif head == "root":
             if deferred_root is not None:
                 err("duplicate root line", lineno)
-            if not rest or len(rest.split()) != 1:
+            if len(split_fields(rest)) != 1:
                 err("expected 'root <w>'", lineno)
             deferred_root = (rest, lineno)
         else:
@@ -440,10 +459,12 @@ def parse_model(text: str) -> KripkeModel:
 
 
 def _line_span(text: str, lineno: int) -> SourceSpan:
-    lines = text.splitlines(keepends=True)
-    start = sum(len(l) for l in lines[: lineno - 1])
-    end = start + len(lines[lineno - 1].rstrip("\n")) if lineno <= len(lines) else start
-    return _byte_span(text, start, end)
+    """Span of a line as numbered by :func:`split_lines`, without its break."""
+    start = 0
+    for _ in range(lineno - 1):
+        start = _LINE_BREAK.search(text, start).end()
+    found = _LINE_BREAK.search(text, start)
+    return _byte_span(text, start, found.start() if found else len(text))
 
 
 def render_model(model: KripkeModel) -> str:

@@ -41,7 +41,15 @@ from .formulas import (
     desugar,
     sort_of,
 )
-from .parsing import ParseError, is_numeral, parse_formula
+from .parsing import (
+    WHITESPACE,
+    ParseError,
+    is_numeral,
+    parse_formula,
+    split_fields,
+    split_lines,
+    strip_line,
+)
 
 SCHEME_IDS = ("taut", "dist", "boxtop", "loeb", "persist", "mono", "sigma", "transit", "refl")
 
@@ -288,8 +296,8 @@ def parse_proof(text: str) -> ProofObject:
     goal: Optional[Formula] = None
     lines: list[ProofLine] = []
     last_index = 0
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        stripped = raw.split("#", 1)[0].strip()
+    for lineno, raw in enumerate(split_lines(text), start=1):
+        stripped = strip_line(raw)
         if not stripped:
             continue
 
@@ -300,7 +308,7 @@ def parse_proof(text: str) -> ProofObject:
             if system is not None:
                 err("duplicate system line")
             try:
-                system = SystemId.parse(stripped[len("system "):].strip())
+                system = SystemId.parse(stripped[len("system "):].strip(WHITESPACE))
             except ValueError as exc:
                 err(str(exc))
             continue
@@ -315,17 +323,18 @@ def parse_proof(text: str) -> ProofObject:
         head, sep, just_text = stripped.partition(";")
         if not sep:
             err("expected '<index>. <formula> ; <justification>'")
-        index_text, dot, formula_text = head.strip().partition(".")
-        if not dot or not is_numeral(index_text.strip()):
+        index_text, dot, formula_text = head.partition(".")
+        index_text = index_text.strip(WHITESPACE)
+        if not dot or not is_numeral(index_text):
             err("expected a numbered line like '3. <formula> ; mp 1 2'")
-        index = int(index_text.strip())
+        index = int(index_text)
         if index <= last_index:
             err("line indices must increase")
         try:
-            formula = parse_formula(formula_text.strip())
+            formula = parse_formula(formula_text)
         except ParseError as exc:
             err(f"bad formula: {exc}")
-        parts = just_text.split()
+        parts = split_fields(just_text)
         if not parts:
             err("missing justification")
         kind = parts[0]
@@ -339,7 +348,7 @@ def parse_proof(text: str) -> ProofObject:
         elif kind == "nec" and len(parts) == 3 and all(is_numeral(p) for p in parts[1:]):
             just = Necessitation(int(parts[1]), int(parts[2]))
         else:
-            err(f"bad justification {just_text.strip()!r}")
+            err(f"bad justification {just_text.strip(WHITESPACE)!r}")
         for cited in _cited_indices(just):
             if cited >= index:
                 err("cited indices must be smaller than the line's own index")

@@ -197,6 +197,20 @@ class TestOtherCommands:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_non_ascii_line_break_in_model_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("worlds a b\u2028rel 0: a b\n", encoding="utf-8")
+        code, _, err = invoke(capsys, "validate", "--model", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_non_ascii_line_break_in_proof_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "p.proof"
+        path.write_text("system jstar\ngoal T\x851. T ; ax taut\n", encoding="utf-8")
+        code, _, err = invoke(capsys, "checkproof", str(path))
+        assert code == 2
+        assert err.startswith("error:")
+
     def test_oracle(self, capsys):
         code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "<0>T")
         assert code == 1
@@ -204,6 +218,16 @@ class TestOtherCommands:
         code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "T")
         assert code == 0
         assert "no countermodel" in out
+
+    def test_oracle_json_counts(self, capsys):
+        code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "--format", "json", "T")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["models_examined"] == 2
+        assert payload["by_worlds"] == [
+            {"worlds": 1, "frames": 1, "models": 1},
+            {"worlds": 2, "frames": 1, "models": 1},
+        ]
 
     def test_json_agreement_with_text(self, capsys):
         code_t, out_t, _ = invoke(capsys, "decide", "--system", "glpsstar", "<0>T")

@@ -3,17 +3,21 @@ import random
 import pytest
 
 from glpstar.formulas import (
+    BOT,
     OMEGA,
     And,
+    Bot,
     Box,
     Dia,
     Implies,
     Neg,
     Or,
     TOP,
+    Top,
     Var,
     desugar,
     sort_of,
+    variables_of,
 )
 from glpstar.kripke import (
     CONDITION_II,
@@ -23,16 +27,19 @@ from glpstar.kripke import (
     PERSISTENCE_II,
     TRANSITIVITY,
     KripkeFrame,
+    Evaluator,
     KripkeModel,
     MissingVariableWarning,
     adjoin_root,
     check_jstar_frame,
     check_strong_persistence,
+    compile_formula,
     find_roots,
     generated_submodel,
     model_check,
     valid_in_model,
 )
+from glpstar.reductions import occurring_modalities
 from conftest import gen_persistent_model, perturb_model
 
 
@@ -122,6 +129,70 @@ class TestModelCheck:
         m = KripkeModel(("a", "b"), {1: {("a", "b")}}, {"p": {"a", "b"}}, {"p": 1})
         assert check_strong_persistence(m) == []
         assert valid_in_model(m, Implies(Dia(1, Var("p", 1)), Var("p", 1)))
+
+
+def truth_set(model, formula):
+    """Worlds where a core formula holds, straight from the truth clauses."""
+    if isinstance(formula, Top):
+        return set(model.worlds)
+    if isinstance(formula, Bot):
+        return set()
+    if isinstance(formula, Var):
+        return set(model.valuation.get(formula.name, ()))
+    if isinstance(formula, Neg):
+        return set(model.worlds) - truth_set(model, formula.child)
+    if isinstance(formula, And):
+        return truth_set(model, formula.left) & truth_set(model, formula.right)
+    if isinstance(formula, Or):
+        return truth_set(model, formula.left) | truth_set(model, formula.right)
+    body = truth_set(model, formula.child)
+    return {x for x, y in model.relations.get(formula.index, ()) if y in body}
+
+
+class TestEvaluator:
+    def test_agrees_with_truth_clauses(self):
+        rng = random.Random(27)
+        for _ in range(80):
+            m = gen_persistent_model(rng)
+            pool = [Var(n, s) for n, s in m.sorts.items()]
+            ev = Evaluator(m)
+            for _ in range(10):
+                f = desugar(gen_formula_over(rng, pool))
+                ext = ev.extension(f)
+                assert {w for w in m.worlds if ext >> ev.index[w] & 1} == truth_set(m, f), f
+                assert ev.extension(f) == ext  # cached
+
+    def test_program_shape(self):
+        rng = random.Random(28)
+        for _ in range(200):
+            f = desugar(gen_formula_over(rng, [Var("p", 0), Var("q", OMEGA), Var("r", 1)]))
+            program = compile_formula(f)
+            assert program.variables == tuple(variables_of(f))
+            assert program.modalities == occurring_modalities(f)
+            assert len(set(program.nodes)) == len(program.nodes) == len(program.code)
+            assert program.nodes[-1] is f
+            position = {node: i for i, node in enumerate(program.nodes)}
+            for node in program.nodes:
+                for child in (getattr(node, name) for name in ("child", "left", "right")
+                              if hasattr(node, name)):
+                    assert position[child] < position[node]
+
+    def test_deep_formula_without_recursion(self):
+        m = KripkeModel(("a", "b", "c"), {0: {("a", "b"), ("b", "c"), ("a", "c")}},
+                        {"p": {"c"}}, {"p": OMEGA})
+        f, truth = Var("p"), {"c"}
+        for _ in range(5_000):  # <0>~<0>~...p, 10,000 deep
+            f = Dia(0, Neg(f))
+            truth = {x for x, y in m.relations[0] if y not in truth}
+        assert truth == {"a", "b"}
+        assert Evaluator(m).extension(f) == 0b011
+
+    def test_sugar_rejected(self):
+        m = KripkeModel(("a",), {}, {}, {})
+        with pytest.raises(TypeError):
+            Evaluator(m).extension(Box(0, TOP))
+        with pytest.raises(TypeError):
+            compile_formula(And(BOT, Implies(TOP, TOP)))
 
 
 class TestFindRoots:

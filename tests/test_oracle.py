@@ -1,16 +1,70 @@
 import random
 
+import pytest
+
+from glpstar import oracle
 from glpstar.decide import SystemId, decide
-from glpstar.formulas import OMEGA, TOP, Var
-from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
+from glpstar.formulas import OMEGA, TOP, Dia, Neg, Or, Var, variables_of
+from glpstar.kripke import (
+    Evaluator,
+    KripkeModel,
+    check_jstar_frame,
+    check_strong_persistence,
+    model_check,
+)
 from glpstar.oracle import (
     SearchBudget,
+    WorldCount,
     brute_force_countermodel,
     cross_validate,
     enumerate_models,
 )
 from glpstar.parsing import parse_formula
+from glpstar.reductions import occurring_modalities
 from conftest import gen_sorted_formula
+
+
+def reference_orders(k):
+    """Strict orders on k worlds by a scan of every relation bitmap."""
+    out = []
+    for mask in range(1 << (k * k)):
+        rel = {(x, y) for x in range(k) for y in range(k) if mask >> (x * k + y) & 1}
+        if any(x == y for x, y in rel):
+            continue
+        if all((x, z) in rel for x, y in rel for y2, z in rel if y == y2):
+            out.append(mask)
+    return out
+
+
+def reference_search(formula, budget):
+    """The search done on materialized models: the first refuted world of the
+    first enumerated model that refutes the formula."""
+    modalities = (budget.modalities if budget.modalities is not None
+                  else sorted(occurring_modalities(formula)))
+    enum = enumerate_models(variables_of(formula), modalities, budget)
+    for model in enum:
+        ev = Evaluator(model)
+        ext = ev.extension(formula)
+        if ext != ev.full:
+            world = next(w for w in model.worlds if not ext >> ev.index[w] & 1)
+            rooted = KripkeModel(worlds=model.worlds, relations=model.relations,
+                                 valuation=model.valuation, sorts=model.sorts, root=world)
+            return True, world, rooted, enum.models_examined, enum.truncated
+    return False, None, None, enum.models_examined, enum.truncated
+
+
+class TestStrictOrders:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_equal_to_a_scan_of_all_relations(self, k):
+        assert oracle._strict_orders(k) == reference_orders(k)
+
+    def test_counts_and_order(self):
+        counts = []
+        for k in range(1, 7):
+            orders = oracle._strict_orders(k)
+            assert all(a < b for a, b in zip(orders, orders[1:])), k
+            counts.append(len(orders))
+        assert counts == [1, 3, 19, 219, 4231, 130023]  # OEIS A001035
 
 
 class TestEnumerateModels:
@@ -127,3 +181,88 @@ class TestCrossValidate:
                 assert rep.search.found
                 matched += 1
         assert matched > 10
+
+
+class TestMaskSearch:
+    BUDGETS = [
+        SearchBudget(max_worlds=3),
+        SearchBudget(max_worlds=4, max_models=1500),
+        SearchBudget(max_worlds=3, modalities=(0, 1)),
+        SearchBudget(max_worlds=4, modalities=(1,), max_models=400),
+        SearchBudget(max_worlds=4, max_models=7),
+    ]
+
+    def test_agrees_with_search_over_materialized_models(self, monkeypatch):
+        built = []
+
+        class CountingModel(KripkeModel):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        rng = random.Random(64)
+        found = truncated = larger = 0
+        for i in range(200):
+            while True:
+                # every other formula holds on one world, so its search goes further
+                f = gen_sorted_formula(rng, depth=rng.choice([2, 3, 4]), max_vars=rng.choice([1, 2]))
+                if i % 2 == 0 or not reference_search(f, SearchBudget(max_worlds=1))[0]:
+                    break
+            budget = self.BUDGETS[i % len(self.BUDGETS)]
+            expected = reference_search(f, budget)
+            built.clear()
+            with monkeypatch.context() as m:
+                m.setattr(oracle, "KripkeModel", CountingModel)
+                r = brute_force_countermodel(f, budget)
+            assert len(built) == int(r.found) <= 1, f
+            got = (r.found, r.world, r.model, r.models_examined, r.truncated)
+            assert got == expected, f
+            assert repr(r.model) == repr(expected[2])
+            assert sum(c.models for c in r.by_worlds) == r.models_examined
+            found += r.found
+            truncated += r.truncated
+            larger += r.found and len(r.model.worlds) > 1
+        assert found > 60 and truncated > 20 and larger > 10
+
+    def test_same_name_in_two_sorts(self):
+        # the parser refuses this; a model's valuation is keyed by name
+        f = Or(Neg(Dia(1, Var("p", 0))), Dia(0, Var("p", 1)))
+        budget = SearchBudget(max_worlds=3)
+        r = brute_force_countermodel(f, budget)
+        assert (r.found, r.world, r.model, r.models_examined, r.truncated) == reference_search(f, budget)
+
+    def test_counts_per_world_count(self):
+        # a theorem over one level: every frame and model up to 3 worlds is examined
+        f = parse_formula("<0>p:0 -> p:0")
+        r = brute_force_countermodel(f, SearchBudget(max_worlds=3))
+        assert not r.found and not r.truncated
+        models = [
+            sum(1 for m in enumerate_models([Var("p", 0)], [0], SearchBudget(max_worlds=k))
+                if len(m.worlds) == k)
+            for k in (1, 2, 3)
+        ]
+        assert r.by_worlds == tuple(
+            WorldCount(k, frames, n) for k, frames, n in zip((1, 2, 3), (1, 3, 19), models)
+        )
+
+    def test_budget_checked_before_the_next_frame_table(self, monkeypatch):
+        built = []
+        orders = oracle._strict_orders
+        monkeypatch.setattr(oracle, "_strict_orders", lambda k: built.append(k) or orders(k))
+        budget = SearchBudget(max_worlds=3, max_models=2)  # p alone has 2 models on 1 world
+        r = brute_force_countermodel(parse_formula("p | ~p | <0>T"), budget)
+        assert (r.found, r.models_examined, r.truncated) == (False, 2, True)
+        assert built == [1]
+        assert r.by_worlds == (WorldCount(1, 1, 2),)
+
+    def test_budget_checked_before_the_next_frame_valuations(self, monkeypatch):
+        built = []
+        closed = oracle._closed_valuations
+        monkeypatch.setattr(oracle, "_closed_valuations",
+                            lambda *args: built.append(args[1]) or closed(*args))
+        # 2 models on one world, then 4 on the empty two-world frame
+        budget = SearchBudget(max_worlds=2, max_models=6)
+        r = brute_force_countermodel(parse_formula("p | ~p | <0>T"), budget)
+        assert (r.found, r.models_examined, r.truncated) == (False, 6, True)
+        assert built == [1, 2]
+        assert r.by_worlds == (WorldCount(1, 1, 2), WorldCount(2, 1, 4))

@@ -105,6 +105,13 @@ class TestParseFormula:
         formulas = parse_formula_file(text)
         assert formulas == [Dia(0, TOP), Or(Neg(Var("p", 1)), Var("p", 1))]
 
+    def test_formula_file_breaks_lines_only_at_ascii_newlines(self):
+        assert parse_formula_file("p\r\nq\rT\n") == [Var("p"), Var("q"), TOP]
+        # str.splitlines also breaks at these; a formula file does not
+        for brk in ("\x85", "\u2028", "\u2029", "\x1c", "\x1d", "\x1e"):
+            with pytest.raises(ParseError):
+                parse_formula_file(f"p{brk}q\n")
+
 
 class TestRenderFormula:
     def test_diamond(self):
@@ -167,6 +174,34 @@ class TestParseModel:
         with pytest.raises(ParseError) as err:
             parse_model(text)
         assert err.value.span == (9, len(text.encode("utf-8")) - 1)
+
+    def test_only_ascii_line_breaks_and_spaces(self):
+        # U+3000 neither separates worlds nor is stripped from a line
+        assert parse_model("worlds a\u3000b\n").worlds == ("a\u3000b",)
+        for text in (
+            "worlds a b\x85root a\n",  # one line: world 'a' declared twice
+            "worlds a b\u2028rel 0: a b\n",
+            "\u3000worlds a\n",
+            "worlds a b\nrel 0: a\u3000b\n",
+            "worlds a\nroot\u00a0a\n",
+        ):
+            with pytest.raises(ParseError):
+                parse_model(text)
+        crlf = MODEL_TEXT.replace("\n", "\r\n")
+        assert parse_model(crlf) == parse_model(MODEL_TEXT) == parse_model(MODEL_TEXT.replace("\n", "\r"))
+
+    def test_error_span_with_crlf_and_stray_breaks(self):
+        for brk in ("\r\n", "\r"):
+            text = f"worlds a{brk}rel x: a a{brk}"
+            with pytest.raises(ParseError) as err:
+                parse_model(text)
+            start = len("worlds a") + len(brk)
+            assert err.value.span == (start, start + len("rel x: a a"))
+        head = "worlds a\n# a comment\x85with\u2028no line break\n"
+        with pytest.raises(ParseError) as err:
+            parse_model(head + "rel x: a a\n")  # line 3
+        start = len(head.encode("utf-8"))
+        assert err.value.span == (start, start + len("rel x: a a"))
 
     def test_val_name_identifiers_accepted(self):
         m = parse_model("worlds a\nval _p1:0 = {a}\nval Tx :w = {}\n")

@@ -161,6 +161,20 @@ class TestCheckProof:
             with pytest.raises(ProofError, match=rf"^line {lineno}:"):
                 parse_proof(text)
 
+    def test_only_ascii_line_breaks_and_spaces(self):
+        text = "system jstar\ngoal T\n1. T ; ax taut\n"
+        assert parse_proof(text.replace("\n", "\r\n")) == parse_proof(text)
+        assert parse_proof(text.replace("\n", "\r")) == parse_proof(text)
+        for bad, lineno in (
+            (text.replace("\ngoal", "\x85goal"), 1),  # no line break: one bad system line
+            (text.replace("\n1.", "\u20281."), 2),  # the goal line runs on
+            (text.replace("ax taut", "ax\u3000taut"), 3),
+            (text.replace("1. T", "\u30001. T"), 3),
+            (text.replace("1. T", "1. \u3000T"), 3),
+        ):
+            with pytest.raises(ProofError, match=rf"^line {lineno}:"):
+                parse_proof(bad)
+
 
 def mutate_line(rng: random.Random, formula):
     """Swap one proper subformula occurrence for a constant, changing the line."""
