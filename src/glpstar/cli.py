@@ -413,8 +413,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         return _resource_limit(args, exc)
     except RecursionError:
-        # the parser, desugar, rendering and model checking recurse once per
-        # nesting level; building formula nodes does not recurse
+        # formula traversals and the parser are iterative, but ordering
+        # formulas by sort key compares nested tuples, which recurses once
+        # per nesting level inside the interpreter
         return _resource_limit(args, ResourceLimitError("formula nesting too deep to traverse"))
 
 

@@ -12,8 +12,9 @@ reduce to it syntactically:
   * glpsstar: glpstar on H(x) -> x.
 
 Non-theorem verdicts carry a rooted countermodel of the base-level target,
-extracted as a witness-closed generated submodel and then greedily shrunk
-while it keeps falsifying the target and passing both validators.
+extracted as a witness-closed generated submodel, greedily shrunk on the
+engine's rows while it keeps falsifying the target, then materialized and
+checked against the target and both validators once.
 """
 
 from __future__ import annotations
@@ -40,6 +41,8 @@ from .kripke import (
     KripkeModel,
     check_jstar_frame,
     check_strong_persistence,
+    compile_formula,
+    evaluate,
     model_check,
 )
 from .reductions import h_formula, m_plus, n_plus, _implies
@@ -127,28 +130,34 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
     engine = CanonicalEngine(delta, candidate_cap)
     refuting = engine.truth_column(negated)
     engine.eliminate(stop_mask=refuting)
-    if verify_truth_lemma:
-        from .hintikka import build_canonical_detailed
-
-        build_canonical_detailed(delta, candidate_cap, verify_truth_lemma=True)
     stats = DecideStats.from_elimination(len(subformulas(target)), engine.stats)
     alive_refuting = refuting & engine.alive
     if not bool(alive_refuting.any()):
-        return Verdict(theorem=True, stats=stats)
+        verdict = Verdict(theorem=True, stats=stats)
+    else:
+        import numpy as np
 
-    import numpy as np
+        root_row = int(np.flatnonzero(alive_refuting)[0])
+        rows = _witness_closure(engine, root_row)
+        if minimize:
+            rows = _minimize_countermodel(engine, rows, target)
+        model = engine.build_model(rows, root=root_row)
+        _check_countermodel(model, target)
+        verdict = Verdict(theorem=False, countermodel=model, falsified=target, stats=stats)
+    if verify_truth_lemma:
+        from .hintikka import _canonical_result
 
-    root_row = int(np.flatnonzero(alive_refuting)[0])
-    model = _extract_countermodel(engine, root_row, target, minimize)
-    _check_countermodel(model, target)
-    return Verdict(theorem=False, countermodel=model, falsified=target, stats=stats)
+        _canonical_result(engine, verify_truth_lemma=True)
+    return verdict
 
 
-def _extract_countermodel(engine: CanonicalEngine, root_row: int, target: Formula,
-                          minimize: bool) -> KripkeModel:
-    """Witness-closed generated submodel from the refuting world, then shrink."""
+def _witness_closure(engine: CanonicalEngine, root_row: int) -> list[int]:
+    """Rows of the witness-closed generated submodel from the refuting row.
+
+    Breadth first from the root: each diamond of a chosen row takes the
+    first chosen row that witnesses it, else the engine's least-junk witness.
+    """
     chosen = [root_row]
-    chosen_set = {root_row}
     queue = [root_row]
     while queue:
         x = queue.pop(0)
@@ -167,62 +176,37 @@ def _extract_countermodel(engine: CanonicalEngine, root_row: int, target: Formul
                     if found is None:
                         raise AssertionError("surviving world lost its witness")
                     chosen.append(found)
-                    chosen_set.add(found)
                     queue.append(found)
-    model = engine.build_model(chosen, root=root_row)
-    if minimize:
-        model = _minimize_countermodel(model, target)
-        model = _rename_worlds(model)
-    return model
+    return chosen
 
 
-def _rename_worlds(model: KripkeModel) -> KripkeModel:
-    """Consecutive w0, w1, ... names with the root first."""
-    ordered = [model.root] + [w for w in model.worlds if w != model.root]
-    name_of = {w: f"w{k}" for k, w in enumerate(ordered)}
-    return KripkeModel(
-        worlds=tuple(name_of[w] for w in ordered),
-        relations={
-            n: frozenset((name_of[x], name_of[y]) for x, y in rel)
-            for n, rel in model.relations.items()
-        },
-        valuation={name: frozenset(name_of[w] for w in m) for name, m in model.valuation.items()},
-        sorts=model.sorts,
-        root=name_of[model.root],
-    )
+def _minimize_countermodel(engine: CanonicalEngine, rows: list[int], target: Formula) -> list[int]:
+    """Greedily drop rows while the first row still refutes the target.
 
+    After each drop the scan starts again after the first row. The target
+    is compiled once and run on bitmasks over the given rows; a trial is
+    the submodel induced by the rows kept. The frame and persistence conditions are
+    universal, so every induced submodel of a valid model is valid, and no
+    trial needs the validators: the final model is validated once.
+    """
+    program = compile_formula(target)
+    succ, extension = engine.masks(rows)
+    values = [extension[v.name] for v in program.variables]
 
-def _minimize_countermodel(model: KripkeModel, target: Formula) -> KripkeModel:
-    """Greedily drop worlds while the root still refutes and validators pass."""
+    def refutes(keep: int) -> bool:
+        trial = {n: [row & keep for row in masks] for n, masks in succ.items()}
+        return not evaluate(program.code, keep, trial, [v & keep for v in values])[-1] & 1
+
+    keep = (1 << len(rows)) - 1
     changed = True
     while changed:
         changed = False
-        for w in model.worlds:
-            if w == model.root:
-                continue
-            candidate = _without_world(model, w)
-            if (
-                not model_check(candidate, candidate.root, target)
-                and not check_jstar_frame(candidate)
-                and not check_strong_persistence(candidate)
-            ):
-                model = candidate
+        for j in range(1, len(rows)):
+            if keep >> j & 1 and refutes(keep & ~(1 << j)):
+                keep &= ~(1 << j)
                 changed = True
                 break
-    return model
-
-
-def _without_world(model: KripkeModel, doomed: str) -> KripkeModel:
-    worlds = tuple(w for w in model.worlds if w != doomed)
-    relations = {
-        n: frozenset((x, y) for x, y in rel if x != doomed and y != doomed)
-        for n, rel in model.relations.items()
-    }
-    valuation = {name: frozenset(m - {doomed}) for name, m in model.valuation.items()}
-    return KripkeModel(
-        worlds=worlds, relations=relations, valuation=valuation,
-        sorts=model.sorts, root=model.root,
-    )
+    return [r for j, r in enumerate(rows) if keep >> j & 1]
 
 
 def _check_countermodel(model: KripkeModel, target: Formula) -> None:

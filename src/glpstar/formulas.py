@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 import weakref
 from dataclasses import FrozenInstanceError
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Union
 
 
 class _Omega:
@@ -271,23 +271,92 @@ TOP = Top()
 BOT = Bot()
 
 
+_UNARY = frozenset({Neg, Dia, Box})
+_BINARY = frozenset({And, Or, Implies})
+
+
+def walk(formula: Formula, memo=(), dia_leaves: bool = False) -> tuple[list[Formula], dict[Formula, int]]:
+    """The distinct nodes of a formula, in entry order and in exit order.
+
+    One iterative depth-first walk, children left to right. Entry order is
+    leftmost-outermost (each node before its children) and comes as a list;
+    exit order (each node after its children) comes as a dict from node to
+    its position in that order. A node in ``memo`` is skipped with
+    everything below it; with ``dia_leaves`` a diamond's body is not entered.
+    """
+    entry: list[Formula] = []
+    done: dict[Formula, int] = {}
+    stack: list = [formula]
+    pop, enter = stack.pop, entry.append
+    while stack:
+        f = pop()
+        if f is None:  # exit marker, above the node it closes
+            f = pop()
+            done[f] = len(done)
+        elif f not in done and f not in memo:
+            enter(f)
+            cls = type(f)
+            if cls in _BINARY:
+                stack += (f, None, f.right, f.left)
+            elif cls in _UNARY and not (dia_leaves and cls is Dia):
+                stack += (f, None, f.child)
+            else:
+                done[f] = len(done)
+    return entry, done
+
+
+def fold_boolean(formula: Formula, memo: dict, full, atom):
+    """Boolean value of a formula over its variables and diamonds.
+
+    The one boolean kernel: values are bit columns (Python ints or numpy
+    bool arrays) combined by ``&``, ``|`` and ``full ^``, where ``full`` is
+    the all-true column. ``atom`` gives a variable's or a diamond's column.
+    ``memo`` maps nodes to their columns; it is read and extended.
+    """
+    for f in walk(formula, memo, dia_leaves=True)[1]:
+        cls = type(f)
+        if cls is Neg:
+            value = full ^ memo[f.child]
+        elif cls is And:
+            value = memo[f.left] & memo[f.right]
+        elif cls is Or:
+            value = memo[f.left] | memo[f.right]
+        elif cls is Var or cls is Dia:
+            value = atom(f)
+        elif cls is Top:
+            value = full
+        elif cls is Bot:
+            value = full ^ full
+        else:
+            raise TypeError(f"not a core formula: {f!r}")
+        memo[f] = value
+    return memo[formula]
+
+
+def _rebuild(f: Formula, image: dict[Formula, Formula]) -> Formula:
+    """An inner node of the same kind over its children's images."""
+    cls = type(f)
+    if cls in _BINARY:
+        return cls(image[f.left], image[f.right])
+    return Neg(image[f.child]) if cls is Neg else cls(f.index, image[f.child])
+
+
 def desugar(formula: Formula) -> Formula:
     """Rewrite boxes and implications into the core connectives. Idempotent."""
     if formula._sort is not None:
         return formula
-    if isinstance(formula, Neg):
-        return Neg(desugar(formula.child))
-    if isinstance(formula, And):
-        return And(desugar(formula.left), desugar(formula.right))
-    if isinstance(formula, Or):
-        return Or(desugar(formula.left), desugar(formula.right))
-    if isinstance(formula, Dia):
-        return Dia(formula.index, desugar(formula.child))
-    if isinstance(formula, Box):
-        return Neg(Dia(formula.index, Neg(desugar(formula.child))))
-    if isinstance(formula, Implies):
-        return Or(Neg(desugar(formula.left)), desugar(formula.right))
-    raise TypeError(f"not a formula: {formula!r}")
+    out: dict[Formula, Formula] = {}
+    for f in walk(formula)[1]:
+        cls = type(f)
+        if f._sort is not None:
+            out[f] = f
+        elif cls is Box:
+            out[f] = Neg(Dia(f.index, Neg(out[f.child])))
+        elif cls is Implies:
+            out[f] = Or(Neg(out[f.left]), out[f.right])
+        else:
+            out[f] = _rebuild(f, out)
+    return out[formula]
 
 
 def _require_core(formula: Formula) -> None:
@@ -315,33 +384,11 @@ def modified_negation(formula: Formula) -> Formula:
 
 def subformulas(formula: Formula) -> frozenset[Formula]:
     """All subtrees of a core formula, including the formula itself."""
-    out: set[Formula] = set()
-    stack = [formula]
-    while stack:
-        f = stack.pop()
-        _require_core(f)
-        if f in out:
-            continue
-        out.add(f)
-        if isinstance(f, Neg):
-            stack.append(f.child)
-        elif isinstance(f, (And, Or)):
-            stack.append(f.left)
-            stack.append(f.right)
-        elif isinstance(f, Dia):
-            stack.append(f.child)
-    return frozenset(out)
-
-
-def _preorder(formula: Formula) -> Iterator[Formula]:
-    yield formula
-    if isinstance(formula, Neg):
-        yield from _preorder(formula.child)
-    elif isinstance(formula, (And, Or)):
-        yield from _preorder(formula.left)
-        yield from _preorder(formula.right)
-    elif isinstance(formula, Dia):
-        yield from _preorder(formula.child)
+    nodes = walk(formula)[0]
+    if formula._sort is None:
+        for f in nodes:
+            _require_core(f)
+    return frozenset(nodes)
 
 
 def diamond_subformulas(formula: Formula, order: str = "occurrence") -> list[tuple[int, Formula]]:
@@ -351,12 +398,7 @@ def diamond_subformulas(formula: Formula, order: str = "occurrence") -> list[tup
     the occurrence order by modality index, so ties keep occurrence order.
     """
     _require_core(formula)
-    seen: set[Formula] = set()
-    pairs: list[tuple[int, Formula]] = []
-    for f in _preorder(formula):
-        if isinstance(f, Dia) and f not in seen:
-            seen.add(f)
-            pairs.append((f.index, f.child))
+    pairs = [(f.index, f.child) for f in walk(formula)[0] if type(f) is Dia]
     if order == "occurrence":
         return pairs
     if order == "level":
@@ -366,13 +408,7 @@ def diamond_subformulas(formula: Formula, order: str = "occurrence") -> list[tup
 
 def variables_of(formula: Formula) -> list[Var]:
     """Distinct variables in leftmost-outermost occurrence order."""
-    seen: set[Formula] = set()
-    out: list[Var] = []
-    for f in _preorder(formula):
-        if isinstance(f, Var) and f not in seen:
-            seen.add(f)
-            out.append(f)
-    return out
+    return [f for f in walk(formula)[0] if type(f) is Var]
 
 
 def modal_levels(formulas: Iterable[Formula]) -> frozenset[int]:
@@ -470,23 +506,16 @@ def is_adequate(delta: Iterable[Formula]) -> bool:
 
 def to_omega_sorted(formula: Formula) -> Formula:
     """Replace every variable's sort by omega, keeping the shape."""
-    if isinstance(formula, Var):
-        return Var(formula.name, OMEGA)
-    if isinstance(formula, (Top, Bot)):
-        return formula
-    if isinstance(formula, Neg):
-        return Neg(to_omega_sorted(formula.child))
-    if isinstance(formula, And):
-        return And(to_omega_sorted(formula.left), to_omega_sorted(formula.right))
-    if isinstance(formula, Or):
-        return Or(to_omega_sorted(formula.left), to_omega_sorted(formula.right))
-    if isinstance(formula, Dia):
-        return Dia(formula.index, to_omega_sorted(formula.child))
-    if isinstance(formula, Box):
-        return Box(formula.index, to_omega_sorted(formula.child))
-    if isinstance(formula, Implies):
-        return Implies(to_omega_sorted(formula.left), to_omega_sorted(formula.right))
-    raise TypeError(f"not a formula: {formula!r}")
+    out: dict[Formula, Formula] = {}
+    for f in walk(formula)[1]:
+        cls = type(f)
+        if cls is Var:
+            out[f] = Var(f.name, OMEGA)
+        elif cls is Top or cls is Bot:
+            out[f] = f
+        else:
+            out[f] = _rebuild(f, out)
+    return out[formula]
 
 
 def formula_size(formula: Formula) -> int:

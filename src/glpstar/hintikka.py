@@ -34,14 +34,10 @@ import numpy as np
 
 from .formulas import (
     OMEGA,
-    And,
-    Bot,
     Dia,
     Formula,
-    Neg,
-    Or,
-    Top,
     Var,
+    fold_boolean,
     formula_size,
     is_adequate,
     modal_levels,
@@ -107,12 +103,15 @@ def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterab
 
 
 class CanonicalEngine:
-    """Packed candidate table over an adequate set, with witness elimination."""
+    """Packed candidate table over an adequate set, with witness elimination.
+
+    The set must be adequate; the public entry points below check that
+    before building an engine, and ``decide`` passes a closure that
+    :func:`formulas.adequate_closure` makes adequate.
+    """
 
     def __init__(self, delta: Iterable[Formula], candidate_cap: int = DEFAULT_CANDIDATE_CAP):
         dset = frozenset(delta)
-        if not is_adequate(dset):
-            raise ValueError("canonical construction needs an adequate formula set")
         self.delta = dset
         self.delta_sorted = sorted(dset, key=sort_key)
         self.levels = sorted(modal_levels(dset))
@@ -172,27 +171,12 @@ class CanonicalEngine:
 
     # ----- candidate enumeration -----
 
-    def _eval_block(self, indices: np.ndarray, formula: Formula, memo: dict) -> np.ndarray:
-        hit = memo.get(formula)
-        if hit is not None:
-            return hit
-        if isinstance(formula, Top):
-            out = np.ones(len(indices), dtype=bool)
-        elif isinstance(formula, Bot):
-            out = np.zeros(len(indices), dtype=bool)
-        elif isinstance(formula, (Var, Dia)):
-            pos = self.atom_pos[formula]
-            out = ((indices >> np.uint64(pos)) & np.uint64(1)).astype(bool)
-        elif isinstance(formula, Neg):
-            out = ~self._eval_block(indices, formula.child, memo)
-        elif isinstance(formula, And):
-            out = self._eval_block(indices, formula.left, memo) & self._eval_block(indices, formula.right, memo)
-        elif isinstance(formula, Or):
-            out = self._eval_block(indices, formula.left, memo) | self._eval_block(indices, formula.right, memo)
-        else:
-            raise TypeError(f"not a core formula: {formula!r}")
-        memo[formula] = out
-        return out
+    def _fold(self, indices: np.ndarray, formula: Formula, memo: dict) -> np.ndarray:
+        """Truth of a set member at each packed row, memoized in ``memo``."""
+        def atom(f: Formula) -> np.ndarray:
+            return ((indices >> np.uint64(self.atom_pos[f])) & np.uint64(1)).astype(bool)
+
+        return fold_boolean(formula, memo, np.ones(len(indices), dtype=bool), atom)
 
     def _enumerate(self) -> None:
         n_atoms = len(self.atoms)
@@ -213,7 +197,7 @@ class CanonicalEngine:
         # as their level-n twins, which sit at the same bits.
         need = np.zeros(self.count, dtype=np.uint32)
         for bit, body in enumerate(self.bodies):
-            need |= self._eval_block(indices, body, memo).astype(np.uint32) << np.uint32(bit)
+            need |= self._fold(indices, body, memo).astype(np.uint32) << np.uint32(bit)
         self.col: dict[tuple[str, int], np.ndarray] = {}
         absorbed = np.zeros(self.count, dtype=np.uint32)
         for n in reversed(self.levels):
@@ -252,7 +236,7 @@ class CanonicalEngine:
         for pos, forced in enumerate(self.forces):
             ok = np.ones(len(indices), dtype=bool)
             for f in forced:
-                ok &= self._eval_block(indices, f, memo)
+                ok &= self._fold(indices, f, memo)
             reached = len(indices) + int(np.count_nonzero(ok))
             if reached > self.cap:
                 return reached, None
@@ -266,7 +250,7 @@ class CanonicalEngine:
         """Truth of a set member at every candidate, as a bool column."""
         cached = self._truth_cache.get(formula)
         if cached is None:
-            cached = self._eval_block(self.atom_index, formula, {})
+            cached = self._fold(self.atom_index, formula, {})
             self._truth_cache[formula] = cached
         return cached
 
@@ -401,15 +385,15 @@ class CanonicalEngine:
 
     def membership(self, i: int) -> frozenset[Formula]:
         """The candidate's formula set."""
-        idx = np.array([self.atom_index[i]], dtype=np.uint64)
         memo: dict = {}
-        return frozenset(
-            f for f in self.delta_sorted if bool(self._eval_block(idx, f, memo)[0])
-        )
+        return frozenset(f for f in self.delta_sorted if self._holds(i, f, memo))
 
     def contains(self, i: int, formula: Formula) -> bool:
-        idx = np.array([self.atom_index[i]], dtype=np.uint64)
-        return bool(self._eval_block(idx, formula, {})[0])
+        return self._holds(i, formula, {})
+
+    def _holds(self, i: int, formula: Formula, memo: dict) -> bool:
+        row = int(self.atom_index[i])
+        return bool(fold_boolean(formula, memo, 1, lambda f: row >> self.atom_pos[f] & 1))
 
     def find_witness(self, i: int, n: int, body: Formula) -> Optional[int]:
         """Least-junk alive successor at level n containing the body."""
@@ -430,6 +414,23 @@ class CanonicalEngine:
     def survivor_rows(self) -> np.ndarray:
         return np.flatnonzero(self.alive)
 
+    def masks(self, rows: list[int]) -> tuple[dict[int, list[int]], dict[str, int]]:
+        """The model over the given rows, as bitmasks over their positions.
+
+        Per level, each row's successors among the rows; per variable name,
+        the rows where it holds. As in a model's valuation, which is keyed
+        by name, the last variable of a name wins.
+        """
+        succ = {n: [sum(1 << j for j, b in enumerate(rows) if self.relation(a, b, n)) for a in rows]
+                for n in self.levels}
+        extension = {}
+        for var in self.variables:
+            pos = self.atom_pos[var]
+            extension[var.name] = sum(
+                1 << j for j, r in enumerate(rows) if int(self.atom_index[r]) >> pos & 1
+            )
+        return succ, extension
+
     # ----- materialization -----
 
     def build_model(self, rows: Iterable[int], names: Optional[list[str]] = None,
@@ -438,34 +439,28 @@ class CanonicalEngine:
         rows = list(rows)
         if names is None:
             names = [f"w{k}" for k in range(len(rows))]
-        name_of = dict(zip(rows, names))
-        memberships = {r: self.membership(r) for r in rows}
-        relations: dict[int, set[tuple[str, str]]] = {n: set() for n in self.levels}
-        for a in rows:
-            for b in rows:
-                for n in self.levels:
-                    if self.relation(a, b, n):
-                        relations[n].add((name_of[a], name_of[b]))
-        valuation = {}
-        sorts = {}
-        for var in self.variables:
-            valuation[var.name] = frozenset(
-                name_of[r] for r in rows if var in memberships[r]
-            )
-            sorts[var.name] = var.sort
+        succ, extension = self.masks(rows)
+        positions = range(len(rows))
+        relations = {}
+        for n, masks in succ.items():
+            pairs = frozenset((names[x], names[y]) for x in positions for y in positions
+                              if masks[x] >> y & 1)
+            if pairs:
+                relations[n] = pairs
         return KripkeModel(
             worlds=tuple(names),
-            relations={n: frozenset(pairs) for n, pairs in relations.items() if pairs},
-            valuation=valuation,
-            sorts=sorts,
-            root=name_of[root] if root is not None else None,
+            relations=relations,
+            valuation={name: frozenset(names[j] for j in positions if mask >> j & 1)
+                       for name, mask in extension.items()},
+            sorts={var.name: var.sort for var in self.variables},
+            root=names[rows.index(root)] if root is not None else None,
         )
 
 
 def hintikka_candidates(delta: Iterable[Formula],
                         candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> frozenset[frozenset[Formula]]:
     """All subsets of the adequate set satisfying the candidate invariants."""
-    engine = CanonicalEngine(delta, candidate_cap)
+    engine = CanonicalEngine(_adequate(delta), candidate_cap)
     return frozenset(engine.membership(i) for i in range(engine.count))
 
 
@@ -480,7 +475,19 @@ def build_canonical_detailed(delta: Iterable[Formula],
                              candidate_cap: int = DEFAULT_CANDIDATE_CAP,
                              verify_truth_lemma: bool = False) -> CanonicalResult:
     """Canonical model plus each world's formula set and elimination stats."""
-    engine = CanonicalEngine(delta, candidate_cap)
+    engine = CanonicalEngine(_adequate(delta), candidate_cap)
+    return _canonical_result(engine, verify_truth_lemma)
+
+
+def _adequate(delta: Iterable[Formula]) -> frozenset[Formula]:
+    dset = frozenset(delta)
+    if not is_adequate(dset):
+        raise ValueError("canonical construction needs an adequate formula set")
+    return dset
+
+
+def _canonical_result(engine: CanonicalEngine, verify_truth_lemma: bool = False) -> CanonicalResult:
+    """The engine's canonical model, after running its elimination to the fixpoint."""
     engine.eliminate()
     rows = [int(r) for r in engine.survivor_rows()]
     model = engine.build_model(rows)

@@ -33,6 +33,7 @@ from .formulas import (
     Var,
     desugar,
     render_sort,
+    walk,
 )
 
 IRREFLEXIVITY = "irreflexivity"
@@ -230,43 +231,28 @@ class Program(NamedTuple):
 
 @lru_cache(maxsize=1)
 def compile_formula(formula: Formula) -> Program:
-    """Compile a core formula by one iterative post-order walk.
+    """Compile a core formula over the exit order of :func:`formulas.walk`.
 
-    Children are walked left to right, so variables come out in
-    leftmost-outermost order; a shared subformula is compiled once. The
-    last program is kept: a search checks its refutation, and ``decide``
-    checks each candidate countermodel, against the formula it just compiled.
+    Children come before their parents, left to right, so variables come
+    out in leftmost-outermost order; a shared subformula is compiled once.
+    The last program is kept: a search checks its refutation, and ``decide``
+    checks its countermodel, against the formula it just compiled.
     """
-    slot: dict[Formula, int] = {}
+    slot = walk(formula)[1]
     variables: list[Var] = []
     code: list[tuple[int, int, int]] = []
     modalities: set[int] = set()
-    stack = [formula]
-    while stack:
-        f = stack[-1]
-        if f in slot:
-            stack.pop()
-            continue
+    for f in slot:
         cls = type(f)
-        if cls is Neg or cls is Dia:
-            child = slot.get(f.child)
-            if child is None:
-                stack.append(f.child)
-                continue
-            if cls is Neg:
-                op = (_NEG, child, 0)
-            else:
-                op = (_DIA, f.index, child)
-                modalities.add(f.index)
-        elif cls is And or cls is Or:
-            left, right = slot.get(f.left), slot.get(f.right)
-            if left is None or right is None:
-                if right is None:
-                    stack.append(f.right)
-                if left is None:
-                    stack.append(f.left)
-                continue
-            op = (_AND if cls is And else _OR, left, right)
+        if cls is Neg:
+            op = (_NEG, slot[f.child], 0)
+        elif cls is And:
+            op = (_AND, slot[f.left], slot[f.right])
+        elif cls is Or:
+            op = (_OR, slot[f.left], slot[f.right])
+        elif cls is Dia:
+            op = (_DIA, f.index, slot[f.child])
+            modalities.add(f.index)
         elif cls is Var:
             op = (_VAR, len(variables), 0)
             variables.append(f)
@@ -276,8 +262,6 @@ def compile_formula(formula: Formula) -> Program:
             op = (_BOT, 0, 0)
         else:
             raise TypeError(f"not a core formula: {f!r}")
-        stack.pop()
-        slot[f] = len(code)
         code.append(op)
     return Program(tuple(slot), tuple(code), tuple(variables), frozenset(modalities))
 

@@ -50,6 +50,7 @@ from .formulas import (
     desugar,
     render_sort,
     sort_key,
+    walk,
 )
 from .kripke import KripkeModel
 
@@ -210,78 +211,68 @@ def _tokenize(text: str) -> list[_Token]:
     return tokens
 
 
+# Binary connectives by token kind: (precedence, right associative, node)
+_BINARY_OPS = {"implies": (1, True, Implies), "or": (2, False, Or), "and": (3, False, And)}
+_PREFIX_OPS = {"neg": lambda _, f: Neg(f), "dia": Dia, "box": Box}
+
+
 class _Parser:
+    """Operator-precedence parser with explicit stacks, so nesting depth is
+    bounded by memory only. Tokens are consumed left to right, and each
+    error is raised at the first token the grammar cannot accept."""
+
     def __init__(self, text: str):
         self.text = text
         self.tokens = _tokenize(text)
-        self.pos = 0
         self.var_sorts: dict[str, Sort] = {}
-
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def next(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
     def error(self, message: str, tok: _Token):
         raise ParseError(message, _byte_span(self.text, tok.start, tok.end))
 
     def parse(self) -> Formula:
-        f = self.implication()
-        tok = self.peek()
-        if tok.kind != "eof":
-            self.error("unexpected trailing input", tok)
-        return f
+        # ops holds prefix tokens, binary token kinds and open parentheses
+        # (None); each parenthesis and the whole input start a new group
+        operands: list[Formula] = []
+        ops: list = []
+        tokens = iter(self.tokens)
+        for tok in tokens:
+            # an operand: prefix operators and open parentheses, then an atom
+            while tok.kind in _PREFIX_OPS or tok.kind == "lparen":
+                ops.append(tok if tok.kind in _PREFIX_OPS else None)
+                tok = next(tokens)
+            operands.append(self.atom(tok))
+            # then closing parentheses and at most one binary operator
+            while True:
+                while ops and isinstance(ops[-1], _Token):
+                    prefix = ops.pop()
+                    operands[-1] = _PREFIX_OPS[prefix.kind](prefix.value, operands[-1])
+                tok = next(tokens)
+                # any other token ends the group: reduce it completely
+                prec, right_assoc, _ = _BINARY_OPS.get(tok.kind, (0, False, None))
+                while ops and ops[-1] is not None:
+                    top, _, node = _BINARY_OPS[ops[-1]]
+                    if top < prec or (top == prec and right_assoc):
+                        break
+                    ops.pop()
+                    right = operands.pop()
+                    operands[-1] = node(operands[-1], right)
+                if prec:
+                    ops.append(tok.kind)
+                    break
+                if tok.kind == "rparen" and ops:
+                    ops.pop()
+                    continue
+                if ops:
+                    self.error("expected ')'", tok)
+                if tok.kind != "eof":
+                    self.error("unexpected trailing input", tok)
+                return operands[0]
 
-    def implication(self) -> Formula:
-        left = self.disjunction()
-        if self.peek().kind == "implies":
-            self.next()
-            right = self.implication()
-            return Implies(left, right)
-        return left
-
-    def disjunction(self) -> Formula:
-        out = self.conjunction()
-        while self.peek().kind == "or":
-            self.next()
-            out = Or(out, self.conjunction())
-        return out
-
-    def conjunction(self) -> Formula:
-        out = self.prefix()
-        while self.peek().kind == "and":
-            self.next()
-            out = And(out, self.prefix())
-        return out
-
-    def prefix(self) -> Formula:
-        tok = self.peek()
-        if tok.kind == "neg":
-            self.next()
-            return Neg(self.prefix())
-        if tok.kind == "dia":
-            self.next()
-            return Dia(tok.value, self.prefix())
-        if tok.kind == "box":
-            self.next()
-            return Box(tok.value, self.prefix())
-        return self.atom()
-
-    def atom(self) -> Formula:
-        tok = self.next()
+    def atom(self, tok: _Token) -> Formula:
         if tok.kind == "top":
             return TOP
         if tok.kind == "bot":
             return BOT
-        if tok.kind == "lparen":
-            f = self.implication()
-            closing = self.next()
-            if closing.kind != "rparen":
-                self.error("expected ')'", closing)
-            return f
         if tok.kind == "var":
             name, sort = tok.value
             if sort is None:
@@ -311,46 +302,42 @@ def parse_formula_file(text: str) -> list[Formula]:
     return out
 
 
-_PREC_IMPLIES = 1
-_PREC_OR = 2
-_PREC_AND = 3
-_PREC_PREFIX = 4
-
-
-def _render(formula: Formula, parent_prec: int) -> str:
-    if isinstance(formula, Top):
-        return "T"
-    if isinstance(formula, Bot):
-        return "F"
-    if isinstance(formula, Var):
-        if formula.sort is OMEGA:
-            return formula.name
-        return f"{formula.name}:{render_sort(formula.sort)}"
-    if isinstance(formula, Neg):
-        return _wrap("~" + _render(formula.child, _PREC_PREFIX), _PREC_PREFIX, parent_prec)
-    if isinstance(formula, Dia):
-        return _wrap(f"<{formula.index}>" + _render(formula.child, _PREC_PREFIX), _PREC_PREFIX, parent_prec)
-    if isinstance(formula, Box):
-        return _wrap(f"[{formula.index}]" + _render(formula.child, _PREC_PREFIX), _PREC_PREFIX, parent_prec)
-    if isinstance(formula, And):
-        s = _render(formula.left, _PREC_AND) + " & " + _render(formula.right, _PREC_AND + 1)
-        return _wrap(s, _PREC_AND, parent_prec)
-    if isinstance(formula, Or):
-        s = _render(formula.left, _PREC_OR) + " | " + _render(formula.right, _PREC_OR + 1)
-        return _wrap(s, _PREC_OR, parent_prec)
-    if isinstance(formula, Implies):
-        s = _render(formula.left, _PREC_IMPLIES + 1) + " -> " + _render(formula.right, _PREC_IMPLIES)
-        return _wrap(s, _PREC_IMPLIES, parent_prec)
-    raise TypeError(f"not a formula: {formula!r}")
-
-
-def _wrap(s: str, prec: int, parent_prec: int) -> str:
-    return f"({s})" if prec < parent_prec else s
+# Precedence of each node's own text; leaves are never parenthesized.
+_PREC = {Implies: 1, Or: 2, And: 3, Neg: 4, Dia: 4, Box: 4, Var: 5, Top: 5, Bot: 5}
+_INFIX = {Implies: " -> ", Or: " | ", And: " & "}
 
 
 def render_formula(formula: Formula) -> str:
-    """Surface syntax with minimal parentheses; parse_formula inverts it."""
-    return _render(formula, 0)
+    """Surface syntax with minimal parentheses; parse_formula inverts it.
+
+    Each distinct node is rendered once, children first, over the exit
+    order of :func:`formulas.walk`; a parent parenthesizes a child whose
+    precedence is below the one its position needs. ``&`` and ``|`` group
+    to the left and ``->`` to the right, so the other side needs one more.
+    """
+    text: dict[Formula, str] = {}
+
+    def operand(f: Formula, prec: int) -> str:
+        return f"({text[f]})" if _PREC[type(f)] < prec else text[f]
+
+    for f in walk(formula)[1]:
+        cls = type(f)
+        if cls is Var:
+            out = f.name if f.sort is OMEGA else f"{f.name}:{render_sort(f.sort)}"
+        elif cls is Top or cls is Bot:
+            out = "T" if cls is Top else "F"
+        elif cls is Neg:
+            out = "~" + operand(f.child, 4)
+        elif cls is Dia or cls is Box:
+            out = (f"<{f.index}>" if cls is Dia else f"[{f.index}]") + operand(f.child, 4)
+        elif cls in _INFIX:
+            prec = _PREC[cls]
+            left, right = (prec + 1, prec) if cls is Implies else (prec, prec + 1)
+            out = operand(f.left, left) + _INFIX[cls] + operand(f.right, right)
+        else:
+            raise TypeError(f"not a formula: {f!r}")
+        text[f] = out
+    return text[formula]
 
 
 def parse_model(text: str) -> KripkeModel:

@@ -22,7 +22,6 @@ non-boolean subformulas (at most 16 of them).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from importlib import resources
 from typing import Optional, Union
@@ -31,7 +30,6 @@ from .decide import SystemId
 from .formulas import (
     OMEGA,
     And,
-    Bot,
     Dia,
     Formula,
     Neg,
@@ -39,7 +37,9 @@ from .formulas import (
     Top,
     Var,
     desugar,
+    fold_boolean,
     sort_of,
+    walk,
 )
 from .parsing import (
     WHITESPACE,
@@ -124,43 +124,24 @@ class CheckResult:
         return self.accepted
 
 
-def _boolean_atoms(formula: Formula, acc: list[Formula]) -> None:
-    if isinstance(formula, (Var, Dia)):
-        if formula not in acc:
-            acc.append(formula)
-    elif isinstance(formula, Neg):
-        _boolean_atoms(formula.child, acc)
-    elif isinstance(formula, (And, Or)):
-        _boolean_atoms(formula.left, acc)
-        _boolean_atoms(formula.right, acc)
-
-
-def _eval_boolean(formula: Formula, assignment: dict[Formula, bool]) -> bool:
-    if isinstance(formula, Top):
-        return True
-    if isinstance(formula, Bot):
-        return False
-    if isinstance(formula, (Var, Dia)):
-        return assignment[formula]
-    if isinstance(formula, Neg):
-        return not _eval_boolean(formula.child, assignment)
-    if isinstance(formula, And):
-        return _eval_boolean(formula.left, assignment) and _eval_boolean(formula.right, assignment)
-    if isinstance(formula, Or):
-        return _eval_boolean(formula.left, assignment) or _eval_boolean(formula.right, assignment)
-    raise TypeError(f"not a core formula: {formula!r}")
-
-
 def is_tautology(formula: Formula) -> bool:
-    """Truth-table check over the maximal non-boolean subformulas."""
-    atoms: list[Formula] = []
-    _boolean_atoms(formula, atoms)
+    """Truth-table check over the maximal non-boolean subformulas.
+
+    The table is bit-parallel: with n atoms, each column is one 2^n-bit
+    integer whose bit j is the value under assignment j, and atom i is true
+    where bit i of j is set. The formula is a tautology when its column is
+    all ones.
+    """
+    atoms = [f for f in walk(formula, dia_leaves=True)[0] if type(f) in (Var, Dia)]
     if len(atoms) > TAUT_ATOM_LIMIT:
         raise ProofError(f"tautology check limited to {TAUT_ATOM_LIMIT} atoms, got {len(atoms)}")
-    for bits in itertools.product((False, True), repeat=len(atoms)):
-        if not _eval_boolean(formula, dict(zip(atoms, bits))):
-            return False
-    return True
+    rows = 1 << len(atoms)
+    full = (1 << rows) - 1
+    column = {}
+    for i, f in enumerate(atoms):
+        half = 1 << i  # runs of 2^i false then 2^i true assignments
+        column[f] = full // ((1 << 2 * half) - 1) * ((1 << half) - 1) << half
+    return fold_boolean(formula, {}, full, column.__getitem__) == full
 
 
 def _as_implication(formula: Formula) -> Optional[tuple[Formula, Formula]]:

@@ -100,7 +100,8 @@ class TestDecideCommand:
         assert out.startswith("non-theorem")
 
     def test_deep_formula_is_a_resource_limit(self, capsys):
-        # the parser recurses once per prefix operator
+        # parsing and every traversal are iterative; ordering the closure by
+        # sort key compares nested tuples, which recurses once per level
         code, out, err = invoke(capsys, "decide", "--system", "glpstar", "~" * 5000 + "p")
         assert code == 3
         assert out == ""

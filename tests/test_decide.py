@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 
@@ -147,6 +148,33 @@ class TestReductionRoutes:
 
     def test_truth_lemma_flag_runs(self):
         assert verdict("jstar", "<0>p -> <0>p", verify_truth_lemma=True).theorem
+
+    def test_one_engine_and_no_adequacy_recheck(self, monkeypatch):
+        # the closure is adequate by construction, and the truth lemma is
+        # checked on the engine that gave the verdict, run on to the fixpoint
+        hintikka = sys.modules["glpstar.hintikka"]
+        build = hintikka.CanonicalEngine.__init__
+        engines, adequacy = [], []
+
+        def engine(self, *args):
+            engines.append(self)
+            build(self, *args)
+
+        def is_adequate(delta):
+            adequacy.append(delta)
+            return True
+
+        rng = random.Random(56)
+        cases = [(system, gen_sorted_formula(rng)) for system in SystemId for _ in range(10)]
+        plain = [decide(system, f) for system, f in cases]
+        monkeypatch.setattr(hintikka.CanonicalEngine, "__init__", engine)
+        monkeypatch.setattr(hintikka, "is_adequate", is_adequate)
+        for (system, f), expected in zip(cases, plain):
+            got = decide(system, f, verify_truth_lemma=True)
+            assert (got.theorem, got.stats) == (expected.theorem, expected.stats)
+            assert got.countermodel == expected.countermodel
+        assert len(engines) == len(cases) and not adequacy
+        assert any(not v.theorem for v in plain) and any(v.theorem for v in plain)
 
 
 class TestTargets:
