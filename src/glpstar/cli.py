@@ -302,7 +302,10 @@ def _cmd_checkproof(args) -> int:
 
 def _cmd_oracle(args) -> int:
     formula = _read_formulas(args.formula)[0]
-    budget = SearchBudget(max_worlds=args.max_worlds, max_models=args.max_models)
+    try:
+        budget = SearchBudget(max_worlds=args.max_worlds, max_models=args.max_models)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
     result = brute_force_countermodel(formula, budget)
     payload = {
         "command": "oracle",
@@ -413,9 +416,9 @@ def run(argv: Optional[list[str]] = None) -> int:
     except ResourceLimitError as exc:
         return _resource_limit(args, exc)
     except RecursionError:
-        # formula traversals and the parser are iterative, but ordering
-        # formulas by sort key compares nested tuples, which recurses once
-        # per nesting level inside the interpreter
+        # formula traversals and the parser are iterative, but ordering a
+        # level's diamonds by sort key compares nested tuples, which recurses
+        # once per nesting level inside the interpreter
         return _resource_limit(args, ResourceLimitError("formula nesting too deep to traverse"))
 
 

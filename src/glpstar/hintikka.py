@@ -113,7 +113,6 @@ class CanonicalEngine:
     def __init__(self, delta: Iterable[Formula], candidate_cap: int = DEFAULT_CANDIDATE_CAP):
         dset = frozenset(delta)
         self.delta = dset
-        self.delta_sorted = sorted(dset, key=sort_key)
         self.levels = sorted(modal_levels(dset))
         self.cap = candidate_cap
 
@@ -386,7 +385,7 @@ class CanonicalEngine:
     def membership(self, i: int) -> frozenset[Formula]:
         """The candidate's formula set."""
         memo: dict = {}
-        return frozenset(f for f in self.delta_sorted if self._holds(i, f, memo))
+        return frozenset(f for f in self.delta if self._holds(i, f, memo))
 
     def contains(self, i: int, formula: Formula) -> bool:
         return self._holds(i, formula, {})

@@ -4,12 +4,13 @@ Models are enumerated by world count, then by the relation bitmaps in
 ascending order (lowest modality outermost), then by valuation bitmaps.
 The strict orders on k worlds are built from those on k-1 worlds, one new
 world at a time, and sorted. Frames are stacked level by level from these
-tables, checking the two inter-level conditions incrementally, so every
-frame passes the frame validator by construction. Valuations are generated
-directly as persistence-closed sets per variable (closed under predecessors
-at levels from the sort up and successors strictly above it) instead of
-filtering the full power set; that closure is what makes the search space
-tractable.
+tables. The two inter-level conditions each restrict one pair of the higher
+relation at a time, so every chosen level yields an allowed-pairs mask, and
+a higher order fits the levels below it when it lies inside the AND of
+their masks; every frame passes the frame validator by construction.
+Valuations are the persistence-closed member sets per variable (closed
+under predecessors at levels from the sort up and successors strictly above
+it): a set is kept when it holds every member's direct requirements.
 
 The search runs in index space. The goal is compiled once into a post-order
 program (:func:`kripke.compile_formula`), and each enumerated model, as
@@ -52,7 +53,6 @@ class SearchBudget:
 
 
 _strict_orders_cache: dict[int, list[int]] = {1: [0]}
-_compat_cache: dict[tuple[int, int, int], bool] = {}
 
 
 def _rows(mask: int, k: int) -> list[int]:
@@ -106,38 +106,23 @@ def _strict_orders(k: int) -> list[int]:
     return out
 
 
-def _compatible(lower: int, upper: int, k: int) -> bool:
-    """Inter-level conditions between a lower and a higher relation."""
-    key = (k, lower, upper)
-    hit = _compat_cache.get(key)
-    if hit is not None:
-        return hit
-    low_rows = _rows(lower, k)
-    up_rows = _rows(upper, k)
-    ok = True
+def _allowed(lower: int, k: int) -> int:
+    """Pairs a higher relation may hold over a lower one, as a bitmap.
+
+    x R_n y needs equal R_m rows at x and y (condition ii), and every
+    R_m-predecessor of x must be an R_m-predecessor of y (condition iii).
+    """
+    rows = _rows(lower, k)
+    pred = [0] * k
+    for x, row in enumerate(rows):
+        for y in _bits(row):
+            pred[y] |= 1 << x
+    out = 0
     for x in range(k):
-        scan = up_rows[x]
-        while scan:
-            y = (scan & -scan).bit_length() - 1
-            if low_rows[x] != low_rows[y]:
-                ok = False
-                break
-            scan &= scan - 1
-        if not ok:
-            break
-    if ok:
-        for x in range(k):
-            scan = low_rows[x]
-            while scan:
-                y = (scan & -scan).bit_length() - 1
-                if up_rows[y] & ~low_rows[x]:
-                    ok = False
-                    break
-                scan &= scan - 1
-            if not ok:
-                break
-    _compat_cache[key] = ok
-    return ok
+        for y in range(k):
+            if rows[x] == rows[y] and pred[x] & ~pred[y] == 0:
+                out |= 1 << (x * k + y)
+    return out
 
 
 def _normalize_variables(variables) -> list[tuple[str, Sort]]:
@@ -154,61 +139,30 @@ def _normalize_variables(variables) -> list[tuple[str, Sort]]:
 
 
 def _closed_valuations(succ: Mapping[int, list[int]], k: int, sort: Sort) -> list[int]:
-    """Persistence-closed member sets for one variable, ascending bitmaps."""
-    # requirement graph: including u drags creach(u) in
-    edges = [0] * k
+    """Persistence-closed member sets for one variable, ascending bitmaps.
+
+    A set is closed exactly when it holds the direct requirements of each
+    of its members, so each set's requirements come from the set without
+    its lowest member, and no transitive closure is needed.
+    """
+    if sort is OMEGA:
+        return list(range(1 << k))
+    edges = [0] * k  # the worlds that a member forces in
     for level, rows in succ.items():
-        if sort is OMEGA:
-            continue
         for x in range(k):
-            scan = rows[x]
-            while scan:
-                y = (scan & -scan).bit_length() - 1
+            for y in _bits(rows[x]):
                 if sort <= level:
                     edges[y] |= 1 << x  # member successor forces the predecessor in
                 if sort < level:
                     edges[x] |= 1 << y  # member predecessor forces the successor in
-                scan &= scan - 1
-    creach = list(edges)
-    changed = True
-    while changed:
-        changed = False
-        for u in range(k):
-            acc = creach[u]
-            scan = acc
-            while scan:
-                v = (scan & -scan).bit_length() - 1
-                acc |= creach[v]
-                scan &= scan - 1
-            if acc != creach[u]:
-                creach[u] = acc
-                changed = True
-    dragged_by = [0] * k  # v is in dragged_by[u] when u in creach(v)
-    for v in range(k):
-        scan = creach[v]
-        while scan:
-            u = (scan & -scan).bit_length() - 1
-            dragged_by[u] |= 1 << v
-            scan &= scan - 1
-
-    out: list[int] = []
-
-    def walk(u: int, included: int, excluded: int) -> None:
-        if u == k:
-            out.append(included)
-            return
-        if included >> u & 1:
-            walk(u + 1, included, excluded)
-            return
-        if excluded >> u & 1:
-            walk(u + 1, included, excluded)
-            return
-        walk(u + 1, included, excluded | dragged_by[u])
-        if not creach[u] & excluded:
-            walk(u + 1, included | creach[u] | (1 << u), excluded)
-
-    walk(0, 0, 0)
-    return sorted(set(out))
+    req = [0] * (1 << k)
+    out = [0]
+    for s in range(1, 1 << k):
+        low = s & -s
+        req[s] = req[s ^ low] | edges[low.bit_length() - 1]
+        if req[s] & ~s == 0:
+            out.append(s)
+    return out
 
 
 class WorldCount(NamedTuple):
@@ -281,18 +235,20 @@ class ModelEnumeration:
             yield ()
             return
         orders = _strict_orders(k)
+        last = len(levels) - 1
 
-        def extend(chosen: list[int]) -> Iterator[tuple[int, ...]]:
-            if len(chosen) == len(levels):
-                yield tuple(chosen)
-                return
+        def extend(chosen: list[int], allowed: int) -> Iterator[tuple[int, ...]]:
+            more = len(chosen) < last
             for mask in orders:
-                if all(_compatible(lower, mask, k) for lower in chosen):
+                if mask & ~allowed == 0:
                     chosen.append(mask)
-                    yield from extend(chosen)
+                    if more:
+                        yield from extend(chosen, allowed & _allowed(mask, k))
+                    else:
+                        yield tuple(chosen)
                     chosen.pop()
 
-        yield from extend([])
+        yield from extend([], (1 << (k * k)) - 1)
 
     def materialize(self, k: int, succ: Mapping[int, list[int]], val_masks: tuple[int, ...],
                     root: Optional[str] = None) -> KripkeModel:

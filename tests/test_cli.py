@@ -99,10 +99,18 @@ class TestDecideCommand:
         assert code == 1
         assert out.startswith("non-theorem")
 
+    def test_deep_negation_chain_decides(self, capsys):
+        # parsing, every traversal and the closure's membership are iterative
+        code, out, _ = invoke(capsys, "decide", "--system", "glpstar", "~" * 5000 + "p")
+        assert code == 1
+        assert out.startswith("non-theorem")
+
     def test_deep_formula_is_a_resource_limit(self, capsys):
-        # parsing and every traversal are iterative; ordering the closure by
-        # sort key compares nested tuples, which recurses once per level
-        code, out, err = invoke(capsys, "decide", "--system", "glpstar", "~" * 5000 + "p")
+        # ordering a level's diamonds by sort key compares nested tuples,
+        # which recurses once per nesting level the two keys share
+        chain = "~" * 3000
+        code, out, err = invoke(capsys, "decide", "--system", "glpstar",
+                                f"<0>{chain}p & <0>{chain}q")
         assert code == 3
         assert out == ""
         assert err.startswith("resource limit:") and err.count("\n") == 1
@@ -219,6 +227,14 @@ class TestOtherCommands:
         code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "T")
         assert code == 0
         assert "no countermodel" in out
+
+    @pytest.mark.parametrize("flag", ["--max-worlds", "--max-models"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_oracle_nonpositive_budget_is_usage_error(self, capsys, flag, value):
+        code, out, err = invoke(capsys, "oracle", flag, value, "p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
 
     def test_oracle_json_counts(self, capsys):
         code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "--format", "json", "T")

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -65,6 +66,52 @@ class TestStrictOrders:
             assert all(a < b for a, b in zip(orders, orders[1:])), k
             counts.append(len(orders))
         assert counts == [1, 3, 19, 219, 4231, 130023]  # OEIS A001035
+
+
+def reference_model(k, levels, rel_masks, valuation=None, sorts=None):
+    """A model on worlds w0..w(k-1) with every level's relation, even an empty one."""
+    names = [f"w{i}" for i in range(k)]
+    relations = {
+        level: {(names[x], names[y]) for x in range(k) for y in range(k) if mask >> (x * k + y) & 1}
+        for level, mask in zip(levels, rel_masks)
+    }
+    return KripkeModel(worlds=names, relations=relations, valuation=valuation, sorts=sorts)
+
+
+def reference_frames(k, levels):
+    """Frames by a scan of every tuple of strict orders, through the frame validator."""
+    return [masks for masks in product(reference_orders(k), repeat=len(levels))
+            if not check_jstar_frame(reference_model(k, levels, masks))]
+
+
+FRAME_CASES = [(levels, k) for levels in [(0, 1), (0, 2), (0, 1, 2)] for k in [1, 2, 3]]
+
+
+class TestFramesAndValuations:
+    @pytest.mark.parametrize("levels,k", FRAME_CASES)
+    def test_frames_equal_a_scan_through_the_validator(self, levels, k):
+        enum = enumerate_models([], levels)
+        assert list(enum._frames(k)) == reference_frames(k, levels)
+
+    @pytest.mark.parametrize("levels,k", FRAME_CASES)
+    def test_valuations_equal_a_scan_through_the_validator(self, levels, k):
+        worlds = [f"w{i}" for i in range(k)]
+        for masks in reference_frames(k, levels):
+            succ = {level: [mask >> (x * k) & ((1 << k) - 1) for x in range(k)]
+                    for level, mask in zip(levels, masks)}
+            for sort in (0, 1, 2, OMEGA):
+                expected = [
+                    s for s in range(1 << k)
+                    if not check_strong_persistence(reference_model(
+                        k, levels, masks, {"p": {worlds[i] for i in range(k) if s >> i & 1}},
+                        {"p": sort}))
+                ]
+                assert oracle._closed_valuations(succ, k, sort) == expected, (masks, sort)
+
+    def test_two_levels_at_five_worlds(self):
+        frames = list(enumerate_models([], [0, 1])._frames(5))
+        assert len(frames) == 33571
+        assert all(a < b for a, b in zip(frames, frames[1:]))
 
 
 class TestEnumerateModels:

@@ -18,7 +18,6 @@ import glpstar
 ALLOWED = {
     "decide.reduction_target": "the system chain: glp and glpsstar reduce to glpstar, once",
     "oracle._strict_orders": "the world count of the search",
-    "oracle._closed_valuations.walk": "the world count of the search",
     "oracle.ModelEnumeration._frames.extend": "the number of modalities",
 }
 
