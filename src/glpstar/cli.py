@@ -117,13 +117,11 @@ def _cmd_decide(args) -> int:
     worst = EXIT_YES
     results = []
     for formula in formulas:
-        verdict = decide(
-            system,
-            formula,
-            via=args.via,
-            nplus_variant=args.nplus_variant,
-            candidate_cap=args.candidate_cap,
-        )
+        try:
+            verdict = decide(system, formula, via=args.via, nplus_variant=args.nplus_variant,
+                             candidate_cap=args.candidate_cap)
+        except ValueError as exc:
+            raise _UsageError(str(exc)) from exc
         results.append((formula, verdict))
         if not verdict.theorem:
             worst = EXIT_NO

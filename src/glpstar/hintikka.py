@@ -11,11 +11,12 @@ Atoms are ordered variables first, then diamonds by size, so everything a
 diamond forces mentions only lower atoms. The engine grows the candidates
 one atom at a time with numpy, appending the rows where the next atom may be
 true, so it only ever builds consistent assignments: work is at most atoms
-times candidates, not 2^atoms. It keeps one packed row per candidate: per
-level, the candidate's diamond mask, the diamonds a witness demand would
-impose on a predecessor, and the concatenated masks of the lower levels.
-The canonical relation then reduces to a few integer comparisons, and the
-witness-elimination fixpoint to masked reductions.
+times candidates, not 2^atoms. Per candidate and level it keeps the
+diamond mask, the mask a witness demand imposes on a predecessor, and a
+class id for the masks of the lower levels, in the narrowest unsigned dtype
+that holds a level's mask. The canonical relation then reduces to a few
+integer comparisons, and each elimination step to a subset-OR transform on
+a lattice of masks by classes.
 
 The relation follows the four textbook conditions with condition (2) widened
 from "same level" to "same or higher level": an edge at level n absorbs a
@@ -27,6 +28,7 @@ the widened reading provably restores them (see the repository notes).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -102,6 +104,18 @@ def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterab
     return any(f.index == n and f in xset and f not in yset for f in dias)
 
 
+@functools.lru_cache(maxsize=256)
+def _byte_tables(bits: tuple[tuple[int, int], ...]) -> list[tuple[int, np.ndarray]]:
+    """Per byte of an atom index holding an atom of ``bits`` (pairs of atom
+    position and word bit), a table from the byte's values to word bits."""
+    tables: dict[int, np.ndarray] = {}
+    values = np.arange(256, dtype=np.uint64)
+    for pos, bit in bits:
+        table = tables.setdefault(pos >> 3, np.zeros(256, dtype=np.uint64))
+        table |= (values >> np.uint64(pos & 7) & np.uint64(1)) << np.uint64(bit)
+    return sorted(tables.items())
+
+
 class CanonicalEngine:
     """Packed candidate table over an adequate set, with witness elimination.
 
@@ -111,6 +125,8 @@ class CanonicalEngine:
     """
 
     def __init__(self, delta: Iterable[Formula], candidate_cap: int = DEFAULT_CANDIDATE_CAP):
+        if candidate_cap < 1:
+            raise ValueError(f"candidate cap must be at least 1, not {candidate_cap}")
         dset = frozenset(delta)
         self.delta = dset
         self.levels = sorted(modal_levels(dset))
@@ -173,7 +189,7 @@ class CanonicalEngine:
     def _fold(self, indices: np.ndarray, formula: Formula, memo: dict) -> np.ndarray:
         """Truth of a set member at each packed row, memoized in ``memo``."""
         def atom(f: Formula) -> np.ndarray:
-            return ((indices >> np.uint64(self.atom_pos[f])) & np.uint64(1)).astype(bool)
+            return indices & np.uint64(1 << self.atom_pos[f]) != 0
 
         return fold_boolean(formula, memo, np.ones(len(indices), dtype=bool), atom)
 
@@ -182,81 +198,98 @@ class CanonicalEngine:
         if n_atoms > 63:
             raise ResourceLimitError(f"{n_atoms} atoms exceed the 63-bit index budget",
                                      atoms=n_atoms, cap=self.cap)
-        reached, grown = self._grow()
-        if grown is None:
+        reached, indices = self._grow()
+        if indices is None:
             # raised here rather than in _grow, so the traceback holds no partial table
             raise ResourceLimitError(f"candidate count exceeds the cap {self.cap}",
                                      atoms=n_atoms, candidates=reached, cap=self.cap)
-        indices, memo = grown
 
         self.count = len(indices)
         self.atom_index = indices
         self._truth_cache: dict[Formula, np.ndarray] = {}
+        self.col: dict[tuple[str, int], np.ndarray] = {}
+        self.classes: dict[int, int] = {}
+        if not self.levels:
+            return
+        width = len(self.bodies)
+        dtype = np.min_scalar_type((1 << width) - 1)
+        # Every level's diamond mask at its low_offset in one packed word,
+        # built by one table lookup per byte of the index that holds diamonds.
+        by_byte = indices.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        packed = np.zeros(self.count, dtype=np.uint64)
+        for byte, table in _byte_tables(tuple((self.atom_pos[dia], self.low_offset[n] + bit)
+                                              for n in self.levels
+                                              for bit, dia in enumerate(self.level_dias[n]))):
+            packed |= table[by_byte[:, byte]]
+        self.dia_pop = np.bitwise_count(packed)
         # An edge at level n absorbs the successor's diamonds at levels >= n
         # as their level-n twins, which sit at the same bits.
-        need = np.zeros(self.count, dtype=np.uint32)
+        need = np.zeros(self.count, dtype=dtype)
         for bit, body in enumerate(self.bodies):
-            need |= self._fold(indices, body, memo).astype(np.uint32) << np.uint32(bit)
-        self.col: dict[tuple[str, int], np.ndarray] = {}
-        absorbed = np.zeros(self.count, dtype=np.uint32)
+            need |= self._fold(indices, body, self._truth_cache).astype(dtype) << bit
+        absorbed = need
         for n in reversed(self.levels):
-            d = np.zeros(self.count, dtype=np.uint32)
-            for bit, dia in enumerate(self.level_dias[n]):
-                true = (indices >> np.uint64(self.atom_pos[dia])).astype(np.uint32) & np.uint32(1)
-                d |= true << np.uint32(bit)
-            absorbed |= d
+            d = (packed >> self.low_offset[n]).astype(dtype) & (1 << width) - 1
+            absorbed = absorbed | d
             self.col[("d", n)] = d
             self.col[("need", n)] = need
-            self.col[("req", n)] = need | absorbed
-        self.dia_pop = np.zeros(self.count, dtype=np.uint16)
+            self.col[("req", n)] = absorbed
+        # Rows of one class at level n agree on every diamond below n. Class
+        # ids, below classes[n], are numbered level by level from the class
+        # and mask below: densely by a presence table where the lattice over
+        # them could be built, and past it by the pair itself.
+        cls_id, classes = np.zeros(self.count, dtype=np.uint8), 1
         for n in self.levels:
-            self.dia_pop += np.bitwise_count(self.col[("d", n)]).astype(np.uint16)
-            low = np.zeros(self.count, dtype=np.uint64)
-            for m in self.levels:
-                if m >= n:
-                    break
-                low |= self.col[("d", m)].astype(np.uint64) << np.uint64(self.low_offset[m])
-            self.col[("low", n)] = low
+            self.col[("class", n)], self.classes[n] = cls_id, classes
+            if n != self.levels[-1]:
+                cls_id, classes = cls_id.astype(np.intp) << width | self.col[("d", n)], classes << width
+                if classes <= self._LATTICE_LIMIT:
+                    seen = np.zeros(classes, dtype=bool)
+                    seen[cls_id] = True
+                    remap = np.cumsum(seen, dtype=np.min_scalar_type(classes)) - 1
+                    cls_id, classes = remap[cls_id], int(remap[-1]) + 1
 
-    def _grow(self) -> tuple[int, Optional[tuple[np.ndarray, dict]]]:
+    def _grow(self) -> tuple[int, Optional[np.ndarray]]:
         """Row count reached, and the consistent assignments in ascending
-        order with their evaluation memo, or None past the cap.
+        order, or None past the cap.
 
         Grown one atom at a time: every row over the atoms below position i
         stays with bit i clear, and the rows satisfying what atom i forces
         are appended with bit i set. Appended rows all exceed the kept ones,
         so the order holds, and the row count never falls, so the cap is
-        checked as the table grows. The evaluation memo, returned with the
-        table, holds formulas over the lower atoms, whose values the
-        appended rows copy.
+        checked as the table grows.
         """
         indices = np.zeros(1, dtype=np.uint64)
-        memo: dict = {}
         for pos, forced in enumerate(self.forces):
             ok = np.ones(len(indices), dtype=bool)
             for f in forced:
-                ok &= self._fold(indices, f, memo)
+                ok &= self._fold(indices, f, {})
             reached = len(indices) + int(np.count_nonzero(ok))
             if reached > self.cap:
                 return reached, None
             indices = np.concatenate((indices, indices[ok] | np.uint64(1 << pos)))
-            memo = {k: np.concatenate((v, v[ok])) for k, v in memo.items()}
-        return len(indices), ((indices, memo) if len(indices) <= self.cap else None)
+        return len(indices), (indices if len(indices) <= self.cap else None)
 
     # ----- vector queries -----
 
     def truth_column(self, formula: Formula) -> np.ndarray:
-        """Truth of a set member at every candidate, as a bool column."""
-        cached = self._truth_cache.get(formula)
-        if cached is None:
-            cached = self._fold(self.atom_index, formula, {})
-            self._truth_cache[formula] = cached
-        return cached
+        """Truth of a set member at every candidate, as a bool column.
+
+        The columns of every formula folded so far, the diamond bodies
+        among them, are kept for later queries.
+        """
+        return self._fold(self.atom_index, formula, self._truth_cache)
 
     # ----- elimination -----
 
     def eliminate(self, stop_mask: Optional[np.ndarray] = None) -> EliminationStats:
-        """Round-synchronous deletion of worlds with unwitnessed diamonds.
+        """Deletion of worlds with unwitnessed diamonds, to the fixpoint.
+
+        Rounds visit the levels in order, each deleting its unwitnessed rows
+        at once; the witnessed-worlds operator is monotone, so any removal
+        order reaches the greatest fixpoint. ``stats.rounds`` holds the
+        survivors after each round that deleted. The loop ends once every
+        level was checked after the last deletion, mid-round if need be.
 
         With a stop mask the loop returns early once no masked row is alive;
         survivors only ever shrink, so an early exit is sound for callers
@@ -264,102 +297,97 @@ class CanonicalEngine:
         """
         if self._eliminated:
             return self.stats
-        # Deletions are applied level by level as soon as they are found:
-        # the witnessed-worlds operator is monotone, so any removal order
-        # reaches the same greatest fixpoint as simultaneous rounds.
-        while True:
+        clean = 0  # levels checked, without deleting, since the last deletion
+        while clean < len(self.levels):
             if stop_mask is not None and not bool((self.alive & stop_mask).any()):
                 return self.stats
-            changed = False
+            alive_rows, changed = np.flatnonzero(self.alive), False
             for n in self.levels:
-                alive_rows = np.flatnonzero(self.alive)
-                if len(alive_rows) == 0:
-                    break
-                d = self.col[("d", n)][alive_rows]
-                if not bool((d != 0).any()):
-                    continue
-                low = self.col[("low", n)][alive_rows]
-                req = self.col[("req", n)][alive_rows]
-                need = self.col[("need", n)][alive_rows]
-                uncovered = self._uncovered(low, d, req, need, len(self.level_dias[n]))
+                cols = [self.col[(name, n)] for name in ("class", "d", "req", "need")]
+                if len(alive_rows) < self.count:
+                    cols = [col[alive_rows] for col in cols]
+                uncovered = self._uncovered(cols[0], self.classes[n], *cols[1:], len(self.bodies)) \
+                    if cols[1].any() else alive_rows[:0]
                 if len(uncovered):
                     self.alive[alive_rows[uncovered]] = False
-                    changed = True
-            if not changed:
-                break
-            self.stats.rounds.append(int(self.alive.sum()))
+                    alive_rows = np.flatnonzero(self.alive)
+                    changed, clean = True, 0
+                else:
+                    clean += 1
+                    if clean == len(self.levels):
+                        break
+            if changed:
+                self.stats.rounds.append(int(self.alive.sum()))
         self._eliminated = True
         return self.stats
 
     _LATTICE_LIMIT = 1 << 24
 
     @classmethod
-    def _uncovered(cls, low: np.ndarray, d: np.ndarray, req: np.ndarray,
+    def _uncovered(cls, cls_id: np.ndarray, classes: int, d: np.ndarray, req: np.ndarray,
                    need: np.ndarray, width: int) -> np.ndarray:
         """Rows whose diamond mask is not covered by witnesses in their class.
 
-        A witness for target mask D within a low-class is a row y with
-        req(y) a subset of D and d(y) != D; it covers the diamond bits of
-        need(y). Coverage is computed for every mask at once on a
-        (class x 2^width) lattice: scatter the aggregated need masks to the
-        req slots, take the strict-subset OR along the mask axis, and patch
-        the diagonal slots, whose rows only count when d differs from req.
+        A witness for target mask D within a class is a row y with req(y) a
+        subset of D and d(y) != D; it covers the diamond bits of need(y).
+        Coverage is computed for every mask at once on a mask-major
+        (2^width x classes) lattice of the masks' dtype: scatter the need
+        masks to the req slots, take the strict-subset OR along the mask
+        axis, and patch the diagonal slots, whose rows only count when d
+        differs from req. A table smaller than the rows de-duplicates them.
         """
-        _, cls_id = np.unique(low, return_inverse=True)
-        classes = int(cls_id.max()) + 1 if len(cls_id) else 0
-        if classes << width > cls._LATTICE_LIMIT:
-            return cls._uncovered_crossjoin(low, d, req, need)
         size = classes << width
-        slot = (cls_id.astype(np.int64) << width) | req.astype(np.int64)
-        f_all = np.zeros(size, dtype=np.uint32)
-        np.bitwise_or.at(f_all, slot, need)
-        f_offdiag = np.zeros(size, dtype=np.uint32)
-        off = d != req
-        np.bitwise_or.at(f_offdiag, slot[off], need[off])
-        subset_or = f_all.reshape(classes, 1 << width)
-        for b in range(width):
-            view = subset_or.reshape(classes, 1 << (width - b - 1), 2, 1 << b)
-            view[:, :, 1, :] |= view[:, :, 0, :]
-        strict = np.zeros_like(subset_or)
-        for b in range(width):
-            sview = strict.reshape(classes, 1 << (width - b - 1), 2, 1 << b)
-            hview = subset_or.reshape(classes, 1 << (width - b - 1), 2, 1 << b)
-            sview[:, :, 1, :] |= hview[:, :, 0, :]
-        target = (cls_id.astype(np.int64) << width) | d.astype(np.int64)
-        cov = strict.reshape(-1)[target] | f_offdiag[target]
-        return np.flatnonzero((d != 0) & ((d & ~cov) != 0))
+        if size > cls._LATTICE_LIMIT:
+            return cls._uncovered_crossjoin(cls_id, d, req, need)
+        # Witnesses with d == req go to the first plane, the others to the
+        # second, which then seeds the strict-subset OR as the diagonal patch.
+        pair = req.astype(np.intp) * classes + cls_id + (d != req) * size
+        if size << width + 1 < len(pair):
+            seen = np.zeros(size << width + 1, dtype=bool)
+            seen[pair << width | need] = True
+            key = np.flatnonzero(seen)
+            pair, need = key >> width, (key & (1 << width) - 1).astype(d.dtype)
+        subset_or, strict = planes = np.zeros((2, size), dtype=d.dtype)
+        np.bitwise_or.at(planes.reshape(-1), pair, need)
+        subset_or |= strict
+        for lattice in (subset_or, strict):  # subset OR in place, then one bit off it
+            for b in range(width):
+                shape = (1 << (width - b - 1), 2, classes << b)
+                lattice.reshape(shape)[:, 1] |= subset_or.reshape(shape)[:, 0]
+        cov = strict[d.astype(np.intp) * classes + cls_id]
+        return np.flatnonzero(d & ~cov)
 
     @staticmethod
-    def _uncovered_crossjoin(low: np.ndarray, d: np.ndarray, req: np.ndarray,
+    def _uncovered_crossjoin(cls_id: np.ndarray, d: np.ndarray, req: np.ndarray,
                              need: np.ndarray) -> np.ndarray:
         """Fallback for lattices too large to materialize: ragged cross join
         of aggregated witness groups against distinct target profiles."""
-        rows = len(low)
-        gorder = np.lexsort((d, req, low))
-        glow, greq, gd, gneed = low[gorder], req[gorder], d[gorder], need[gorder]
+        rows = len(cls_id)
+        gorder = np.lexsort((d, req, cls_id))
+        gcls, greq, gd, gneed = cls_id[gorder], req[gorder], d[gorder], need[gorder]
         gb = np.empty(rows, dtype=bool)
         gb[0] = True
-        gb[1:] = (glow[1:] != glow[:-1]) | (greq[1:] != greq[:-1]) | (gd[1:] != gd[:-1])
+        gb[1:] = (gcls[1:] != gcls[:-1]) | (greq[1:] != greq[:-1]) | (gd[1:] != gd[:-1])
         gstarts = np.flatnonzero(gb)
-        glow, greq, gd = glow[gstarts], greq[gstarts], gd[gstarts]
+        gcls, greq, gd = gcls[gstarts], greq[gstarts], gd[gstarts]
         gneed = np.bitwise_or.reduceat(gneed, gstarts)
 
-        torder = np.lexsort((d, low))
-        tlow, td = low[torder], d[torder]
+        torder = np.lexsort((d, cls_id))
+        tcls, td = cls_id[torder], d[torder]
         tb = np.empty(rows, dtype=bool)
         tb[0] = True
-        tb[1:] = (tlow[1:] != tlow[:-1]) | (td[1:] != td[:-1])
+        tb[1:] = (tcls[1:] != tcls[:-1]) | (td[1:] != td[:-1])
         profile_sorted = np.cumsum(tb) - 1
         profile_of = np.empty(rows, dtype=np.int64)
         profile_of[torder] = profile_sorted
         pstarts = np.flatnonzero(tb)
-        plow, pd = tlow[pstarts], td[pstarts]
+        pcls, pd = tcls[pstarts], td[pstarts]
 
-        class_start = np.searchsorted(glow, plow, side="left")
-        class_end = np.searchsorted(glow, plow, side="right")
+        class_start = np.searchsorted(gcls, pcls, side="left")
+        class_end = np.searchsorted(gcls, pcls, side="right")
         gcount = class_end - class_start
         total = int(gcount.sum())
-        cov = np.zeros(len(pd), dtype=np.uint32)
+        cov = np.zeros(len(pd), dtype=d.dtype)
         if total:
             offsets = np.concatenate(([0], np.cumsum(gcount)))
             flat = np.arange(total, dtype=np.int64)
@@ -375,7 +403,7 @@ class CanonicalEngine:
         """Canonical edge between candidate rows, by packed masks."""
         if n not in self.low_offset:
             return False
-        if self.col[("low", n)][i] != self.col[("low", n)][j]:
+        if self.col[("class", n)][i] != self.col[("class", n)][j]:
             return False
         d_i = int(self.col[("d", n)][i])
         if int(self.col[("req", n)][j]) & ~d_i:
@@ -397,7 +425,7 @@ class CanonicalEngine:
     def find_witness(self, i: int, n: int, body: Formula) -> Optional[int]:
         """Least-junk alive successor at level n containing the body."""
         alive = self.alive.copy()
-        alive &= self.col[("low", n)] == self.col[("low", n)][i]
+        alive &= self.col[("class", n)] == self.col[("class", n)][i]
         d_i = self.col[("d", n)][i]
         alive &= (self.col[("req", n)] & ~d_i) == 0
         alive &= self.col[("d", n)] != d_i

@@ -228,6 +228,13 @@ class TestOtherCommands:
         assert code == 0
         assert "no countermodel" in out
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_decide_nonpositive_cap_is_usage_error(self, capsys, value):
+        code, out, err = invoke(capsys, "decide", "--system", "jstar", "--candidate-cap", value, "p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     @pytest.mark.parametrize("flag", ["--max-worlds", "--max-models"])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_oracle_nonpositive_budget_is_usage_error(self, capsys, flag, value):

@@ -12,9 +12,10 @@ from glpstar.formulas import (
     Neg,
     TOP,
     Var,
+    adequate_closure,
     desugar,
 )
-from glpstar.hintikka import ResourceLimitError
+from glpstar.hintikka import CanonicalEngine, ResourceLimitError
 from glpstar.kripke import (
     check_jstar_frame,
     check_strong_persistence,
@@ -105,6 +106,14 @@ class TestStats:
     def test_candidate_cap_raises(self):
         with pytest.raises(ResourceLimitError):
             verdict("glpstar", "<0>p & <1>q & <2>(p & q)", candidate_cap=4)
+
+    @pytest.mark.parametrize("cap", [0, -5])
+    def test_nonpositive_cap_is_value_error(self, cap):
+        # no candidate table has fewer than one row
+        with pytest.raises(ValueError, match="candidate cap"):
+            verdict("jstar", "p", candidate_cap=cap)
+        with pytest.raises(ValueError, match="candidate cap"):
+            CanonicalEngine(adequate_closure({TOP}), cap)
 
 
 class TestReductionRoutes:

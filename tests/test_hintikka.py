@@ -156,28 +156,116 @@ class TestEnumeration:
         assert (err.value.atoms, err.value.candidates, err.value.cap) == (33, 768, 767)
 
 
+def reference_uncovered(cls_id, d, req, need):
+    """Rows x with a diamond bit of d(x) that no witness covers: a witness is
+    a row y of x's class with req(y) a subset of d(x) and d(y) != d(x), and
+    it covers the bits of need(y)."""
+    rows = list(zip(*(col.tolist() for col in (cls_id, d, req, need))))
+    witnesses = set(rows)
+    cover = {}
+    out = []
+    for x, (c, dx, _, _) in enumerate(rows):
+        if (c, dx) not in cover:
+            cover[c, dx] = 0
+            for cy, dy, ry, ny in witnesses:
+                if cy == c and ry & ~dx == 0 and dy != dx:
+                    cover[c, dx] |= ny
+        if dx & ~cover[c, dx]:
+            out.append(x)
+    return out
+
+
+def reference_eliminate(engine):
+    """Survivors per round and the final alive set, by full rounds.
+
+    Every round checks every level in order with the plain-Python coverage
+    above and deletes at once what a level leaves uncovered; a round that
+    deletes nothing ends the loop. Also returns the number of level checks
+    that had some diamond to test.
+    """
+    alive = np.ones(engine.count, dtype=bool)
+    rounds, checks = [], 0
+    while True:
+        changed = False
+        for n in engine.levels:
+            rows = np.flatnonzero(alive)
+            cols = [engine.col[(name, n)][rows] for name in ("class", "d", "req", "need")]
+            if not cols[1].any():
+                continue
+            checks += 1
+            dead = reference_uncovered(*cols)
+            if dead:
+                alive[rows[dead]] = False
+                changed = True
+        if not changed:
+            return rounds, alive, checks
+        rounds.append(int(alive.sum()))
+
+
+def random_engines(rng, count, rows):
+    """Engines over the closures of random targets, half of them Loeb
+    instances <n>g -> <n>(g & ~<n>g), with a candidate count in ``rows``."""
+    engines = []
+    while len(engines) < count:
+        f = gen_sorted_formula(rng, depth=4, mods=(0, 1, 2))
+        if rng.random() < 0.5:
+            n, g = rng.choice((0, 1, 2)), gen_sorted_formula(rng, depth=3, mods=(0, 1, 2))
+            f = Or(Neg(Dia(n, g)), Dia(n, And(g, Neg(Dia(n, g)))))
+        engine = CanonicalEngine(closure_of(f))
+        if engine.levels and engine.count in rows:
+            engines.append((f, engine))
+    return engines
+
+
 class TestCoverageKernels:
-    def test_crossjoin_matches_lattice(self):
+    @pytest.mark.parametrize("fallback", [False, True])
+    def test_kernel_matches_reference(self, monkeypatch, fallback):
+        if fallback:
+            monkeypatch.setattr(CanonicalEngine, "_LATTICE_LIMIT", 1)
         rng = random.Random(45)
-        compared = uncovered = 0
-        for _ in range(60):
-            f = gen_sorted_formula(rng, depth=4, mods=(0, 1, 2))
-            engine = CanonicalEngine(closure_of(modified_negation(f)))
+        compared = uncovered = deduplicated = 0
+        for _, engine in random_engines(rng, 50, range(100, 3000)):
+            width = len(engine.bodies)
             for n in engine.levels:
-                width = len(engine.level_dias[n])
+                classes = engine.classes[n]
                 for keep in (1.0, 0.7, 0.3):
                     # all candidates, then random alive sets as elimination leaves them
                     rows = np.flatnonzero(rng_mask(rng, engine.count, keep))
                     if len(rows) == 0:
                         continue
-                    cols = [engine.col[(name, n)][rows] for name in ("low", "d", "req", "need")]
-                    assert len(np.unique(cols[0])) << width <= CanonicalEngine._LATTICE_LIMIT
-                    lattice = CanonicalEngine._uncovered(*cols, width)
-                    cross = CanonicalEngine._uncovered_crossjoin(*cols)
-                    assert lattice.tolist() == cross.tolist()
+                    cols = [engine.col[(name, n)][rows] for name in ("class", "d", "req", "need")]
+                    got = CanonicalEngine._uncovered(cols[0], classes, *cols[1:], width)
+                    assert got.tolist() == reference_uncovered(*cols)
                     compared += 1
-                    uncovered += len(lattice) > 0
-        assert compared > 100 and uncovered > 40
+                    uncovered += len(got) > 0
+                    deduplicated += (classes << width << width + 1) < len(rows)
+        assert compared > 150 and uncovered > 40
+        if not fallback:
+            # both the scatter of every row and the de-duplicated scatter ran
+            assert 10 < deduplicated < compared - 10
+
+    def test_early_stop_matches_full_rounds(self, monkeypatch):
+        calls = []
+        kernel = CanonicalEngine._uncovered.__func__
+
+        def counted(cls, *args):
+            calls.append(1)
+            return kernel(cls, *args)
+
+        monkeypatch.setattr(CanonicalEngine, "_uncovered", classmethod(counted))
+        rng = random.Random(47)
+        reference_checks = theorems = eliminated = 0
+        for f, engine in random_engines(rng, 60, range(1000)):
+            rounds, alive, checks = reference_eliminate(engine)
+            engine.eliminate()
+            assert engine.stats.rounds == rounds
+            assert engine.alive.tolist() == alive.tolist()
+            reference_checks += checks
+            refuting = engine.truth_column(modified_negation(f))
+            theorems += not bool((refuting & engine.alive).any())
+            eliminated += rounds != []
+        assert 10 < theorems < 50 and eliminated > 20
+        assert len(calls) < reference_checks
 
     def test_decide_agrees_on_crossjoin_alone(self, monkeypatch):
         rng = random.Random(46)
@@ -193,6 +281,60 @@ class TestCoverageKernels:
                 assert render_model(got.countermodel) == render_model(want.countermodel)
         assert sum(not v.theorem for v in expected) > 10
         assert sum(v.stats.rounds != [] for v in expected) > 10
+
+
+def minterms(names, count):
+    """The first ``count`` conjunctions of literals over sort-0 variables."""
+    atoms = [Var(name, 0) for name in names]
+    out = []
+    for k in range(count):
+        literals = [v if k >> i & 1 else Neg(v) for i, v in enumerate(atoms)]
+        term = literals[0]
+        for literal in literals[1:]:
+            term = And(term, literal)
+        out.append(term)
+    return out
+
+
+def disjunction(formulas):
+    out = formulas[0]
+    for f in formulas[1:]:
+        out = Or(out, f)
+    return out
+
+
+class TestWideMasks:
+    # The pools' closures have at most 8 bodies per level, so their masks
+    # are all uint8. The closure adds <n>v and <n>~v for each variable v;
+    # minterms, of sort at most 1, force their bodies at levels 1 and 2,
+    # which keeps these tables small.
+    @pytest.mark.parametrize("names, count, widths, dtype", [
+        ("pqr", 4, range(9, 17), np.uint16),
+        ("pqr", 8, range(9, 17), np.uint16),
+        ("pqrs", 9, range(17, 33), np.uint32),
+    ])
+    def test_wide_levels_decide_and_validate(self, names, count, widths, dtype):
+        terms = minterms(names, count)
+        m0, rest = terms[0], disjunction([Dia(1, m) for m in terms[1:]])
+        targets = {
+            Or(Neg(Dia(1, m0)), Or(Dia(2, m0), rest)): False,
+            # Loeb: a witness chain for <1>m0 ends in a world without <1>m0
+            Or(Neg(Dia(1, m0)), Or(Dia(1, And(m0, Neg(Dia(1, m0)))), rest)): True,
+        }
+        for target, valid in targets.items():
+            engine = CanonicalEngine(closure_of(target))
+            assert len(engine.bodies) in widths
+            assert {engine.col[(name, n)].dtype for name in ("d", "need", "req")
+                    for n in engine.levels} == {np.dtype(dtype)}
+            v = decide("jstar", target)
+            assert v.theorem == valid
+            assert v.stats.rounds != []
+            if not valid:
+                model = v.countermodel
+                assert len(model.worlds) > 1
+                assert check_jstar_frame(model) == []
+                assert check_strong_persistence(model) == []
+                assert not model_check(model, model.root, v.falsified)
 
 
 def rng_mask(rng, count, keep):
