@@ -1,9 +1,11 @@
 """The brute-force oracle: exhaustive refutation and cross-validation.
 
-The oracle enumerates every valid model within a budget, so a find is a
-certified refutation, while absence proves nothing. Cross-validation runs
-the decision procedure and the oracle side by side; a disagreement would
-always be a bug.
+The oracle enumerates every valid model within a budget. Its refuter
+searches only the rooted ones, in which w0 sees every other world, and
+tests w0: a smallest countermodel is generated by its refuting world, so
+this loses no countermodel size. A find is a certified refutation, while
+absence proves nothing. Cross-validation runs the decision procedure and
+the oracle side by side; a disagreement would always be a bug.
 
 Run:  python demos/05_oracle.py
 """
@@ -28,12 +30,12 @@ print("\n== refuting a few formulas ==")
 for text in ["<0>T", "<1>p -> <0>p", "<0>p:0 -> p:0", "T"]:
     result = brute_force_countermodel(parse_formula(text), SearchBudget(max_worlds=3))
     if result.found:
-        print(f"  {text:16s} refuted at {result.world} after {result.models_examined} models:")
+        print(f"  {text:16s} refuted at {result.world} after {result.models_examined} rooted models:")
         for line in render_model(result.model).splitlines():
             print("     ", line)
     else:
         print(f"  {text:16s} no countermodel within budget "
-              f"({result.models_examined} models examined)")
+              f"({result.models_examined} rooted models examined)")
 
 print("\n== cross-validation ==")
 for system, text in [

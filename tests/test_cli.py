@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from glpstar import oracle
 from glpstar.cli import run
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
 from glpstar.parsing import parse_formula, parse_model
@@ -243,14 +244,25 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_oracle_oversized_world_budget_is_usage_error(self, capsys, monkeypatch):
+        # the strict orders on 9 worlds could not be built: none may be tried
+        def refuse(k):
+            raise AssertionError(f"built the orders on {k} worlds")
+
+        monkeypatch.setattr(oracle, "_strict_orders", refuse)
+        code, out, err = invoke(capsys, "oracle", "--max-worlds", "9", "<0>p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_oracle_json_counts(self, capsys):
+        # no relation: only the one-world frame is rooted
         code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "--format", "json", "T")
         assert code == 0
         payload = json.loads(out)
-        assert payload["models_examined"] == 2
+        assert payload["models_examined"] == 1
         assert payload["by_worlds"] == [
             {"worlds": 1, "frames": 1, "models": 1},
-            {"worlds": 2, "frames": 1, "models": 1},
         ]
 
     def test_json_agreement_with_text(self, capsys):

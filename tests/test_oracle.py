@@ -37,9 +37,35 @@ def reference_orders(k):
     return out
 
 
+def is_rooted(model):
+    """Whether w0 sees every other world at some level."""
+    seen = {y for pairs in model.relations.values() for x, y in pairs if x == "w0"}
+    return seen == set(model.worlds[1:])
+
+
 def reference_search(formula, budget):
-    """The search done on materialized models: the first refuted world of the
-    first enumerated model that refutes the formula."""
+    """The search done on materialized models: the first model in which w0
+    sees every world at some level and refutes the formula, counting only
+    such models against the budget."""
+    modalities = (budget.modalities if budget.modalities is not None
+                  else sorted(occurring_modalities(formula)))
+    every = SearchBudget(max_worlds=budget.max_worlds, modalities=budget.modalities)
+    examined = 0
+    for model in enumerate_models(variables_of(formula), modalities, every):
+        if not is_rooted(model):
+            continue
+        if examined == budget.max_models:
+            return False, None, None, examined, True
+        examined += 1
+        if not Evaluator(model).holds("w0", formula):
+            rooted = KripkeModel(worlds=model.worlds, relations=model.relations,
+                                 valuation=model.valuation, sorts=model.sorts, root="w0")
+            return True, "w0", rooted, examined, False
+    return False, None, None, examined, False
+
+
+def unrooted_search(formula, budget):
+    """The first refuted world of the first model, among every model."""
     modalities = (budget.modalities if budget.modalities is not None
                   else sorted(occurring_modalities(formula)))
     enum = enumerate_models(variables_of(formula), modalities, budget)
@@ -48,10 +74,8 @@ def reference_search(formula, budget):
         ext = ev.extension(formula)
         if ext != ev.full:
             world = next(w for w in model.worlds if not ext >> ev.index[w] & 1)
-            rooted = KripkeModel(worlds=model.worlds, relations=model.relations,
-                                 valuation=model.valuation, sorts=model.sorts, root=world)
-            return True, world, rooted, enum.models_examined, enum.truncated
-    return False, None, None, enum.models_examined, enum.truncated
+            return True, world, model, enum.truncated
+    return False, None, None, enum.truncated
 
 
 class TestStrictOrders:
@@ -94,24 +118,42 @@ class TestFramesAndValuations:
         assert list(enum._frames(k)) == reference_frames(k, levels)
 
     @pytest.mark.parametrize("levels,k", FRAME_CASES)
+    def test_rooted_frames_equal_a_filtered_scan(self, levels, k):
+        enum = oracle.ModelEnumeration([], levels, rooted=True)
+        assert list(enum._frames(k)) == [masks for masks in reference_frames(k, levels)
+                                         if is_rooted(reference_model(k, levels, masks))]
+
+    @pytest.mark.parametrize("levels", [(0,), (0, 1), (1, 2), (0, 1, 2)])
+    def test_rooted_frames_filter_every_frame_at_four_worlds(self, levels):
+        rooted = oracle.ModelEnumeration([], levels, rooted=True)
+        every = enumerate_models([], levels)
+        assert list(rooted._frames(4)) == [masks for masks in every._frames(4)
+                                           if is_rooted(reference_model(4, levels, masks))]
+
+    @pytest.mark.parametrize("levels,k", FRAME_CASES)
     def test_valuations_equal_a_scan_through_the_validator(self, levels, k):
         worlds = [f"w{i}" for i in range(k)]
         for masks in reference_frames(k, levels):
-            succ = {level: [mask >> (x * k) & ((1 << k) - 1) for x in range(k)]
-                    for level, mask in zip(levels, masks)}
             for sort in (0, 1, 2, OMEGA):
-                expected = [
+                expected = tuple(
                     s for s in range(1 << k)
                     if not check_strong_persistence(reference_model(
                         k, levels, masks, {"p": {worlds[i] for i in range(k) if s >> i & 1}},
                         {"p": sort}))
-                ]
-                assert oracle._closed_valuations(succ, k, sort) == expected, (masks, sort)
+                )
+                assert oracle._closed_valuations(k, levels, masks, sort) == expected, (masks, sort)
 
     def test_two_levels_at_five_worlds(self):
         frames = list(enumerate_models([], [0, 1])._frames(5))
         assert len(frames) == 33571
         assert all(a < b for a, b in zip(frames, frames[1:]))
+
+
+class TestSearchBudget:
+    def test_world_limit(self):
+        assert SearchBudget(max_worlds=oracle.MAX_WORLDS).max_worlds == 6
+        with pytest.raises(ValueError, match="at most 6"):
+            SearchBudget(max_worlds=7)
 
 
 class TestEnumerateModels:
@@ -230,12 +272,30 @@ class TestCrossValidate:
         assert matched > 10
 
 
+    def test_more_modalities_at_more_worlds(self):
+        # J* formulas that hold on one world: over {0,1} at 5 worlds and,
+        # every fourth, over {0,1,2} at 4 worlds; none is truncated
+        rng = random.Random(70)
+        matched = theorems = 0
+        for i in range(200):
+            mods, worlds = ((0, 1, 2), 4) if i % 4 == 3 else ((0, 1), 5)
+            while True:
+                f = gen_sorted_formula(rng, depth=5, max_vars=1, mods=mods)
+                if not brute_force_countermodel(f, SearchBudget(max_worlds=1)).found:
+                    break
+            rep = cross_validate(f, "jstar", SearchBudget(max_worlds=worlds))
+            assert rep.status == "agreement", f
+            matched += rep.search.found
+            theorems += rep.verdict.theorem
+        assert (matched, theorems) == (93, 107)
+
+
 class TestMaskSearch:
     BUDGETS = [
         SearchBudget(max_worlds=3),
-        SearchBudget(max_worlds=4, max_models=1500),
+        SearchBudget(max_worlds=4, max_models=150),
         SearchBudget(max_worlds=3, modalities=(0, 1)),
-        SearchBudget(max_worlds=4, modalities=(1,), max_models=400),
+        SearchBudget(max_worlds=4, modalities=(1,), max_models=40),
         SearchBudget(max_worlds=4, max_models=7),
     ]
 
@@ -271,6 +331,31 @@ class TestMaskSearch:
             larger += r.found and len(r.model.worlds) > 1
         assert found > 60 and truncated > 20 and larger > 10
 
+    def test_found_and_world_count_match_every_model(self):
+        # on untruncated searches the rooted search finds a countermodel
+        # exactly when some model has one, and one with as few worlds
+        rng = random.Random(65)
+        budgets = [SearchBudget(max_worlds=3), SearchBudget(max_worlds=3, modalities=(1, 2))]
+        found = larger = 0
+        for i in range(300):
+            while True:
+                # most formulas fail on one world; keep mostly those that hold there
+                f = gen_sorted_formula(rng, depth=rng.choice([2, 3, 4]), max_vars=rng.choice([1, 2]))
+                if i % 4 == 0 or not unrooted_search(f, SearchBudget(max_worlds=1))[0]:
+                    break
+            budget = budgets[i % len(budgets)]
+            r = brute_force_countermodel(f, budget)
+            every_found, _, model, every_truncated = unrooted_search(f, budget)
+            assert not r.truncated and not every_truncated
+            assert r.found == every_found, f
+            if r.found:
+                assert len(r.model.worlds) == len(model.worlds), f
+                assert check_jstar_frame(r.model) == [] and check_strong_persistence(r.model) == []
+                assert r.world == "w0" and not model_check(r.model, "w0", f)
+                found += 1
+                larger += len(model.worlds) > 1
+        assert found > 80 and larger > 25
+
     def test_same_name_in_two_sorts(self):
         # the parser refuses this; a model's valuation is keyed by name
         f = Or(Neg(Dia(1, Var("p", 0))), Dia(0, Var("p", 1)))
@@ -279,17 +364,17 @@ class TestMaskSearch:
         assert (r.found, r.world, r.model, r.models_examined, r.truncated) == reference_search(f, budget)
 
     def test_counts_per_world_count(self):
-        # a theorem over one level: every frame and model up to 3 worlds is examined
+        # a theorem over one level: every rooted frame and model up to 3 worlds is examined
         f = parse_formula("<0>p:0 -> p:0")
         r = brute_force_countermodel(f, SearchBudget(max_worlds=3))
         assert not r.found and not r.truncated
         models = [
             sum(1 for m in enumerate_models([Var("p", 0)], [0], SearchBudget(max_worlds=k))
-                if len(m.worlds) == k)
+                if len(m.worlds) == k and is_rooted(m))
             for k in (1, 2, 3)
         ]
         assert r.by_worlds == tuple(
-            WorldCount(k, frames, n) for k, frames, n in zip((1, 2, 3), (1, 3, 19), models)
+            WorldCount(k, frames, n) for k, frames, n in zip((1, 2, 3), (1, 1, 3), models)
         )
 
     def test_budget_checked_before_the_next_frame_table(self, monkeypatch):
@@ -303,13 +388,16 @@ class TestMaskSearch:
         assert r.by_worlds == (WorldCount(1, 1, 2),)
 
     def test_budget_checked_before_the_next_frame_valuations(self, monkeypatch):
+        # 2 models on one world, 4 on the rooted two-world frame, then 8 on
+        # the first of the three rooted three-world frames
+        budget = SearchBudget(max_worlds=3, max_models=14)
+        f = parse_formula("p | ~p | <0>T")
+        found, _, _, examined, truncated = reference_search(f, budget)
         built = []
         closed = oracle._closed_valuations
         monkeypatch.setattr(oracle, "_closed_valuations",
-                            lambda *args: built.append(args[1]) or closed(*args))
-        # 2 models on one world, then 4 on the empty two-world frame
-        budget = SearchBudget(max_worlds=2, max_models=6)
-        r = brute_force_countermodel(parse_formula("p | ~p | <0>T"), budget)
-        assert (r.found, r.models_examined, r.truncated) == (False, 6, True)
-        assert built == [1, 2]
-        assert r.by_worlds == (WorldCount(1, 1, 2), WorldCount(2, 1, 4))
+                            lambda *args: built.append(args[0]) or closed(*args))
+        r = brute_force_countermodel(f, budget)
+        assert (r.found, r.models_examined, r.truncated) == (found, examined, truncated) == (False, 14, True)
+        assert built == [1, 2, 3]
+        assert r.by_worlds == (WorldCount(1, 1, 2), WorldCount(2, 1, 4), WorldCount(3, 1, 8))
