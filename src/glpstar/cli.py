@@ -24,6 +24,7 @@ from .oracle import SearchBudget, brute_force_countermodel
 from .parsing import (
     ParseError,
     export_dot,
+    is_numeral,
     parse_formula,
     parse_formula_file,
     parse_model,
@@ -185,10 +186,11 @@ def _cmd_reduce(args) -> int:
     formula = _read_formulas(args.formula)[0]
     theta = None
     if args.theta is not None:
-        try:
-            theta = sorted({int(part) for part in args.theta.split(",") if part.strip() != ""})
-        except ValueError as exc:
-            raise _UsageError(f"bad --theta: {exc}") from exc
+        parts = args.theta.split(",")
+        bad = [part for part in parts if not is_numeral(part)]
+        if bad:
+            raise _UsageError(f"bad --theta: {bad[0]!r} is not a modality index")
+        theta = sorted({int(part) for part in parts})
     if args.kind in ("rtheta", "rthetaplus") and theta is None:
         theta = sorted(occurring_modalities(formula))
     builders = {

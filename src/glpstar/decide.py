@@ -157,22 +157,23 @@ def _witness_closure(engine: CanonicalEngine, root_row: int) -> list[int]:
     Breadth first from the root: each diamond of a chosen row takes the
     first chosen row that witnesses it, else the engine's least-junk witness.
     """
+    columns = [engine.truth_column(body) for body in engine.bodies]
     chosen = [root_row]
     queue = [root_row]
     while queue:
         x = queue.pop(0)
         for n in engine.levels:
             d_mask = int(engine.col[("d", n)][x])
-            for bit, dia in enumerate(engine.level_dias[n]):
+            for bit, body in enumerate(engine.bodies):
                 if not d_mask >> bit & 1:
                     continue
                 found = None
                 for y in chosen:
-                    if engine.relation(x, y, n) and engine.contains(y, dia.child):
+                    if engine.relation(x, y, n) and columns[bit][y]:
                         found = y
                         break
                 if found is None:
-                    found = engine.find_witness(x, n, dia.child)
+                    found = engine.find_witness(x, n, body)
                     if found is None:
                         raise AssertionError("surviving world lost its witness")
                     chosen.append(found)

@@ -416,13 +416,34 @@ def modal_levels(formulas: Iterable[Formula]) -> frozenset[int]:
     return frozenset(f.index for f in formulas if isinstance(f, Dia))
 
 
+def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> set[Formula]:
+    """The formulas an adequate set holds under a diamond at every present level.
+
+    These are the bodies of its diamonds, its variables p of finite sort s
+    when some present level is at least s, and their negations ~p when
+    some present level exceeds s.
+    """
+    top = max(levels, default=-1)
+    bodies = set()
+    for f in delta:
+        cls = type(f)
+        if cls is Dia:
+            bodies.add(f.child)
+        elif cls is Var and f.sort is not OMEGA and f.sort <= top:
+            bodies.add(f)
+        elif cls is Neg and type(f.child) is Var and f.child.sort is not OMEGA and f.child.sort < top:
+            bodies.add(f)
+    return bodies
+
+
 def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
     """Least adequate superset of gamma.
 
-    Adds T, closes under subformulas and modified negations, and applies the
-    three closure rules: every diamond body gets rediamonded at every present
-    level; a variable of finite sort m gets <n> for present n >= m, and its
-    negation gets <n> for present n > m.
+    Adds T and closes under subformulas and modified negations; then, for
+    the present levels L and the bodies b (see :func:`_bodies`), adds the
+    grid of diamonds <m>b for every m in L. One pass suffices: the grid adds
+    diamonds only at levels in L, over bodies already in the set, and their
+    negations, so neither L nor the bodies change.
     """
     delta: set[Formula] = set()
 
@@ -450,28 +471,10 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
     absorb(TOP)
     for f in gamma:
         absorb(f)
-
-    changed = True
-    while changed:
-        changed = False
-        levels = modal_levels(delta)
-        todo: list[Formula] = []
-        for f in delta:
-            if isinstance(f, Dia):
-                for m in levels:
-                    todo.append(Dia(m, f.child))
-            elif isinstance(f, Var) and f.sort is not OMEGA:
-                for n in levels:
-                    if n >= f.sort:
-                        todo.append(Dia(n, f))
-            elif isinstance(f, Neg) and isinstance(f.child, Var) and f.child.sort is not OMEGA:
-                for n in levels:
-                    if n > f.child.sort:
-                        todo.append(Dia(n, f))
-        for f in todo:
-            if f not in delta:
-                absorb(f)
-                changed = True
+    levels = modal_levels(delta)
+    for body in _bodies(delta, levels):
+        for m in levels:
+            absorb(Dia(m, body))
     return frozenset(delta)
 
 
@@ -480,11 +483,15 @@ def is_adequate(delta: Iterable[Formula]) -> bool:
 
     Closure under subformulas is checked one step down: when every member's
     immediate children are members, so is every subtree, by induction on depth.
+    The three closure rules, rediamonding and the two variable rules, are
+    checked as one: the set holds <m>b for every body b (see :func:`_bodies`)
+    and every present level m. The rules imply this grid, since a variable's
+    rule puts its diamond at one present level and rediamonding then puts it
+    at every one; the grid implies each rule directly.
     """
     dset = frozenset(delta)
     if TOP not in dset:
         return False
-    levels = modal_levels(dset)
     for f in dset:
         if modified_negation(f) not in dset:
             return False
@@ -492,16 +499,8 @@ def is_adequate(delta: Iterable[Formula]) -> bool:
             return False
         if isinstance(f, (And, Or)) and (f.left not in dset or f.right not in dset):
             return False
-        if isinstance(f, Dia):
-            if any(Dia(m, f.child) not in dset for m in levels):
-                return False
-        if isinstance(f, Var) and f.sort is not OMEGA:
-            if any(Dia(n, f) not in dset for n in levels if n >= f.sort):
-                return False
-        if isinstance(f, Neg) and isinstance(f.child, Var) and f.child.sort is not OMEGA:
-            if any(Dia(n, f) not in dset for n in levels if n > f.child.sort):
-                return False
-    return True
+    levels = modal_levels(dset)
+    return all(Dia(m, body) in dset for body in _bodies(dset, levels) for m in levels)
 
 
 def to_omega_sorted(formula: Formula) -> Formula:

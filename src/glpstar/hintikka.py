@@ -47,7 +47,7 @@ from .formulas import (
     sort_of,
     subformulas,
 )
-from .kripke import KripkeModel
+from .kripke import KripkeModel, model_from_masks
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
 
@@ -74,10 +74,6 @@ class EliminationStats:
     atom_count: int = 0
     candidates: int = 0
     rounds: list[int] = field(default_factory=list)
-
-    @property
-    def survivors(self) -> int:
-        return self.rounds[-1] if self.rounds else self.candidates
 
 
 def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterable[Formula], n: int) -> bool:
@@ -142,13 +138,13 @@ class CanonicalEngine:
         self.atom_pos = {f: i for i, f in enumerate(self.atoms)}
         self.variables = variables
 
+        # Rediamonding puts every diamond body at every level, so a body has
+        # one bit for all levels, in the order of the bodies' keys.
+        self.bodies = sorted({d.child for d in diamonds}, key=sort_key)
         self.level_dias: dict[int, list[Dia]] = {
-            n: sorted((d for d in diamonds if d.index == n), key=sort_key) for n in self.levels
+            n: [Dia(n, body) for body in self.bodies] for n in self.levels
         }
-        # Rediamonding puts every diamond body at every level, so all levels
-        # list the same bodies in the same order: a body has one bit for all.
-        self.bodies = [d.child for d in self.level_dias[self.levels[0]]] if self.levels else []
-        if any([d.child for d in self.level_dias[n]] != self.bodies for n in self.levels):
+        if any(d not in self.atom_pos for dias in self.level_dias.values() for d in dias):
             raise AssertionError("adequate set is missing a level twin")
         width = len(self.bodies)
         limits = {"atoms": len(self.atoms), "cap": candidate_cap}
@@ -412,15 +408,9 @@ class CanonicalEngine:
 
     def membership(self, i: int) -> frozenset[Formula]:
         """The candidate's formula set."""
-        memo: dict = {}
-        return frozenset(f for f in self.delta if self._holds(i, f, memo))
-
-    def contains(self, i: int, formula: Formula) -> bool:
-        return self._holds(i, formula, {})
-
-    def _holds(self, i: int, formula: Formula, memo: dict) -> bool:
-        row = int(self.atom_index[i])
-        return bool(fold_boolean(formula, memo, 1, lambda f: row >> self.atom_pos[f] & 1))
+        row, memo = int(self.atom_index[i]), {}
+        return frozenset(f for f in self.delta
+                         if fold_boolean(f, memo, 1, lambda g: row >> self.atom_pos[g] & 1))
 
     def find_witness(self, i: int, n: int, body: Formula) -> Optional[int]:
         """Least-junk alive successor at level n containing the body."""
@@ -437,9 +427,6 @@ class CanonicalEngine:
             return None
         best = rows[np.lexsort((rows, self.dia_pop[rows]))][0]
         return int(best)
-
-    def survivor_rows(self) -> np.ndarray:
-        return np.flatnonzero(self.alive)
 
     def masks(self, rows: list[int]) -> tuple[dict[int, list[int]], dict[str, int]]:
         """The model over the given rows, as bitmasks over their positions.
@@ -460,28 +447,13 @@ class CanonicalEngine:
 
     # ----- materialization -----
 
-    def build_model(self, rows: Iterable[int], names: Optional[list[str]] = None,
-                    root: Optional[int] = None) -> KripkeModel:
+    def build_model(self, rows: Iterable[int], root: Optional[int] = None) -> KripkeModel:
         """Kripke model over the given candidate rows, worlds named w0, w1, ..."""
         rows = list(rows)
-        if names is None:
-            names = [f"w{k}" for k in range(len(rows))]
         succ, extension = self.masks(rows)
-        positions = range(len(rows))
-        relations = {}
-        for n, masks in succ.items():
-            pairs = frozenset((names[x], names[y]) for x in positions for y in positions
-                              if masks[x] >> y & 1)
-            if pairs:
-                relations[n] = pairs
-        return KripkeModel(
-            worlds=tuple(names),
-            relations=relations,
-            valuation={name: frozenset(names[j] for j in positions if mask >> j & 1)
-                       for name, mask in extension.items()},
-            sorts={var.name: var.sort for var in self.variables},
-            root=names[rows.index(root)] if root is not None else None,
-        )
+        return model_from_masks(len(rows), succ, extension,
+                                {var.name: var.sort for var in self.variables},
+                                None if root is None else rows.index(root))
 
 
 def hintikka_candidates(delta: Iterable[Formula],
@@ -516,7 +488,7 @@ def _adequate(delta: Iterable[Formula]) -> frozenset[Formula]:
 def _canonical_result(engine: CanonicalEngine, verify_truth_lemma: bool = False) -> CanonicalResult:
     """The engine's canonical model, after running its elimination to the fixpoint."""
     engine.eliminate()
-    rows = [int(r) for r in engine.survivor_rows()]
+    rows = [int(r) for r in np.flatnonzero(engine.alive)]
     model = engine.build_model(rows)
     membership = {f"w{k}": engine.membership(r) for k, r in enumerate(rows)}
     if verify_truth_lemma:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .formulas import (
     OMEGA,
@@ -154,6 +154,32 @@ class KripkeModel:
             f"KripkeModel(worlds={self.worlds!r}, relations={self.relations!r}, "
             f"valuation={val!r}, root={self.root!r})"
         )
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def model_from_masks(count: int, succ: Mapping[int, Sequence[int]], valuation: Mapping[str, int],
+                     sorts: Mapping[str, Sort], root: Optional[int] = None) -> KripkeModel:
+    """Model on worlds w0 ... w(count-1) given as bitmasks over world positions.
+
+    ``succ`` holds per level each world's successor mask, ``valuation`` per
+    variable name its member mask; ``root`` is a world position.
+    """
+    names = tuple(f"w{i}" for i in range(count))
+    return KripkeModel(
+        worlds=names,
+        relations={n: frozenset((names[x], names[y]) for x, row in enumerate(rows) for y in _bits(row))
+                   for n, rows in succ.items()},
+        valuation={name: frozenset(names[y] for y in _bits(mask)) for name, mask in valuation.items()},
+        sorts=sorts,
+        root=None if root is None else names[root],
+    )
 
 
 def _frame_of(obj) -> KripkeFrame:

@@ -53,10 +53,12 @@ from .formulas import OMEGA, Formula, Sort, desugar
 from .kripke import (
     Evaluator,
     KripkeModel,
+    _bits,
     check_jstar_frame,
     check_strong_persistence,
     compile_formula,
     evaluate,
+    model_from_masks,
 )
 
 
@@ -90,13 +92,6 @@ _row0_cache: dict[int, dict[int, list[int]]] = {}
 
 def _rows(mask: int, k: int) -> list[int]:
     return [(mask >> (i * k)) & ((1 << k) - 1) for i in range(k)]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _strict_orders(k: int) -> list[int]:
@@ -326,20 +321,9 @@ class ModelEnumeration:
         yield from extend([], (1 << (k * k)) - 1, 0)
 
     def materialize(self, k: int, succ: Mapping[int, list[int]], val_masks: tuple[int, ...],
-                    root: Optional[str] = None) -> KripkeModel:
-        names = tuple(f"w{i}" for i in range(k))
-        relations = {}
-        for level, rows in succ.items():
-            pairs = frozenset((names[x], names[y]) for x, row in enumerate(rows) for y in _bits(row))
-            if pairs:
-                relations[level] = pairs
-        valuation = {}
-        sorts = {}
-        for (name, sort), mask in zip(self.variables, val_masks):
-            valuation[name] = frozenset(names[i] for i in _bits(mask))
-            sorts[name] = sort
-        return KripkeModel(worlds=names, relations=relations, valuation=valuation,
-                           sorts=sorts, root=root)
+                    root: Optional[int] = None) -> KripkeModel:
+        names = [name for name, _ in self.variables]
+        return model_from_masks(k, succ, dict(zip(names, val_masks)), dict(self.variables), root)
 
 
 def enumerate_models(variables, modalities: Iterable[int],
@@ -388,7 +372,7 @@ def brute_force_countermodel(formula: Formula, budget: Optional[SearchBudget] = 
     for k, succ, val_masks in enumeration.masks():
         values = val_masks if pick is None else [val_masks[i] for i in pick]
         if not evaluate(code, (1 << k) - 1, succ, values)[-1] & 1:
-            model = enumeration.materialize(k, succ, val_masks, root="w0")
+            model = enumeration.materialize(k, succ, val_masks, root=0)
             if check_jstar_frame(model) or check_strong_persistence(model):
                 raise AssertionError("enumerator produced an invalid model")
             if Evaluator(model).holds("w0", f):

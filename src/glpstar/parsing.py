@@ -497,7 +497,6 @@ def export_dot(model: KripkeModel, highlight: Optional[str] = None) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_formula_set(formulas, one_per_line: bool = True) -> str:
-    """Deterministic listing of a formula set, in structural order."""
-    rendered = [render_formula(f) for f in sorted(formulas, key=sort_key)]
-    return "\n".join(rendered) if one_per_line else ", ".join(rendered)
+def render_formula_set(formulas) -> str:
+    """Deterministic listing of a formula set, one per line, in structural order."""
+    return "\n".join(render_formula(f) for f in sorted(formulas, key=sort_key))

@@ -155,6 +155,20 @@ class TestOtherCommands:
         assert code == 0
         assert out.strip() == "~<0>v:0 | v:0"
 
+    def test_reduce_theta_list(self, capsys):
+        code, out, _ = invoke(capsys, "reduce", "--kind", "rtheta", "--theta", "2,0,2",
+                              "--format", "json", "<0>v:0")
+        assert code == 0
+        assert json.loads(out)["theta"] == [0, 2]
+
+    @pytest.mark.parametrize("value", ["-1", "+2", "1_0", "\u0661", "\uff12", " 1", "", "0,,1", "1,"])
+    def test_reduce_bad_theta_is_usage_error(self, capsys, value):
+        # the grammar's modality indices are ASCII numerals; int() takes more
+        code, out, err = invoke(capsys, "reduce", "--kind", "rtheta", f"--theta={value}", "<0>v:0")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: bad --theta") and err.count("\n") == 1
+
     def test_modelcheck_and_validate(self, capsys, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("worlds a b\nrel 1: a b\nval p:w = {b}\n")

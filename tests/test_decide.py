@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 
@@ -202,3 +203,48 @@ class TestTargets:
         target = reduction_target(SystemId.GLPSSTAR, f)
         inner = desugar(Implies(parse_formula("T -> <0>T"), parse_formula("<0>T")))
         assert target == reduction_target(SystemId.GLPSTAR, inner)
+
+
+def _worm(indices):
+    """The worm <a1><a2>...<ak>T."""
+    f = TOP
+    for a in reversed(indices):
+        f = Dia(a, f)
+    return f
+
+
+class TestWorms:
+    """Worms <a1>...<ak>T have a ground truth in GLP: A <0 B iff B -> <0>A
+    is a theorem is a strict order, linear up to equivalence (Beklemishev,
+    "Provability algebras and proof-theoretic ordinals, I", APAL 128, 2004).
+    A failing law is a defect of decide or of a reduction."""
+
+    WORMS = [_worm(w) for k in range(3) for w in itertools.product(range(3), repeat=k)]
+
+    def test_order_laws_on_short_worms(self):
+        worms = self.WORMS
+        assert len(worms) == 13
+        less = {(a, b): decide(SystemId.GLP, Implies(b, Dia(0, a))).theorem
+                for a in worms for b in worms}
+        incomparable = []
+        for i, a in enumerate(worms):
+            assert not less[a, a]
+            for b in worms[i + 1:]:
+                assert not (less[a, b] and less[b, a])
+                if not less[a, b] and not less[b, a]:
+                    incomparable.append((a, b))
+            for b in worms:
+                for c in worms:
+                    assert not (less[a, b] and less[b, c]) or less[a, c]
+        assert len(incomparable) == 4
+        for a, b in incomparable:
+            assert decide(SystemId.GLP, And(Implies(a, b), Implies(b, a))).theorem
+
+    @pytest.mark.parametrize("system", list(SystemId))
+    def test_deep_countermodels(self, system):
+        # ~<0>^n T needs a <0>-chain of n+1 worlds, past the pools' depth
+        for n in range(9):
+            v = decide(system, Neg(_worm([0] * n)))
+            assert not v.theorem
+            assert len(v.countermodel.worlds) == n + 1
+            assert check_jstar_frame(v.countermodel) == []

@@ -225,6 +225,25 @@ class TestAdequateClosure:
                 assert adequate_closure({negated}) == expected
         assert double_negations > 0
 
+    def test_gammas_match_subformula_walk(self):
+        # several formulas at once, finite and omega sorts, and sets with
+        # no diamond, where no rule applies
+        rng = random.Random(9)
+        shapes = {"finite": 0, "omega": 0, "no diamond": 0}
+        for k in range(150):
+            mods = () if k % 5 == 0 else (0, 1, 2, 3)
+            sorts = ((0, 1, 2, OMEGA), (0, 1, 2), (OMEGA,))[k % 3]
+            gamma = {gen_sorted_formula(rng, depth=rng.choice([2, 3, 4]), max_vars=3,
+                                        mods=mods, sorts=sorts)
+                     for _ in range(rng.randint(1, 3))}
+            delta = adequate_closure(gamma)
+            assert delta == _closure_by_subformula_walk(gamma)
+            variables = [f for f in delta if isinstance(f, Var)]
+            shapes["finite"] += any(v.sort is not OMEGA for v in variables)
+            shapes["omega"] += any(v.sort is OMEGA for v in variables)
+            shapes["no diamond"] += not modal_levels(delta)
+        assert min(shapes.values()) > 20
+
     def test_sugar_below_the_top_rejected(self):
         with pytest.raises(ValueError):
             adequate_closure({Dia(0, Neg(Box(1, p0)))})
@@ -418,3 +437,28 @@ def test_adequacy_check_matches_definition():
             assert is_adequate(dset) == _adequate_by_definition(dset)
             checked += 1
     assert pair_cases > 20 and checked > 400
+
+
+def test_adequacy_check_catches_missing_variable_twins():
+    # drop, with their negations, a twin <m>p with m below p's sort, which
+    # only rediamonding from p's higher diamonds asks for, or every twin of
+    # p or of ~p, which only the variable rules ask for
+    rng = random.Random(10)
+    low = every = caught_by_rules_only = 0
+    for _ in range(40):
+        delta = adequate_closure({gen_sorted_formula(rng, depth=3, max_vars=3, mods=(0, 1, 2, 3),
+                                                     sorts=(1, 2, 3)) for _ in range(3)})
+        levels = modal_levels(delta)
+        for p in (g for g in delta if isinstance(g, Var)):
+            cuts = [[Dia(m, p)] for m in levels if m < p.sort <= max(levels)]
+            low += len(cuts)
+            for body in (p, Neg(p)):
+                if any(Dia(m, body) in delta for m in levels):
+                    cuts.append([Dia(m, body) for m in levels])
+                    every += 1
+            for twins in cuts:
+                cut = delta - set(twins) - {Neg(t) for t in twins}
+                assert is_adequate(cut) == _adequate_by_definition(cut)
+                if not is_adequate(cut):
+                    caught_by_rules_only += all(subformulas(g) <= cut for g in cut)
+    assert low > 30 and every > 30 and caught_by_rules_only > 40

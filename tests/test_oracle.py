@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from glpstar import oracle
+from glpstar import kripke, oracle
 from glpstar.decide import SystemId, decide
 from glpstar.formulas import OMEGA, TOP, Dia, Neg, Or, Var, variables_of
 from glpstar.kripke import (
@@ -319,7 +319,7 @@ class TestMaskSearch:
             expected = reference_search(f, budget)
             built.clear()
             with monkeypatch.context() as m:
-                m.setattr(oracle, "KripkeModel", CountingModel)
+                m.setattr(kripke, "KripkeModel", CountingModel)
                 r = brute_force_countermodel(f, budget)
             assert len(built) == int(r.found) <= 1, f
             got = (r.found, r.world, r.model, r.models_examined, r.truncated)
