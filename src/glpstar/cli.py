@@ -183,6 +183,8 @@ def _cmd_decide(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    if args.theta is not None and args.kind not in ("rtheta", "rthetaplus"):
+        raise _UsageError(f"--theta applies to the rtheta and rthetaplus kinds, not {args.kind}")
     formula = _read_formulas(args.formula)[0]
     theta = None
     if args.theta is not None:

@@ -1,26 +1,28 @@
 """Decision procedures for the four systems, with countermodel extraction.
 
 The base case decides the Kripke-complete system by the canonical
-construction: close the negated goal into an adequate set, enumerate
-candidate worlds, eliminate until every diamond is witnessed, and test
-whether a survivor contains the negated goal. The other three systems
-reduce to it syntactically:
+construction: close the target into an adequate set, build a
+:class:`hintikka.CanonicalEngine` over it, and ask the engine for a row that
+holds the negated goal and survives witness elimination (``refute``). The
+other three systems reduce to it syntactically:
 
   * glpstar:  valid iff the base system proves M+(x) -> x (or N+(x) -> x
     with the nplus route);
   * glp:      glpstar on the omega-sorted copy;
   * glpsstar: glpstar on H(x) -> x.
 
-Non-theorem verdicts carry a rooted countermodel of the base-level target,
-extracted as a witness-closed generated submodel, greedily shrunk on the
-engine's rows while it keeps falsifying the target, then materialized and
-checked against the target and both validators once.
+Non-theorem verdicts carry a rooted countermodel of the base-level target:
+the engine's witness-closed generated submodel from that row
+(``witness_closure``), greedily shrunk on its bitmasks (``masks``) while it
+keeps falsifying the target, then materialized (``build_model``) and checked
+against the target and both validators once. Only the engine knows how its
+table lays out rows and columns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 from .formulas import (
@@ -31,12 +33,7 @@ from .formulas import (
     subformulas,
     to_omega_sorted,
 )
-from .hintikka import (
-    DEFAULT_CANDIDATE_CAP,
-    CanonicalEngine,
-    EliminationStats,
-    ResourceLimitError,
-)
+from .hintikka import DEFAULT_CANDIDATE_CAP, CanonicalEngine
 from .kripke import (
     KripkeModel,
     check_jstar_frame,
@@ -69,16 +66,6 @@ class DecideStats:
     atom_count: int = 0
     candidates: int = 0
     rounds: list[int] = field(default_factory=list)
-
-    @classmethod
-    def from_elimination(cls, target_size: int, es: EliminationStats) -> "DecideStats":
-        return cls(
-            target_size=target_size,
-            delta_size=es.delta_size,
-            atom_count=es.atom_count,
-            candidates=es.candidates,
-            rounds=list(es.rounds),
-        )
 
 
 @dataclass
@@ -128,20 +115,15 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
     delta = adequate_closure({target})
 
     engine = CanonicalEngine(delta, candidate_cap)
-    refuting = engine.truth_column(negated)
-    engine.eliminate(stop_mask=refuting)
-    stats = DecideStats.from_elimination(len(subformulas(target)), engine.stats)
-    alive_refuting = refuting & engine.alive
-    if not bool(alive_refuting.any()):
+    root = engine.refute(negated)
+    stats = DecideStats(len(subformulas(target)), **asdict(engine.stats))
+    if root is None:
         verdict = Verdict(theorem=True, stats=stats)
     else:
-        import numpy as np
-
-        root_row = int(np.flatnonzero(alive_refuting)[0])
-        rows = _witness_closure(engine, root_row)
+        rows = engine.witness_closure(root)
         if minimize:
             rows = _minimize_countermodel(engine, rows, target)
-        model = engine.build_model(rows, root=root_row)
+        model = engine.build_model(rows, root=root)
         _check_countermodel(model, target)
         verdict = Verdict(theorem=False, countermodel=model, falsified=target, stats=stats)
     if verify_truth_lemma:
@@ -149,36 +131,6 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
 
         _canonical_result(engine, verify_truth_lemma=True)
     return verdict
-
-
-def _witness_closure(engine: CanonicalEngine, root_row: int) -> list[int]:
-    """Rows of the witness-closed generated submodel from the refuting row.
-
-    Breadth first from the root: each diamond of a chosen row takes the
-    first chosen row that witnesses it, else the engine's least-junk witness.
-    """
-    columns = [engine.truth_column(body) for body in engine.bodies]
-    chosen = [root_row]
-    queue = [root_row]
-    while queue:
-        x = queue.pop(0)
-        for n in engine.levels:
-            d_mask = int(engine.col[("d", n)][x])
-            for bit, body in enumerate(engine.bodies):
-                if not d_mask >> bit & 1:
-                    continue
-                found = None
-                for y in chosen:
-                    if engine.relation(x, y, n) and columns[bit][y]:
-                        found = y
-                        break
-                if found is None:
-                    found = engine.find_witness(x, n, body)
-                    if found is None:
-                        raise AssertionError("surviving world lost its witness")
-                    chosen.append(found)
-                    queue.append(found)
-    return chosen
 
 
 def _minimize_countermodel(engine: CanonicalEngine, rows: list[int], target: Formula) -> list[int]:

@@ -18,6 +18,9 @@ that holds a level's mask. The canonical relation then reduces to a few
 integer comparisons, and each elimination step to a subset-OR transform on
 a lattice of masks by classes.
 
+Callers reach the table only through ``refute``, ``witness_closure``,
+``masks`` and ``build_model``; the row layout is known here alone.
+
 The relation follows the four textbook conditions with condition (2) widened
 from "same level" to "same or higher level": an edge at level n absorbs a
 successor's diamonds at every level k >= n down to level n. The literal
@@ -43,6 +46,7 @@ from .formulas import (
     formula_size,
     is_adequate,
     modal_levels,
+    render_sort,
     sort_key,
     sort_of,
     subformulas,
@@ -134,6 +138,11 @@ class CanonicalEngine:
         diamonds = sorted(
             {f for f in dset if isinstance(f, Dia)}, key=lambda d: (formula_size(d), sort_key(d))
         )
+        for a, b in zip(variables, variables[1:]):
+            if a.name == b.name:
+                # a model's valuation is keyed by name, so the two would merge
+                raise ValueError(f"variable {a.name!r} used with sorts "
+                                 f"{render_sort(a.sort)} and {render_sort(b.sort)}")
         self.atoms: list[Formula] = list(variables) + list(diamonds)
         self.atom_pos = {f: i for i, f in enumerate(self.atoms)}
         self.variables = variables
@@ -217,7 +226,6 @@ class CanonicalEngine:
                                               for n in self.levels
                                               for bit, dia in enumerate(self.level_dias[n]))):
             packed |= table[by_byte[:, byte]]
-        self.dia_pop = np.bitwise_count(packed)
         # An edge at level n absorbs the successor's diamonds at levels >= n
         # as their level-n twins, which sit at the same bits.
         need = np.zeros(self.count, dtype=dtype)
@@ -264,7 +272,7 @@ class CanonicalEngine:
             if reached > self.cap:
                 return reached, None
             indices = np.concatenate((indices, indices[ok] | np.uint64(1 << pos)))
-        return len(indices), (indices if len(indices) <= self.cap else None)
+        return len(indices), indices
 
     # ----- vector queries -----
 
@@ -316,6 +324,18 @@ class CanonicalEngine:
                 self.stats.rounds.append(int(self.alive.sum()))
         self._eliminated = True
         return self.stats
+
+    def refute(self, negated: Formula) -> Optional[int]:
+        """First row holding the negated goal that survives elimination, or
+        None when the goal holds throughout the canonical model.
+
+        Elimination stops as soon as no row holding the negated goal is
+        alive, so a theorem can end it before the fixpoint.
+        """
+        refuting = self.truth_column(negated)
+        self.eliminate(stop_mask=refuting)
+        rows = np.flatnonzero(refuting & self.alive)
+        return int(rows[0]) if len(rows) else None
 
     _LATTICE_LIMIT = 1 << 24
 
@@ -412,28 +432,45 @@ class CanonicalEngine:
         return frozenset(f for f in self.delta
                          if fold_boolean(f, memo, 1, lambda g: row >> self.atom_pos[g] & 1))
 
-    def find_witness(self, i: int, n: int, body: Formula) -> Optional[int]:
-        """Least-junk alive successor at level n containing the body."""
-        alive = self.alive.copy()
-        alive &= self.col[("class", n)] == self.col[("class", n)][i]
-        d_i = self.col[("d", n)][i]
-        alive &= (self.col[("req", n)] & ~d_i) == 0
-        alive &= self.col[("d", n)] != d_i
-        if not alive.any():
-            return None
-        rows = np.flatnonzero(alive)
-        rows = rows[self.truth_column(body)[rows]] if len(rows) else rows
-        if len(rows) == 0:
-            return None
-        best = rows[np.lexsort((rows, self.dia_pop[rows]))][0]
-        return int(best)
+    def find_witness(self, i: int, n: int, bit: int) -> Optional[int]:
+        """Alive successor of row i at level n that holds the body of diamond
+        bit ``bit``: the one with the fewest diamonds, then the lowest row."""
+        d, cls_id = self.col[("d", n)], self.col[("class", n)]
+        ok = self.alive & (cls_id == cls_id[i]) & (d != d[i])
+        ok &= (self.col[("req", n)] & ~d[i]) == 0
+        ok &= (self.col[("need", n)] >> bit & 1) != 0
+        rows = np.flatnonzero(ok)
+        diamonds = sum(np.bitwise_count(self.col[("d", m)][rows]) for m in self.levels)
+        return int(rows[np.argmin(diamonds)]) if len(rows) else None
+
+    def witness_closure(self, root: int) -> list[int]:
+        """Rows of the witness-closed generated submodel from the root row.
+
+        Breadth first, with the chosen rows as the queue: each diamond of a
+        chosen row, by ascending level and bit, takes the first chosen row
+        that witnesses it, else the witness ``find_witness`` picks. Row y
+        holds the body of diamond bit b exactly when bit b of need[y] is set,
+        so no formula is evaluated.
+        """
+        chosen = [root]
+        for x in chosen:
+            for n in self.levels:
+                d_mask, need = int(self.col[("d", n)][x]), self.col[("need", n)]
+                for bit in range(len(self.bodies)):
+                    if not d_mask >> bit & 1:
+                        continue
+                    if not any(self.relation(x, y, n) and int(need[y]) >> bit & 1 for y in chosen):
+                        found = self.find_witness(x, n, bit)
+                        if found is None:
+                            raise AssertionError("surviving world lost its witness")
+                        chosen.append(found)
+        return chosen
 
     def masks(self, rows: list[int]) -> tuple[dict[int, list[int]], dict[str, int]]:
         """The model over the given rows, as bitmasks over their positions.
 
         Per level, each row's successors among the rows; per variable name,
-        the rows where it holds. As in a model's valuation, which is keyed
-        by name, the last variable of a name wins.
+        the rows where it holds.
         """
         succ = {n: [sum(1 << j for j, b in enumerate(rows) if self.relation(a, b, n)) for a in rows]
                 for n in self.levels}

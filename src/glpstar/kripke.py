@@ -92,9 +92,6 @@ class KripkeFrame:
     def has_world(self, w: str) -> bool:
         return w in self._world_set
 
-    def successors(self, w: str, n: int) -> frozenset[str]:
-        return frozenset(y for x, y in self.relations.get(n, frozenset()) if x == w)
-
     def __eq__(self, other):
         return (
             isinstance(other, KripkeFrame)

@@ -148,11 +148,13 @@ def _orders_by_row0(k: int) -> dict[int, list[int]]:
     return groups
 
 
+@lru_cache(maxsize=None)
 def _allowed(lower: int, k: int) -> int:
     """Pairs a higher relation may hold over a lower one, as a bitmap.
 
     x R_n y needs equal R_m rows at x and y (condition ii), and every
     R_m-predecessor of x must be an R_m-predecessor of y (condition iii).
+    Cached: it holds at most one entry per strict order, as _strict_orders does.
     """
     rows = _rows(lower, k)
     pred = [0] * k

@@ -169,6 +169,15 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith("error: bad --theta") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind", ["m", "mplus", "n", "nplus", "h"])
+    def test_reduce_theta_for_other_kinds_is_usage_error(self, capsys, kind):
+        # these kinds never read the set, so accepting it would report it as used
+        code, out, err = invoke(capsys, "reduce", "--kind", kind, "--theta", "5",
+                                "--format", "json", "<1>p")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --theta") and err.count("\n") == 1
+
     def test_modelcheck_and_validate(self, capsys, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("worlds a b\nrel 1: a b\nval p:w = {b}\n")

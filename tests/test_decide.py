@@ -11,18 +11,20 @@ from glpstar.formulas import (
     Dia,
     Implies,
     Neg,
+    Or,
     TOP,
     Var,
     adequate_closure,
     desugar,
 )
-from glpstar.hintikka import CanonicalEngine, ResourceLimitError
+from glpstar.hintikka import CanonicalEngine, ResourceLimitError, hintikka_candidates
 from glpstar.kripke import (
     check_jstar_frame,
     check_strong_persistence,
     find_roots,
     model_check,
 )
+from glpstar.oracle import SearchBudget, cross_validate
 from glpstar.parsing import parse_formula
 from glpstar.reductions import n_plus, r_theta_plus, occurring_modalities
 from conftest import gen_sorted_formula
@@ -64,6 +66,27 @@ class TestSpecVerdicts:
     def test_glp_embedding_ignores_sorts(self):
         assert not verdict("glp", "<1>p:1 -> p:1").theorem
         assert verdict("glp", "<1>p -> <0>p").theorem
+
+
+class TestVariableSorts:
+    # Models key valuations by name, so one name at two sorts would merge
+    # into one atom of the countermodel; the parser refuses such text.
+    TWO_SORTS = Or(Var("p", 0), Neg(Var("p", 1)))
+
+    @pytest.mark.parametrize("system", ["jstar", "glpstar", "glpsstar"])
+    def test_name_at_two_sorts_is_refused(self, system):
+        with pytest.raises(ValueError, match="variable 'p' used with sorts 0 and 1"):
+            decide(system, self.TWO_SORTS)
+        with pytest.raises(ValueError, match="variable 'p' used with sorts 0 and 1"):
+            cross_validate(self.TWO_SORTS, system, SearchBudget(max_worlds=2))
+
+    def test_candidates_refuse_it_too(self):
+        with pytest.raises(ValueError, match="variable 'p' used with sorts 0 and 1"):
+            hintikka_candidates(adequate_closure({self.TWO_SORTS}))
+
+    def test_glp_merges_the_sorts(self):
+        # the omega-sorted copy has one variable p, and p | ~p is a theorem
+        assert decide("glp", self.TWO_SORTS).theorem
 
 
 class TestCountermodels:

@@ -3,7 +3,7 @@ import random
 import numpy as np
 import pytest
 
-from glpstar.decide import decide
+from glpstar.decide import SystemId, decide, reduction_target
 from glpstar.formulas import (
     BOT,
     OMEGA,
@@ -16,6 +16,7 @@ from glpstar.formulas import (
     Var,
     adequate_closure,
     modified_negation,
+    sort_key,
     sort_of,
 )
 from glpstar.hintikka import (
@@ -303,25 +304,29 @@ def disjunction(formulas):
     return out
 
 
+def wide_targets(names, count):
+    """Targets over wide levels, mapped to their validity."""
+    terms = minterms(names, count)
+    m0, rest = terms[0], disjunction([Dia(1, m) for m in terms[1:]])
+    return {
+        Or(Neg(Dia(1, m0)), Or(Dia(2, m0), rest)): False,
+        # Loeb: a witness chain for <1>m0 ends in a world without <1>m0
+        Or(Neg(Dia(1, m0)), Or(Dia(1, And(m0, Neg(Dia(1, m0)))), rest)): True,
+    }
+
+
+WIDE_MASKS = [("pqr", 4, range(9, 17), np.uint16), ("pqr", 8, range(9, 17), np.uint16),
+              ("pqrs", 9, range(17, 33), np.uint32)]
+
+
 class TestWideMasks:
     # The pools' closures have at most 8 bodies per level, so their masks
     # are all uint8. The closure adds <n>v and <n>~v for each variable v;
     # minterms, of sort at most 1, force their bodies at levels 1 and 2,
     # which keeps these tables small.
-    @pytest.mark.parametrize("names, count, widths, dtype", [
-        ("pqr", 4, range(9, 17), np.uint16),
-        ("pqr", 8, range(9, 17), np.uint16),
-        ("pqrs", 9, range(17, 33), np.uint32),
-    ])
+    @pytest.mark.parametrize("names, count, widths, dtype", WIDE_MASKS)
     def test_wide_levels_decide_and_validate(self, names, count, widths, dtype):
-        terms = minterms(names, count)
-        m0, rest = terms[0], disjunction([Dia(1, m) for m in terms[1:]])
-        targets = {
-            Or(Neg(Dia(1, m0)), Or(Dia(2, m0), rest)): False,
-            # Loeb: a witness chain for <1>m0 ends in a world without <1>m0
-            Or(Neg(Dia(1, m0)), Or(Dia(1, And(m0, Neg(Dia(1, m0)))), rest)): True,
-        }
-        for target, valid in targets.items():
+        for target, valid in wide_targets(names, count).items():
             engine = CanonicalEngine(closure_of(target))
             assert len(engine.bodies) in widths
             assert {engine.col[(name, n)].dtype for name in ("d", "need", "req")
@@ -376,6 +381,85 @@ class TestCanonicalRelation:
                     for n in engine.levels:
                         assert engine.relation(i, j, n) == canonical_relation(delta, x, y, n)
             checked += 1
+
+
+def reference_witness_closure(engine, root):
+    """The witness closure over formula sets, breadth first from the root.
+
+    A diamond <n>b of a chosen row x, by ascending level and then body,
+    takes the first chosen row y with an R_n edge from x and b in M(y);
+    failing that, the alive such row with the fewest diamonds in M(y), and
+    the lowest row among those.
+    """
+    sets = {}
+
+    def member(i):
+        if i not in sets:
+            sets[i] = engine.membership(i)
+        return sets[i]
+
+    def witnesses(x, dia, rows):
+        return [y for y in rows
+                if dia.child in member(y) and canonical_relation(engine.delta, member(x), member(y), dia.index)]
+
+    alive = [int(r) for r in np.flatnonzero(engine.alive)]
+    chosen = [root]
+    for x in chosen:
+        dias = sorted((f for f in member(x) if isinstance(f, Dia)), key=lambda d: (d.index, sort_key(d.child)))
+        for dia in dias:
+            if not witnesses(x, dia, chosen):
+                chosen.append(min(witnesses(x, dia, alive),
+                                  key=lambda y: (sum(isinstance(f, Dia) for f in member(y)), y)))
+    return chosen
+
+
+class TestWitnessClosure:
+    @staticmethod
+    def closure(system, formula, max_candidates=2000):
+        """The witness closure of decide's engine from its refuting row,
+        checked against the reference; None for a theorem or a large table."""
+        target = reduction_target(system, formula)
+        engine = CanonicalEngine(adequate_closure({target}))
+        if max_candidates is not None and engine.count > max_candidates:
+            return None
+        root = engine.refute(modified_negation(target))
+        if root is None:
+            return None
+        got = engine.witness_closure(root)
+        assert got == reference_witness_closure(engine, root)
+        return got
+
+    def test_generated_formulas(self):
+        rng = random.Random(48)
+        sizes = []
+        for k in range(400):
+            system = list(SystemId)[k % 4]
+            rows = self.closure(system, gen_sorted_formula(rng, depth=4, mods=(0, 1, 2)))
+            if rows is not None:
+                sizes.append(len(rows))
+        # 315 refuted calls, 40 of them with several worlds
+        assert len(sizes) > 250 and sum(size > 1 for size in sizes) > 30 and max(sizes) > 3
+
+    def test_fewest_diamonds_beat_the_lowest_row(self):
+        # b holds with <0>u & <0>v or with the one diamond <0>(p & q & r),
+        # which sits at a higher atom: the lowest row holding b has two
+        # diamonds, and the witness of <0>b must be another row
+        f = parse_formula("~(<0>((<0>u & <0>v) | <0>(p & q & r)) & <0>u & <0>v & <0>(p & q & r))")
+        rows = self.closure(SystemId.JSTAR, f)
+        assert len(rows) == 5
+
+    def test_deep_chains(self):
+        for n in range(9):
+            chain = TOP
+            for _ in range(n):
+                chain = Dia(0, chain)
+            assert len(self.closure(SystemId.JSTAR, Neg(chain))) == n + 1
+
+    @pytest.mark.parametrize("names, count", [(names, count) for names, count, _, _ in WIDE_MASKS])
+    def test_wide_masks(self, names, count):
+        for target, valid in wide_targets(names, count).items():
+            if not valid:
+                assert len(self.closure(SystemId.JSTAR, target, max_candidates=None)) > 1
 
 
 class TestBuildCanonical:
