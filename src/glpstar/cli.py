@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -104,10 +105,26 @@ def _model_json(model) -> dict:
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
     if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _out(json.dumps(payload, indent=2, sort_keys=True))
     else:
         for line in text_lines:
-            print(line)
+            _out(line)
+
+
+def _out(text: str) -> None:
+    """A line on stdout. Once the reader has closed it, the rest of the
+    output is dropped, and the command still ends with its own exit code."""
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    # what stays buffered, and the flush at exit, go to devnull
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
 
 
 def _cmd_decide(args) -> int:
@@ -428,7 +445,7 @@ def _resource_limit(args, exc: ResourceLimitError) -> int:
     """One stderr line, and under --format json the structured cause on stdout."""
     print(f"resource limit: {exc}", file=sys.stderr)
     if args.format == "json":
-        print(json.dumps({
+        _out(json.dumps({
             "command": args.command,
             "error": "resource limit",
             "message": str(exc),
@@ -440,7 +457,12 @@ def _resource_limit(args, exc: ResourceLimitError) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _drop_stdout()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

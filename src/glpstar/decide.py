@@ -22,7 +22,7 @@ table lays out rows and columns.
 from __future__ import annotations
 
 import enum
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .formulas import (
@@ -116,7 +116,10 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
 
     engine = CanonicalEngine(delta, candidate_cap)
     root = engine.refute(negated)
-    stats = DecideStats(len(subformulas(target)), **asdict(engine.stats))
+    # rounds is copied: verify_truth_lemma runs the elimination on to the fixpoint
+    es = engine.stats
+    stats = DecideStats(len(subformulas(target)), es.delta_size, es.atom_count, es.candidates,
+                        list(es.rounds))
     if root is None:
         verdict = Verdict(theorem=True, stats=stats)
     else:

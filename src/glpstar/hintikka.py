@@ -7,16 +7,24 @@ closure constraints mirroring the completeness axioms: a diamond whose body
 has sort at most its level pulls the body in, and a nested diamond <m><n>x
 with m < n pulls <m>x in.
 
-Atoms are ordered variables first, then diamonds by size, so everything a
-diamond forces mentions only lower atoms. The engine grows the candidates
+Atoms are grown variables first, then diamonds by size, so everything a
+diamond forces mentions only earlier atoms. The engine grows the candidates
 one atom at a time with numpy, appending the rows where the next atom may be
 true, so it only ever builds consistent assignments: work is at most atoms
-times candidates, not 2^atoms. Per candidate and level it keeps the
-diamond mask, the mask a witness demand imposes on a predecessor, and a
-class id for the masks of the lower levels, in the narrowest unsigned dtype
-that holds a level's mask. The canonical relation then reduces to a few
-integer comparisons, and each elimination step to a subset-OR transform on
-a lattice of masks by classes.
+times candidates, not 2^atoms. A row is a uint64 word with diamond <n>b, for
+the b-th body in key order, at bit low_offset[n] + b and the variables above
+every diamond, so a level's diamond mask is one shift and mask of it. Growth
+also carries each row's need mask, whose bit b says that body b holds: each
+body is folded once, at the first diamond over it, so the sigma test reads a
+need bit, the transit test a word bit, and no pass after growth folds a body.
+
+Per candidate and level the engine keeps the diamond mask, the need mask,
+the mask a witness demand imposes on a predecessor, and a class id for the
+masks of the lower levels, in the narrowest unsigned dtype that holds a
+level's mask. The canonical relation then reduces to a few integer
+comparisons, and each elimination step to a subset-OR transform on a
+lattice of masks by classes, or to a cross join of the rows where that
+lattice would be sparse.
 
 Callers reach the table only through ``refute``, ``witness_closure``,
 ``masks`` and ``build_model``; the row layout is known here alone.
@@ -31,7 +39,6 @@ the widened reading provably restores them (see the repository notes).
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -104,16 +111,19 @@ def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterab
     return any(f.index == n and f in xset and f not in yset for f in dias)
 
 
-@functools.lru_cache(maxsize=256)
-def _byte_tables(bits: tuple[tuple[int, int], ...]) -> list[tuple[int, np.ndarray]]:
-    """Per byte of an atom index holding an atom of ``bits`` (pairs of atom
-    position and word bit), a table from the byte's values to word bits."""
-    tables: dict[int, np.ndarray] = {}
-    values = np.arange(256, dtype=np.uint64)
-    for pos, bit in bits:
-        table = tables.setdefault(pos >> 3, np.zeros(256, dtype=np.uint64))
-        table |= (values >> np.uint64(pos & 7) & np.uint64(1)) << np.uint64(bit)
-    return sorted(tables.items())
+class _TruthCache(dict):
+    """Truth columns by formula; a diamond body's is read off its need bit."""
+
+    def __init__(self, need: np.ndarray, body_bit: dict[Formula, int]):
+        super().__init__()
+        self.need, self.body_bit = need, body_bit
+
+    def __contains__(self, formula) -> bool:
+        return dict.__contains__(self, formula) or formula in self.body_bit
+
+    def __missing__(self, formula: Formula) -> np.ndarray:
+        column = self[formula] = self.need & 1 << self.body_bit[formula] != 0
+        return column
 
 
 class CanonicalEngine:
@@ -132,28 +142,21 @@ class CanonicalEngine:
         self.levels = sorted(modal_levels(dset))
         self.cap = candidate_cap
 
-        variables = sorted(
-            {f for f in dset if isinstance(f, Var)}, key=lambda v: (v.name, sort_key(v))
-        )
-        diamonds = sorted(
-            {f for f in dset if isinstance(f, Dia)}, key=lambda d: (formula_size(d), sort_key(d))
-        )
+        variables = sorted({f for f in dset if isinstance(f, Var)}, key=lambda v: (v.name, sort_key(v)))
+        diamonds = sorted({f for f in dset if isinstance(f, Dia)},
+                          key=lambda d: (formula_size(d), sort_key(d)))
         for a, b in zip(variables, variables[1:]):
             if a.name == b.name:
                 # a model's valuation is keyed by name, so the two would merge
                 raise ValueError(f"variable {a.name!r} used with sorts "
                                  f"{render_sort(a.sort)} and {render_sort(b.sort)}")
         self.atoms: list[Formula] = list(variables) + list(diamonds)
-        self.atom_pos = {f: i for i, f in enumerate(self.atoms)}
         self.variables = variables
 
         # Rediamonding puts every diamond body at every level, so a body has
         # one bit for all levels, in the order of the bodies' keys.
         self.bodies = sorted({d.child for d in diamonds}, key=sort_key)
-        self.level_dias: dict[int, list[Dia]] = {
-            n: [Dia(n, body) for body in self.bodies] for n in self.levels
-        }
-        if any(d not in self.atom_pos for dias in self.level_dias.values() for d in dias):
+        if any(Dia(n, body) not in dset for n in self.levels for body in self.bodies):
             raise AssertionError("adequate set is missing a level twin")
         width = len(self.bodies)
         limits = {"atoms": len(self.atoms), "cap": candidate_cap}
@@ -161,28 +164,42 @@ class CanonicalEngine:
             raise ResourceLimitError(f"{width} diamonds at each level exceed 32", **limits)
         if len(self.levels) * width > 63:
             raise ResourceLimitError("more than 63 diamond positions overall", **limits)
+        if len(self.atoms) > 63:
+            raise ResourceLimitError(f"{len(self.atoms)} atoms exceed the 63-bit index budget", **limits)
         self.low_offset = {n: k * width for k, n in enumerate(self.levels)}
+        self.body_bit = {body: b for b, body in enumerate(self.bodies)}
+        self.bit = {v: len(self.levels) * width + k for k, v in enumerate(variables)}
+        self.bit.update((d, self.low_offset[d.index] + self.body_bit[d.child]) for d in diamonds)
 
-        # Per atom, the formulas its truth forces: sigma (<n>x with
-        # sort(x) <= n forces x) and transit (<m><n>x with m < n forces
-        # <m>x). Variables come first and diamonds grow in size, so every
-        # forced formula mentions only lower atoms.
-        self.forces: list[list[Formula]] = [[] for _ in self.atoms]
+        # One growth step per atom: its bit, the body folded at this step
+        # (at the first diamond over it), and the need and word bits its
+        # truth forces: sigma (<n>x with sort(x) <= n forces x) and transit
+        # (<m><n>x with m < n forces <m>x). Variables come first and diamonds
+        # grow in size, so both mention only earlier atoms.
+        pos, first = {f: i for i, f in enumerate(self.atoms)}, {}
+        self._steps = [(self.bit[v], None, 0, 0) for v in variables]
         for d in diamonds:
-            forced = self.forces[self.atom_pos[d]]
-            body_sort = sort_of(d.child)
-            if body_sort is not OMEGA and body_sort <= d.index:
-                forced.append(d.child)
-            if isinstance(d.child, Dia) and d.index < d.child.index:
-                partner = Dia(d.index, d.child.child)
-                if partner not in self.atom_pos:
+            body, need_bits, word_bits = d.child, 0, 0
+            fold = body if first.setdefault(body, d) is d else None
+            mentioned = [] if fold is None else list(subformulas(body))
+            if sort_of(body) is not OMEGA and sort_of(body) <= d.index:
+                need_bits = 1 << self.body_bit[body]
+            if isinstance(body, Dia) and d.index < body.index:
+                partner = Dia(d.index, body.child)
+                if partner not in dset:
                     raise AssertionError("adequate set is missing a transit partner")
-                forced.append(partner)
-            mentioned = (g for f in forced for g in subformulas(f))
-            if any(self.atom_pos.get(g, -1) >= self.atom_pos[d] for g in mentioned):
+                mentioned.append(partner)
+                word_bits = 1 << self.bit[partner]
+            if any(pos.get(g, -1) >= pos[d] for g in mentioned):
                 raise AssertionError("a forced formula mentions an atom at or above its diamond")
+            self._steps.append((self.bit[d], fold, need_bits, word_bits))
 
-        self._enumerate()
+        reached, words, need = self._grow()
+        if words is None:
+            # raised here rather than in _grow, so the traceback holds no partial table
+            raise ResourceLimitError(f"candidate count exceeds the cap {candidate_cap}",
+                                     candidates=reached, **limits)
+        self._columns(words, need)
         self.alive = np.ones(self.count, dtype=bool)
         self.stats = EliminationStats(
             delta_size=len(dset), atom_count=len(self.atoms), candidates=self.count
@@ -191,98 +208,85 @@ class CanonicalEngine:
 
     # ----- candidate enumeration -----
 
-    def _fold(self, indices: np.ndarray, formula: Formula, memo: dict) -> np.ndarray:
-        """Truth of a set member at each packed row, memoized in ``memo``."""
-        def atom(f: Formula) -> np.ndarray:
-            return indices & np.uint64(1 << self.atom_pos[f]) != 0
+    def _grow(self) -> tuple[int, Optional[np.ndarray], Optional[np.ndarray]]:
+        """Row count reached, and the rows' words and need masks in
+        ascending order of their assignments, or Nones past the cap.
 
-        return fold_boolean(formula, memo, np.ones(len(indices), dtype=bool), atom)
+        Grown one atom at a time: every row over the earlier atoms stays
+        with the atom clear, and the rows satisfying what it forces are
+        appended with it set, so the order holds and the row count never
+        falls, and the cap is checked as the table grows.
+        """
+        words = np.zeros(1, dtype=np.uint64)
+        need = np.zeros(1, dtype=np.min_scalar_type((1 << len(self.bodies)) - 1))
+        for bit, fold, need_bits, word_bits in self._steps:
+            if fold is not None:
+                column = fold_boolean(fold, {}, np.ones(len(words), dtype=bool),
+                                      lambda f: words & np.uint64(1 << self.bit[f]) != 0)
+                need |= column.astype(need.dtype) << self.body_bit[fold]
+            ok, reached = slice(None), 2 * len(words)
+            if need_bits or word_bits:
+                ok = np.ones(len(words), dtype=bool)
+                if need_bits:
+                    ok &= need & need_bits != 0
+                if word_bits:
+                    ok &= words & np.uint64(word_bits) != 0
+                reached = len(words) + int(np.count_nonzero(ok))
+            if reached > self.cap:
+                return reached, None, None
+            words = np.concatenate((words, words[ok] | np.uint64(1 << bit)))
+            need = np.concatenate((need, need[ok]))
+        return len(words), words, need
 
-    def _enumerate(self) -> None:
-        n_atoms = len(self.atoms)
-        if n_atoms > 63:
-            raise ResourceLimitError(f"{n_atoms} atoms exceed the 63-bit index budget",
-                                     atoms=n_atoms, cap=self.cap)
-        reached, indices = self._grow()
-        if indices is None:
-            # raised here rather than in _grow, so the traceback holds no partial table
-            raise ResourceLimitError(f"candidate count exceeds the cap {self.cap}",
-                                     atoms=n_atoms, candidates=reached, cap=self.cap)
-
-        self.count = len(indices)
-        self.atom_index = indices
-        self._truth_cache: dict[Formula, np.ndarray] = {}
+    def _columns(self, words: np.ndarray, need: np.ndarray) -> None:
+        """The per-level columns: d sliced from the words, need as grown,
+        req and the class ids derived from them."""
+        self.count = len(words)
+        self.words = words
         self.col: dict[tuple[str, int], np.ndarray] = {}
         self.classes: dict[int, int] = {}
-        if not self.levels:
-            return
+        self._truth_cache = _TruthCache(need, self.body_bit)
         width = len(self.bodies)
-        dtype = np.min_scalar_type((1 << width) - 1)
-        # Every level's diamond mask at its low_offset in one packed word,
-        # built by one table lookup per byte of the index that holds diamonds.
-        by_byte = indices.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        packed = np.zeros(self.count, dtype=np.uint64)
-        for byte, table in _byte_tables(tuple((self.atom_pos[dia], self.low_offset[n] + bit)
-                                              for n in self.levels
-                                              for bit, dia in enumerate(self.level_dias[n]))):
-            packed |= table[by_byte[:, byte]]
         # An edge at level n absorbs the successor's diamonds at levels >= n
         # as their level-n twins, which sit at the same bits.
-        need = np.zeros(self.count, dtype=dtype)
-        for bit, body in enumerate(self.bodies):
-            need |= self._fold(indices, body, self._truth_cache).astype(dtype) << bit
         absorbed = need
         for n in reversed(self.levels):
-            d = (packed >> self.low_offset[n]).astype(dtype) & (1 << width) - 1
+            d = (words >> np.uint64(self.low_offset[n])).astype(need.dtype) & (1 << width) - 1
             absorbed = absorbed | d
             self.col[("d", n)] = d
             self.col[("need", n)] = need
             self.col[("req", n)] = absorbed
         # Rows of one class at level n agree on every diamond below n. Class
         # ids, below classes[n], are numbered level by level from the class
-        # and mask below: densely by a presence table where the lattice over
-        # them could be built, and past it by the pair itself.
+        # and mask below: densely by a presence table where such a table
+        # fits, and past it by the pair itself.
         cls_id, classes = np.zeros(self.count, dtype=np.uint8), 1
         for n in self.levels:
             self.col[("class", n)], self.classes[n] = cls_id, classes
             if n != self.levels[-1]:
                 cls_id, classes = cls_id.astype(np.intp) << width | self.col[("d", n)], classes << width
-                if classes <= self._LATTICE_LIMIT:
+                if self._table_fits(classes, self.count):
                     seen = np.zeros(classes, dtype=bool)
                     seen[cls_id] = True
                     remap = np.cumsum(seen, dtype=np.min_scalar_type(classes)) - 1
                     cls_id, classes = remap[cls_id], int(remap[-1]) + 1
 
-    def _grow(self) -> tuple[int, Optional[np.ndarray]]:
-        """Row count reached, and the consistent assignments in ascending
-        order, or None past the cap.
-
-        Grown one atom at a time: every row over the atoms below position i
-        stays with bit i clear, and the rows satisfying what atom i forces
-        are appended with bit i set. Appended rows all exceed the kept ones,
-        so the order holds, and the row count never falls, so the cap is
-        checked as the table grows.
-        """
-        indices = np.zeros(1, dtype=np.uint64)
-        for pos, forced in enumerate(self.forces):
-            ok = np.ones(len(indices), dtype=bool)
-            for f in forced:
-                ok &= self._fold(indices, f, {})
-            reached = len(indices) + int(np.count_nonzero(ok))
-            if reached > self.cap:
-                return reached, None
-            indices = np.concatenate((indices, indices[ok] | np.uint64(1 << pos)))
-        return len(indices), indices
-
     # ----- vector queries -----
 
     def truth_column(self, formula: Formula) -> np.ndarray:
-        """Truth of a set member at every candidate, as a bool column.
+        """Truth of a set member at every candidate, as a bool column, kept
+        for later queries. A diamond is a bit of its level's narrow d column,
+        a diamond body a need bit, and a variable a bit of the row word."""
+        cache = self._truth_cache
+        if formula in cache:
+            return cache[formula]
 
-        The columns of every formula folded so far, the diamond bodies
-        among them, are kept for later queries.
-        """
-        return self._fold(self.atom_index, formula, self._truth_cache)
+        def atom(f: Formula) -> np.ndarray:
+            if type(f) is Var:
+                return self.words & np.uint64(1 << self.bit[f]) != 0
+            return self.col[("d", f.index)] & 1 << self.body_bit[f.child] != 0
+
+        return fold_boolean(formula, cache, np.ones(self.count, dtype=bool), atom)
 
     # ----- elimination -----
 
@@ -340,6 +344,12 @@ class CanonicalEngine:
     _LATTICE_LIMIT = 1 << 24
 
     @classmethod
+    def _table_fits(cls, slots: int, rows: int) -> bool:
+        """Whether a table of class (and mask) slots fits ``_LATTICE_LIMIT``
+        with at most 512 slots per row; past that, sorting the rows is cheaper."""
+        return slots <= min(cls._LATTICE_LIMIT, rows << 9)
+
+    @classmethod
     def _uncovered(cls, cls_id: np.ndarray, classes: int, d: np.ndarray, req: np.ndarray,
                    need: np.ndarray, width: int) -> np.ndarray:
         """Rows whose diamond mask is not covered by witnesses in their class.
@@ -351,9 +361,11 @@ class CanonicalEngine:
         masks to the req slots, take the strict-subset OR along the mask
         axis, and patch the diagonal slots, whose rows only count when d
         differs from req. A table smaller than the rows de-duplicates them.
+        The lattice costs width passes over all its slots however few rows
+        there are; where it does not fit, the cross join runs instead.
         """
         size = classes << width
-        if size > cls._LATTICE_LIMIT:
+        if not cls._table_fits(size, len(cls_id)):
             return cls._uncovered_crossjoin(cls_id, d, req, need)
         # Witnesses with d == req go to the first plane, the others to the
         # second, which then seeds the strict-subset OR as the diagonal patch.
@@ -378,39 +390,30 @@ class CanonicalEngine:
                              need: np.ndarray) -> np.ndarray:
         """Fallback for lattices too large to materialize: ragged cross join
         of aggregated witness groups against distinct target profiles."""
-        rows = len(cls_id)
         gorder = np.lexsort((d, req, cls_id))
         gcls, greq, gd, gneed = cls_id[gorder], req[gorder], d[gorder], need[gorder]
-        gb = np.empty(rows, dtype=bool)
-        gb[0] = True
-        gb[1:] = (gcls[1:] != gcls[:-1]) | (greq[1:] != greq[:-1]) | (gd[1:] != gd[:-1])
-        gstarts = np.flatnonzero(gb)
+        gb = (gcls[1:] != gcls[:-1]) | (greq[1:] != greq[:-1]) | (gd[1:] != gd[:-1])
+        gstarts = np.flatnonzero(np.concatenate(([True], gb)))
         gcls, greq, gd = gcls[gstarts], greq[gstarts], gd[gstarts]
         gneed = np.bitwise_or.reduceat(gneed, gstarts)
 
         torder = np.lexsort((d, cls_id))
         tcls, td = cls_id[torder], d[torder]
-        tb = np.empty(rows, dtype=bool)
-        tb[0] = True
-        tb[1:] = (tcls[1:] != tcls[:-1]) | (td[1:] != td[:-1])
-        profile_sorted = np.cumsum(tb) - 1
-        profile_of = np.empty(rows, dtype=np.int64)
-        profile_of[torder] = profile_sorted
+        tb = np.concatenate(([True], (tcls[1:] != tcls[:-1]) | (td[1:] != td[:-1])))
+        profile_of = np.empty(len(cls_id), dtype=np.int64)
+        profile_of[torder] = np.cumsum(tb) - 1
         pstarts = np.flatnonzero(tb)
         pcls, pd = tcls[pstarts], td[pstarts]
 
         class_start = np.searchsorted(gcls, pcls, side="left")
         class_end = np.searchsorted(gcls, pcls, side="right")
         gcount = class_end - class_start
-        total = int(gcount.sum())
+        # pair each profile with every group of its class, group ids ascending
+        pid = np.repeat(np.arange(len(pd)), gcount)
+        gid = np.arange(len(pid)) + np.repeat(class_start - np.cumsum(gcount) + gcount, gcount)
+        valid = ((greq[gid] & ~pd[pid]) == 0) & (gd[gid] != pd[pid])
         cov = np.zeros(len(pd), dtype=d.dtype)
-        if total:
-            offsets = np.concatenate(([0], np.cumsum(gcount)))
-            flat = np.arange(total, dtype=np.int64)
-            pid = np.searchsorted(offsets, flat, side="right") - 1
-            gid = class_start[pid] + (flat - offsets[pid])
-            valid = ((greq[gid] & ~pd[pid]) == 0) & (gd[gid] != pd[pid])
-            np.bitwise_or.at(cov, pid[valid], gneed[gid[valid]])
+        np.bitwise_or.at(cov, pid[valid], gneed[gid[valid]])
         return np.flatnonzero((d != 0) & ((d & ~cov[profile_of]) != 0))
 
     # ----- scalar queries -----
@@ -428,9 +431,9 @@ class CanonicalEngine:
 
     def membership(self, i: int) -> frozenset[Formula]:
         """The candidate's formula set."""
-        row, memo = int(self.atom_index[i]), {}
+        row, memo = int(self.words[i]), {}
         return frozenset(f for f in self.delta
-                         if fold_boolean(f, memo, 1, lambda g: row >> self.atom_pos[g] & 1))
+                         if fold_boolean(f, memo, 1, lambda g: row >> self.bit[g] & 1))
 
     def find_witness(self, i: int, n: int, bit: int) -> Optional[int]:
         """Alive successor of row i at level n that holds the body of diamond
@@ -440,7 +443,8 @@ class CanonicalEngine:
         ok &= (self.col[("req", n)] & ~d[i]) == 0
         ok &= (self.col[("need", n)] >> bit & 1) != 0
         rows = np.flatnonzero(ok)
-        diamonds = sum(np.bitwise_count(self.col[("d", m)][rows]) for m in self.levels)
+        dia_bits = np.uint64((1 << len(self.levels) * len(self.bodies)) - 1)  # below the variables
+        diamonds = np.bitwise_count(self.words[rows] & dia_bits)
         return int(rows[np.argmin(diamonds)]) if len(rows) else None
 
     def witness_closure(self, root: int) -> list[int]:
@@ -474,12 +478,8 @@ class CanonicalEngine:
         """
         succ = {n: [sum(1 << j for j, b in enumerate(rows) if self.relation(a, b, n)) for a in rows]
                 for n in self.levels}
-        extension = {}
-        for var in self.variables:
-            pos = self.atom_pos[var]
-            extension[var.name] = sum(
-                1 << j for j, r in enumerate(rows) if int(self.atom_index[r]) >> pos & 1
-            )
+        extension = {v.name: sum(1 << j for j, r in enumerate(rows)
+                                 if int(self.words[r]) >> self.bit[v] & 1) for v in self.variables}
         return succ, extension
 
     # ----- materialization -----

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glpstar
 from glpstar import oracle
 from glpstar.cli import run
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
@@ -127,6 +132,24 @@ class TestDecideCommand:
         )
         assert code == 0
         assert "candidates" in err
+
+    @pytest.mark.parametrize("args, expected", [
+        (["--system", "glp", "<1>T -> <0>T"], 0),
+        (["--system", "glp", "--format", "json", "<0>T -> <1>T"], 1),
+        # enough output to fill the buffer while the command is still running
+        (["--system", "glp", "@MANY"], 0),
+    ])
+    def test_closed_stdout_keeps_exit_code(self, tmp_path, args, expected):
+        many = tmp_path / "many.txt"
+        many.write_text("<1>T -> <0>T\n" * 2000, encoding="ascii")
+        args = [f"@{many}" if a == "@MANY" else a for a in args]
+        env = dict(os.environ, PYTHONPATH=str(Path(glpstar.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-m", "glpstar.cli", "decide", *args],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        proc.stdout.close()  # the reader goes away before any output
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=120) == expected
+        assert err == ""
 
 
 class TestOtherCommands:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,11 +136,66 @@ class TestEnumeration:
             if not 4 <= sum(isinstance(g, (Var, Dia)) for g in delta) <= 14:
                 continue
             engine = CanonicalEngine(delta)
-            assert engine.atom_index.tolist() == _scan_indices(engine.atoms)
+            # the same rows in the same order, each as the set of its true atoms
+            expected = [{a for j, a in enumerate(engine.atoms) if idx >> j & 1}
+                        for idx in _scan_indices(engine.atoms)]
+            assert [{a for a in engine.atoms if int(word) >> engine.bit[a] & 1}
+                    for word in engine.words] == expected
             checked += 1
             constrained += engine.count < 1 << len(engine.atoms)
             wide += len(engine.atoms) > 10
         assert constrained > 30 and wide > 3
+
+    def test_cap_error_matches_materialized_prefixes(self):
+        # forced formulas mention only lower atoms, so the rows over the
+        # first k atoms are the scan of those atoms alone; growth stops at
+        # the first prefix whose rows exceed the cap
+        rng = random.Random(49)
+        checked = 0
+        while checked < 15:
+            f = gen_sorted_formula(rng, depth=5, mods=(0, 1, 2, 3))
+            delta = closure_of(f)
+            if not 6 <= sum(isinstance(g, (Var, Dia)) for g in delta) <= 13:
+                continue
+            atoms = CanonicalEngine(delta).atoms
+            prefixes = [len(_scan_indices(atoms[:k])) for k in range(1, len(atoms) + 1)]
+            for cap in sorted({1, prefixes[-1] // 3, prefixes[-1] // 2, prefixes[-1] - 1} - {0}):
+                with pytest.raises(ResourceLimitError) as err:
+                    CanonicalEngine(delta, candidate_cap=cap)
+                reached = next(count for count in prefixes if count > cap)
+                assert (err.value.atoms, err.value.candidates, err.value.cap) == (len(atoms), reached, cap)
+            checked += 1
+
+    def test_need_bits_match_body_membership(self):
+        rng = random.Random(50)
+        engines = [engine for _, engine in random_engines(rng, 30, range(2, 3000))]
+        engines += [CanonicalEngine(closure_of(target)) for names, count, _, _ in WIDE_MASKS
+                    for target in wide_targets(names, count)]
+        for engine in engines:
+            need = engine.col[("need", engine.levels[0])]
+            for row in range(0, engine.count, 1 + engine.count // 600):
+                members = engine.membership(row)
+                assert [int(need[row]) >> b & 1 == 1 for b in range(len(engine.bodies))] \
+                    == [body in members for body in engine.bodies]
+
+    def test_cached_truth_column_is_returned_as_is(self):
+        f = parse_formula("<0>(p & q) | ~(p & q) | <1>p")
+        engine = CanonicalEngine(closure_of(f))
+        for formula in (f, And(Var("p", OMEGA), Var("q", OMEGA))):  # a goal and a body
+            column = engine.truth_column(formula)
+            assert engine.truth_column(formula) is column
+            assert column.tolist() == [formula in engine.membership(i) for i in range(engine.count)]
+        # a cached column costs no allocation of a column's size
+        target = next(iter(wide_targets("pqrs", 9)))
+        engine = CanonicalEngine(closure_of(target))
+        column = engine.truth_column(target)
+        tracemalloc.start()
+        try:
+            again = engine.truth_column(target)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert again is column and peak < engine.count // 4
 
     def test_sparse_33_atom_closure_decides(self):
         # 33 atoms: 2^33 assignments, of which 768 are candidates
@@ -340,6 +396,27 @@ class TestWideMasks:
                 assert check_jstar_frame(model) == []
                 assert check_strong_persistence(model) == []
                 assert not model_check(model, model.root, v.falsified)
+
+    def test_sparse_lattice_takes_the_crossjoin(self, monkeypatch):
+        # 24 bodies per level: the lattice of level 1 has 2^24 slots for
+        # 16,384 rows, where the cross join only sorts the rows
+        kernel, crossjoin = CanonicalEngine._uncovered.__func__, CanonicalEngine._uncovered_crossjoin
+        calls = []
+
+        def spied(cls, cls_id, classes, *args):
+            calls.append([len(cls_id), classes << args[-1], False])
+            return kernel(cls, cls_id, classes, *args)
+
+        def spied_crossjoin(*args):
+            calls[-1][2] = True
+            return crossjoin(*args)
+
+        monkeypatch.setattr(CanonicalEngine, "_uncovered", classmethod(spied))
+        monkeypatch.setattr(CanonicalEngine, "_uncovered_crossjoin", staticmethod(spied_crossjoin))
+        target = next(t for t, valid in wide_targets("pqrs", 16).items() if not valid)
+        assert not decide("jstar", target).theorem
+        assert calls[0] == [16384, 1 << 24, True]
+        assert all(took for rows, size, took in calls if size > rows << 9)
 
 
 def rng_mask(rng, count, keep):
