@@ -64,14 +64,7 @@ from .reductions import (
     r_theta,
     r_theta_plus,
 )
-from .hintikka import (
-    DEFAULT_CANDIDATE_CAP,
-    ResourceLimitError,
-    build_canonical,
-    build_canonical_detailed,
-    canonical_relation,
-    hintikka_candidates,
-)
+from .hintikka import DEFAULT_CANDIDATE_CAP, ResourceLimitError
 from .decide import SystemId, Verdict, decide, reduction_target
 from .oracle import (
     SearchBudget,

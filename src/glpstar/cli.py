@@ -55,13 +55,17 @@ class _UsageError(Exception):
     pass
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read {path!r}: {exc}") from exc
+
+
 def _read_formulas(arg: str) -> list[Formula]:
     if arg.startswith("@"):
-        try:
-            with open(arg[1:], "r", encoding="utf-8") as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise _UsageError(f"cannot read {arg[1:]!r}: {exc}") from exc
+        text = _read_text(arg[1:])
         try:
             formulas = parse_formula_file(text)
         except ParseError as exc:
@@ -80,11 +84,7 @@ def _parse(text: str) -> Formula:
 
 
 def _read_model(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {path!r}: {exc}") from exc
+    text = _read_text(path)
     try:
         return parse_model(text)
     except ParseError as exc:
@@ -294,11 +294,7 @@ def _cmd_sort(args) -> int:
 
 
 def _cmd_checkproof(args) -> int:
-    try:
-        with open(args.prooffile, "r", encoding="utf-8") as handle:
-            text = handle.read()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {args.prooffile!r}: {exc}") from exc
+    text = _read_text(args.prooffile)
     try:
         proof = parse_proof(text)
     except ProofError as exc:

@@ -15,8 +15,9 @@ Non-theorem verdicts carry a rooted countermodel of the base-level target:
 the engine's witness-closed generated submodel from that row
 (``witness_closure``), greedily shrunk on its bitmasks (``masks``) while it
 keeps falsifying the target, then materialized (``build_model``) and checked
-against the target and both validators once. Only the engine knows how its
-table lays out rows and columns.
+against the target and both validators once. ``decide`` is the only caller
+of the engine, and only the engine knows how its table lays out rows and
+columns.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ class SystemId(enum.Enum):
 
 @dataclass
 class DecideStats:
+    """Sizes of one call: the target's subformulas, the closure, its atoms,
+    the candidate rows, and the survivors after each elimination round that
+    deleted rows."""
+
     target_size: int = 0
     delta_size: int = 0
     atom_count: int = 0
@@ -102,9 +107,7 @@ def reduction_target(system: SystemId, formula: Formula, via: str = "mplus",
 
 def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
            nplus_variant: str = "default",
-           candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-           minimize: bool = True,
-           verify_truth_lemma: bool = False) -> Verdict:
+           candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> Verdict:
     """Theorem or a validated rooted countermodel of the reduction target."""
     if isinstance(system, str):
         system = SystemId.parse(system)
@@ -116,24 +119,15 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
 
     engine = CanonicalEngine(delta, candidate_cap)
     root = engine.refute(negated)
-    # rounds is copied: verify_truth_lemma runs the elimination on to the fixpoint
-    es = engine.stats
-    stats = DecideStats(len(subformulas(target)), es.delta_size, es.atom_count, es.candidates,
-                        list(es.rounds))
+    stats = DecideStats(len(subformulas(target)), len(engine.delta), len(engine.atoms), engine.count,
+                        engine.rounds)
     if root is None:
-        verdict = Verdict(theorem=True, stats=stats)
-    else:
-        rows = engine.witness_closure(root)
-        if minimize:
-            rows = _minimize_countermodel(engine, rows, target)
-        model = engine.build_model(rows, root=root)
-        _check_countermodel(model, target)
-        verdict = Verdict(theorem=False, countermodel=model, falsified=target, stats=stats)
-    if verify_truth_lemma:
-        from .hintikka import _canonical_result
-
-        _canonical_result(engine, verify_truth_lemma=True)
-    return verdict
+        return Verdict(theorem=True, stats=stats)
+    # the root stays the first row through minimization
+    rows = _minimize_countermodel(engine, engine.witness_closure(root), target)
+    model = engine.build_model(rows)
+    _check_countermodel(model, target)
+    return Verdict(theorem=False, countermodel=model, falsified=target, stats=stats)
 
 
 def _minimize_countermodel(engine: CanonicalEngine, rows: list[int], target: Formula) -> list[int]:

@@ -26,7 +26,7 @@ comparisons, and each elimination step to a subset-OR transform on a
 lattice of masks by classes, or to a cross join of the rows where that
 lattice would be sparse.
 
-Callers reach the table only through ``refute``, ``witness_closure``,
+``decide`` reaches the table only through ``refute``, ``witness_closure``,
 ``masks`` and ``build_model``; the row layout is known here alone.
 
 The relation follows the four textbook conditions with condition (2) widened
@@ -39,7 +39,6 @@ the widened reading provably restores them (see the repository notes).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
@@ -51,7 +50,6 @@ from .formulas import (
     Var,
     fold_boolean,
     formula_size,
-    is_adequate,
     modal_levels,
     render_sort,
     sort_key,
@@ -79,38 +77,6 @@ class ResourceLimitError(RuntimeError):
         self.cap = cap
 
 
-@dataclass
-class EliminationStats:
-    delta_size: int = 0
-    atom_count: int = 0
-    candidates: int = 0
-    rounds: list[int] = field(default_factory=list)
-
-
-def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterable[Formula], n: int) -> bool:
-    """Reference implementation of the canonical edge test at level n.
-
-    (1) a body in y whose level-n diamond is in the set forces that diamond
-    into x; (2) a diamond in y at level k >= n forces its level-n twin into
-    x; (3) x and y agree on all diamonds below n; (4) some level-n diamond
-    separates x from y. Levels without diamonds in the set carry no edges.
-    """
-    dset = frozenset(delta)
-    xset = frozenset(x)
-    yset = frozenset(y)
-    if n not in modal_levels(dset):
-        return False
-    dias = [f for f in dset if isinstance(f, Dia)]
-    for f in dias:
-        if f.index == n and f.child in yset and f not in xset:
-            return False
-        if f.index >= n and f in yset and Dia(n, f.child) not in xset:
-            return False
-        if f.index < n and (f in xset) != (f in yset):
-            return False
-    return any(f.index == n and f in xset and f not in yset for f in dias)
-
-
 class _TruthCache(dict):
     """Truth columns by formula; a diamond body's is read off its need bit."""
 
@@ -129,8 +95,7 @@ class _TruthCache(dict):
 class CanonicalEngine:
     """Packed candidate table over an adequate set, with witness elimination.
 
-    The set must be adequate; the public entry points below check that
-    before building an engine, and ``decide`` passes a closure that
+    The set must be adequate: ``decide`` passes a closure that
     :func:`formulas.adequate_closure` makes adequate.
     """
 
@@ -142,30 +107,35 @@ class CanonicalEngine:
         self.levels = sorted(modal_levels(dset))
         self.cap = candidate_cap
 
-        variables = sorted({f for f in dset if isinstance(f, Var)}, key=lambda v: (v.name, sort_key(v)))
-        diamonds = sorted({f for f in dset if isinstance(f, Dia)},
-                          key=lambda d: (formula_size(d), sort_key(d)))
+        # Variable keys are shallow: the name, then the sort (omega last).
+        variables = sorted({f for f in dset if isinstance(f, Var)}, key=lambda v: (v.name, v.sort))
         for a, b in zip(variables, variables[1:]):
             if a.name == b.name:
                 # a model's valuation is keyed by name, so the two would merge
                 raise ValueError(f"variable {a.name!r} used with sorts "
                                  f"{render_sort(a.sort)} and {render_sort(b.sort)}")
-        self.atoms: list[Formula] = list(variables) + list(diamonds)
         self.variables = variables
 
         # Rediamonding puts every diamond body at every level, so a body has
-        # one bit for all levels, in the order of the bodies' keys.
-        self.bodies = sorted({d.child for d in diamonds}, key=sort_key)
-        if any(Dia(n, body) not in dset for n in self.levels for body in self.bodies):
+        # one bit for all levels. The limits are checked on the set sizes
+        # before any diamond is ordered: a diamond's sort key is as deep as
+        # the diamond.
+        diamonds = {f for f in dset if isinstance(f, Dia)}
+        bodies = {d.child for d in diamonds}
+        if any(Dia(n, body) not in dset for n in self.levels for body in bodies):
             raise AssertionError("adequate set is missing a level twin")
-        width = len(self.bodies)
-        limits = {"atoms": len(self.atoms), "cap": candidate_cap}
+        width, atom_count = len(bodies), len(variables) + len(diamonds)
+        limits = {"atoms": atom_count, "cap": candidate_cap}
         if width > 32:
             raise ResourceLimitError(f"{width} diamonds at each level exceed 32", **limits)
         if len(self.levels) * width > 63:
             raise ResourceLimitError("more than 63 diamond positions overall", **limits)
-        if len(self.atoms) > 63:
-            raise ResourceLimitError(f"{len(self.atoms)} atoms exceed the 63-bit index budget", **limits)
+        if atom_count > 63:
+            raise ResourceLimitError(f"{atom_count} atoms exceed the 63-bit index budget", **limits)
+        diamonds = sorted(diamonds, key=lambda d: (formula_size(d), sort_key(d)))
+        self.atoms: list[Formula] = variables + diamonds
+        # a body's bit follows the order of the bodies' keys
+        self.bodies = sorted(bodies, key=sort_key)
         self.low_offset = {n: k * width for k, n in enumerate(self.levels)}
         self.body_bit = {body: b for b, body in enumerate(self.bodies)}
         self.bit = {v: len(self.levels) * width + k for k, v in enumerate(variables)}
@@ -201,10 +171,7 @@ class CanonicalEngine:
                                      candidates=reached, **limits)
         self._columns(words, need)
         self.alive = np.ones(self.count, dtype=bool)
-        self.stats = EliminationStats(
-            delta_size=len(dset), atom_count=len(self.atoms), candidates=self.count
-        )
-        self._eliminated = False
+        self.rounds: list[int] = []
 
     # ----- candidate enumeration -----
 
@@ -290,25 +257,24 @@ class CanonicalEngine:
 
     # ----- elimination -----
 
-    def eliminate(self, stop_mask: Optional[np.ndarray] = None) -> EliminationStats:
+    def eliminate(self, stop_mask: Optional[np.ndarray] = None) -> None:
         """Deletion of worlds with unwitnessed diamonds, to the fixpoint.
 
         Rounds visit the levels in order, each deleting its unwitnessed rows
         at once; the witnessed-worlds operator is monotone, so any removal
-        order reaches the greatest fixpoint. ``stats.rounds`` holds the
-        survivors after each round that deleted. The loop ends once every
-        level was checked after the last deletion, mid-round if need be.
+        order reaches the greatest fixpoint. ``rounds`` holds the survivors
+        after each round that deleted. The loop ends once every level was
+        checked after the last deletion, mid-round if need be; a call after
+        the fixpoint checks each level once and deletes nothing.
 
         With a stop mask the loop returns early once no masked row is alive;
         survivors only ever shrink, so an early exit is sound for callers
         that only care whether some masked row survives to the fixpoint.
         """
-        if self._eliminated:
-            return self.stats
         clean = 0  # levels checked, without deleting, since the last deletion
         while clean < len(self.levels):
             if stop_mask is not None and not bool((self.alive & stop_mask).any()):
-                return self.stats
+                return
             alive_rows, changed = np.flatnonzero(self.alive), False
             for n in self.levels:
                 cols = [self.col[(name, n)] for name in ("class", "d", "req", "need")]
@@ -325,9 +291,7 @@ class CanonicalEngine:
                     if clean == len(self.levels):
                         break
             if changed:
-                self.stats.rounds.append(int(self.alive.sum()))
-        self._eliminated = True
-        return self.stats
+                self.rounds.append(int(self.alive.sum()))
 
     def refute(self, negated: Formula) -> Optional[int]:
         """First row holding the negated goal that survives elimination, or
@@ -484,75 +448,10 @@ class CanonicalEngine:
 
     # ----- materialization -----
 
-    def build_model(self, rows: Iterable[int], root: Optional[int] = None) -> KripkeModel:
-        """Kripke model over the given candidate rows, worlds named w0, w1, ..."""
-        rows = list(rows)
+    def build_model(self, rows: list[int]) -> KripkeModel:
+        """Kripke model over the given candidate rows, worlds named w0, w1, ...
+        and rooted at the first row's world w0."""
         succ, extension = self.masks(rows)
         return model_from_masks(len(rows), succ, extension,
-                                {var.name: var.sort for var in self.variables},
-                                None if root is None else rows.index(root))
+                                {var.name: var.sort for var in self.variables}, 0)
 
-
-def hintikka_candidates(delta: Iterable[Formula],
-                        candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> frozenset[frozenset[Formula]]:
-    """All subsets of the adequate set satisfying the candidate invariants."""
-    engine = CanonicalEngine(_adequate(delta), candidate_cap)
-    return frozenset(engine.membership(i) for i in range(engine.count))
-
-
-@dataclass
-class CanonicalResult:
-    model: KripkeModel
-    membership: dict[str, frozenset[Formula]]
-    stats: EliminationStats
-
-
-def build_canonical_detailed(delta: Iterable[Formula],
-                             candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-                             verify_truth_lemma: bool = False) -> CanonicalResult:
-    """Canonical model plus each world's formula set and elimination stats."""
-    engine = CanonicalEngine(_adequate(delta), candidate_cap)
-    return _canonical_result(engine, verify_truth_lemma)
-
-
-def _adequate(delta: Iterable[Formula]) -> frozenset[Formula]:
-    dset = frozenset(delta)
-    if not is_adequate(dset):
-        raise ValueError("canonical construction needs an adequate formula set")
-    return dset
-
-
-def _canonical_result(engine: CanonicalEngine, verify_truth_lemma: bool = False) -> CanonicalResult:
-    """The engine's canonical model, after running its elimination to the fixpoint."""
-    engine.eliminate()
-    rows = [int(r) for r in np.flatnonzero(engine.alive)]
-    model = engine.build_model(rows)
-    membership = {f"w{k}": engine.membership(r) for k, r in enumerate(rows)}
-    if verify_truth_lemma:
-        _assert_truth_lemma(model, membership, engine.delta)
-    return CanonicalResult(model=model, membership=membership, stats=engine.stats)
-
-
-def build_canonical(delta: Iterable[Formula],
-                    candidate_cap: int = DEFAULT_CANDIDATE_CAP,
-                    verify_truth_lemma: bool = False) -> KripkeModel:
-    """Worlds are the surviving candidates; truth there is membership."""
-    return build_canonical_detailed(delta, candidate_cap, verify_truth_lemma).model
-
-
-def _assert_truth_lemma(model: KripkeModel, membership: dict[str, frozenset[Formula]],
-                        delta: frozenset[Formula]) -> None:
-    from .kripke import Evaluator
-
-    if not model.worlds:
-        return
-    ev = Evaluator(model)
-    for formula in delta:
-        ext = ev.extension(formula)
-        for w in model.worlds:
-            holds = bool(ext >> ev.index[w] & 1)
-            if holds != (formula in membership[w]):
-                raise AssertionError(
-                    f"truth lemma failed at {w} for {formula!r}: "
-                    f"satisfaction {holds}, membership {formula in membership[w]}"
-                )

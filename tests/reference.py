@@ -1,0 +1,62 @@
+"""Plain definitions the canonical engine is tested against.
+
+``canonical_relation`` states the canonical edge over formula sets, and
+``assert_truth_lemma`` checks that satisfaction is membership in a canonical
+model; ``canonical_model`` builds that model from an engine's own calls.
+"""
+
+from typing import Iterable
+
+import numpy as np
+
+from glpstar.formulas import Dia, Formula, modal_levels
+from glpstar.kripke import Evaluator, KripkeModel
+
+
+def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterable[Formula], n: int) -> bool:
+    """Reference implementation of the canonical edge test at level n.
+
+    (1) a body in y whose level-n diamond is in the set forces that diamond
+    into x; (2) a diamond in y at level k >= n forces its level-n twin into
+    x; (3) x and y agree on all diamonds below n; (4) some level-n diamond
+    separates x from y. Levels without diamonds in the set carry no edges.
+    """
+    dset = frozenset(delta)
+    xset = frozenset(x)
+    yset = frozenset(y)
+    if n not in modal_levels(dset):
+        return False
+    dias = [f for f in dset if isinstance(f, Dia)]
+    for f in dias:
+        if f.index == n and f.child in yset and f not in xset:
+            return False
+        if f.index >= n and f in yset and Dia(n, f.child) not in xset:
+            return False
+        if f.index < n and (f in xset) != (f in yset):
+            return False
+    return any(f.index == n and f in xset and f not in yset for f in dias)
+
+
+def canonical_model(engine) -> tuple[KripkeModel, dict[str, frozenset[Formula]]]:
+    """The engine's canonical model, after running its elimination to the
+    fixpoint, and each world's formula set."""
+    engine.eliminate()
+    rows = [int(r) for r in np.flatnonzero(engine.alive)]
+    model = engine.build_model(rows)
+    return model, {f"w{k}": engine.membership(r) for k, r in enumerate(rows)}
+
+
+def assert_truth_lemma(model: KripkeModel, membership: dict[str, frozenset[Formula]],
+                       delta: frozenset[Formula]) -> None:
+    if not model.worlds:
+        return
+    ev = Evaluator(model)
+    for formula in delta:
+        ext = ev.extension(formula)
+        for w in model.worlds:
+            holds = bool(ext >> ev.index[w] & 1)
+            if holds != (formula in membership[w]):
+                raise AssertionError(
+                    f"truth lemma failed at {w} for {formula!r}: "
+                    f"satisfaction {holds}, membership {formula in membership[w]}"
+                )

@@ -23,7 +23,7 @@ from glpstar.formulas import (
     subformulas,
     to_omega_sorted,
 )
-from glpstar.hintikka import build_canonical_detailed
+from glpstar.hintikka import CanonicalEngine
 from glpstar.kripke import (
     Evaluator,
     check_jstar_frame,
@@ -36,6 +36,7 @@ from glpstar.parsing import parse_formula, render_formula
 from glpstar.proofs import ProofLine, ProofObject, check_proof, corpus_proofs, parse_proof
 from glpstar.reductions import n_plus, r_theta_plus, occurring_modalities
 from conftest import gen_formula, gen_persistent_model, gen_sorted_formula, perturb_model
+from reference import assert_truth_lemma, canonical_model
 from test_proofs import mutate_line
 
 
@@ -198,10 +199,11 @@ def test_criterion_5_truth_lemma():
         delta = adequate_closure({f})
         if len(delta) > 12:
             continue
-        result = build_canonical_detailed(delta, verify_truth_lemma=True)
-        for w, membership in result.membership.items():
+        model, memberships = canonical_model(CanonicalEngine(delta))
+        assert_truth_lemma(model, memberships, delta)
+        for w, membership in memberships.items():
             for member in delta:
-                assert model_check(result.model, w, member) == (member in membership)
+                assert model_check(model, w, member) == (member in membership)
         done += 1
     report(5, "200 closures of size <= 12, membership matches satisfaction everywhere")
 

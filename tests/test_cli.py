@@ -267,6 +267,16 @@ class TestOtherCommands:
         assert code == 2
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize("argv", [("decide", "--system", "jstar", "@{}"),
+                                      ("validate", "--model", "{}"),
+                                      ("checkproof", "{}")], ids=["decide", "validate", "checkproof"])
+    def test_non_utf8_file_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "input"
+        path.write_bytes(b"\xff<0>p\n")
+        code, out, err = invoke(capsys, *(arg.format(path) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot read {str(path)!r}") and "utf-8" in err
+
     def test_oracle(self, capsys):
         code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "<0>T")
         assert code == 1

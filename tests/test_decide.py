@@ -17,7 +17,7 @@ from glpstar.formulas import (
     adequate_closure,
     desugar,
 )
-from glpstar.hintikka import CanonicalEngine, ResourceLimitError, hintikka_candidates
+from glpstar.hintikka import CanonicalEngine, ResourceLimitError
 from glpstar.kripke import (
     check_jstar_frame,
     check_strong_persistence,
@@ -28,6 +28,7 @@ from glpstar.oracle import SearchBudget, cross_validate
 from glpstar.parsing import parse_formula
 from glpstar.reductions import n_plus, r_theta_plus, occurring_modalities
 from conftest import gen_sorted_formula
+from reference import assert_truth_lemma, canonical_model
 
 
 def verdict(system, text, **kw):
@@ -82,7 +83,7 @@ class TestVariableSorts:
 
     def test_candidates_refuse_it_too(self):
         with pytest.raises(ValueError, match="variable 'p' used with sorts 0 and 1"):
-            hintikka_candidates(adequate_closure({self.TWO_SORTS}))
+            CanonicalEngine(adequate_closure({self.TWO_SORTS}))
 
     def test_glp_merges_the_sorts(self):
         # the omega-sorted copy has one variable p, and p | ~p is a theorem
@@ -179,12 +180,9 @@ class TestReductionRoutes:
             if decide(SystemId.GLPSTAR, f).theorem:
                 assert decide(SystemId.GLPSSTAR, f).theorem
 
-    def test_truth_lemma_flag_runs(self):
-        assert verdict("jstar", "<0>p -> <0>p", verify_truth_lemma=True).theorem
-
     def test_one_engine_and_no_adequacy_recheck(self, monkeypatch):
-        # the closure is adequate by construction, and the truth lemma is
-        # checked on the engine that gave the verdict, run on to the fixpoint
+        # the closure is adequate by construction, and the truth lemma holds
+        # on the engine that gave the verdict, run on to the fixpoint
         hintikka = sys.modules["glpstar.hintikka"]
         build = hintikka.CanonicalEngine.__init__
         engines, adequacy = [], []
@@ -199,15 +197,20 @@ class TestReductionRoutes:
 
         rng = random.Random(56)
         cases = [(system, gen_sorted_formula(rng)) for system in SystemId for _ in range(10)]
+        cases.append((SystemId.JSTAR, parse_formula("<0>p -> <0>p")))
         plain = [decide(system, f) for system, f in cases]
         monkeypatch.setattr(hintikka.CanonicalEngine, "__init__", engine)
-        monkeypatch.setattr(hintikka, "is_adequate", is_adequate)
+        for module in [m for name, m in sys.modules.items() if name.startswith("glpstar")]:
+            if hasattr(module, "is_adequate"):
+                monkeypatch.setattr(module, "is_adequate", is_adequate)
         for (system, f), expected in zip(cases, plain):
-            got = decide(system, f, verify_truth_lemma=True)
+            got = decide(system, f)
             assert (got.theorem, got.stats) == (expected.theorem, expected.stats)
             assert got.countermodel == expected.countermodel
+            assert_truth_lemma(*canonical_model(engines[-1]), engines[-1].delta)
         assert len(engines) == len(cases) and not adequacy
         assert any(not v.theorem for v in plain) and any(v.theorem for v in plain)
+        assert plain[-1].theorem
 
 
 class TestTargets:

@@ -1,4 +1,5 @@
 import random
+import sys
 import tracemalloc
 
 import numpy as np
@@ -20,17 +21,11 @@ from glpstar.formulas import (
     sort_key,
     sort_of,
 )
-from glpstar.hintikka import (
-    CanonicalEngine,
-    ResourceLimitError,
-    build_canonical,
-    build_canonical_detailed,
-    canonical_relation,
-    hintikka_candidates,
-)
+from glpstar.hintikka import CanonicalEngine, ResourceLimitError
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
 from glpstar.parsing import parse_formula, render_model
 from conftest import gen_sorted_formula
+from reference import assert_truth_lemma, canonical_model, canonical_relation
 
 p0 = Var("p", 0)
 pw = Var("p", OMEGA)
@@ -40,10 +35,16 @@ def closure_of(*formulas):
     return adequate_closure(set(formulas))
 
 
+def candidates(delta):
+    """Every candidate row's formula set."""
+    engine = CanonicalEngine(delta)
+    return frozenset(engine.membership(i) for i in range(engine.count))
+
+
 class TestHintikkaCandidates:
     def test_single_diamond_sorted_variable(self):
         delta = closure_of(Dia(1, p0))
-        worlds = hintikka_candidates(delta)
+        worlds = candidates(delta)
         d, nd = Dia(1, p0), Neg(Dia(1, p0))
         dn, ndn = Dia(1, Neg(p0)), Neg(Dia(1, Neg(p0)))
         expected = {
@@ -55,11 +56,11 @@ class TestHintikkaCandidates:
         assert worlds == expected
 
     def test_trivial_delta(self):
-        assert hintikka_candidates({TOP, Neg(TOP)}) == {frozenset({TOP})}
+        assert candidates({TOP, Neg(TOP)}) == {frozenset({TOP})}
 
     def test_variable_pair(self):
         delta = closure_of(p0)
-        assert hintikka_candidates(delta) == {
+        assert candidates(delta) == {
             frozenset({TOP, p0}),
             frozenset({TOP, Neg(p0)}),
         }
@@ -71,7 +72,7 @@ class TestHintikkaCandidates:
             delta = closure_of(f)
             if len(delta) > 20:
                 continue
-            for world in hintikka_candidates(delta):
+            for world in candidates(delta):
                 assert TOP in world
                 for member in delta:
                     assert (member in world) != (modified_negation(member) in world)
@@ -85,13 +86,16 @@ class TestHintikkaCandidates:
                             assert Dia(member.index, inner.child) in world
 
     def test_requires_adequate_input(self):
-        with pytest.raises(ValueError):
-            hintikka_candidates({Dia(0, p0)})
+        # decide passes only adequate closures; the engine still refuses a
+        # set where a diamond body lacks its twin at some level
+        delta = closure_of(Dia(0, Dia(1, p0)))
+        with pytest.raises(AssertionError, match="missing a level twin"):
+            CanonicalEngine(delta - {Dia(0, p0)})
 
     def test_candidate_cap(self):
         delta = closure_of(And(Dia(0, pw), Dia(1, Var("q", OMEGA))))
         with pytest.raises(ResourceLimitError):
-            hintikka_candidates(delta, candidate_cap=2)
+            CanonicalEngine(delta, candidate_cap=2)
 
 
 def _holds(formula, truth):
@@ -165,6 +169,22 @@ class TestEnumeration:
                 reached = next(count for count in prefixes if count > cap)
                 assert (err.value.atoms, err.value.candidates, err.value.cap) == (len(atoms), reached, cap)
             checked += 1
+
+    @pytest.mark.parametrize("text, message, atoms", [
+        ("~" + "<0>" * 300 + "p:0 | p:0", "300 diamonds at each level exceed 32", 301),
+        ("~" + "<0>" * 21 + "p:0 | <1>T | <2>T", "more than 63 diamond positions overall", 70),
+        (" | ".join(f"p{i}:0" for i in range(64)), "64 atoms exceed the 63-bit index budget", 64),
+    ], ids=["width", "positions", "atoms"])
+    def test_limits_refuse_before_sorting(self, monkeypatch, text, message, atoms):
+        # a diamond's sort key is as deep as the diamond, so the limits are
+        # checked on the set sizes before any key is taken
+        hintikka, calls = sys.modules["glpstar.hintikka"], []
+        key = hintikka.sort_key
+        monkeypatch.setattr(hintikka, "sort_key", lambda f: calls.append(f) or key(f))
+        with pytest.raises(ResourceLimitError, match=message) as err:
+            decide("jstar", parse_formula(text))
+        assert calls == []
+        assert (err.value.atoms, err.value.candidates, err.value.cap) == (atoms, None, 1 << 20)
 
     def test_need_bits_match_body_membership(self):
         rng = random.Random(50)
@@ -311,18 +331,30 @@ class TestCoverageKernels:
 
         monkeypatch.setattr(CanonicalEngine, "_uncovered", classmethod(counted))
         rng = random.Random(47)
-        reference_checks = theorems = eliminated = 0
+        reference_checks = engine_checks = theorems = eliminated = stopped = 0
         for f, engine in random_engines(rng, 60, range(1000)):
             rounds, alive, checks = reference_eliminate(engine)
+            before = len(calls)
             engine.eliminate()
-            assert engine.stats.rounds == rounds
+            engine_checks += len(calls) - before
+            assert engine.rounds == rounds
             assert engine.alive.tolist() == alive.tolist()
             reference_checks += checks
             refuting = engine.truth_column(modified_negation(f))
             theorems += not bool((refuting & engine.alive).any())
             eliminated += rounds != []
-        assert 10 < theorems < 50 and eliminated > 20
-        assert len(calls) < reference_checks
+            # re-entry: a full elimination after refute's early stop, and a
+            # second elimination after the fixpoint
+            resumed = CanonicalEngine(engine.delta)
+            resumed.refute(modified_negation(f))
+            stopped += resumed.rounds != rounds
+            resumed.eliminate()
+            engine.eliminate()
+            for got in (engine, resumed):
+                assert got.rounds == rounds
+                assert got.alive.tolist() == alive.tolist()
+        assert 10 < theorems < 50 and eliminated > 20 and stopped > 3
+        assert engine_checks < reference_checks
 
     def test_decide_agrees_on_crossjoin_alone(self, monkeypatch):
         rng = random.Random(46)
@@ -435,7 +467,7 @@ class TestCanonicalRelation:
         assert canonical_relation(self.delta, x, y, 1)
 
     def test_never_reflexive(self):
-        for world in hintikka_candidates(self.delta):
+        for world in candidates(self.delta):
             assert not canonical_relation(self.delta, world, world, 1)
 
     def test_level_without_diamonds_is_empty(self):
@@ -542,42 +574,43 @@ class TestWitnessClosure:
 class TestBuildCanonical:
     def test_all_survive_on_simple_closure(self):
         delta = closure_of(Dia(1, p0))
-        result = build_canonical_detailed(delta)
-        assert len(result.model.worlds) == 4
+        model, membership = canonical_model(CanonicalEngine(delta))
+        assert len(model.worlds) == 4
         # every diamond world has an edge to a body world without the diamond
-        for w, mem in result.membership.items():
+        for w, mem in membership.items():
             if Dia(1, p0) in mem:
                 successors = [
-                    y for x, y in result.model.relations.get(1, frozenset()) if x == w
+                    y for x, y in model.relations.get(1, frozenset()) if x == w
                 ]
                 assert any(
-                    p0 in result.membership[y] and Dia(1, p0) not in result.membership[y]
+                    p0 in membership[y] and Dia(1, p0) not in membership[y]
                     for y in successors
                 )
 
     def test_trivial_delta(self):
-        model = build_canonical({TOP, Neg(TOP)})
+        model, _ = canonical_model(CanonicalEngine({TOP, Neg(TOP)}))
         assert len(model.worlds) == 1
         assert model.relations == {}
 
     def test_unwitnessable_diamond_dies(self):
         delta = closure_of(Dia(0, BOT))
-        result = build_canonical_detailed(delta)
-        assert all(Dia(0, BOT) not in mem for mem in result.membership.values())
-        assert len(result.model.worlds) == 1
+        model, membership = canonical_model(CanonicalEngine(delta))
+        assert all(Dia(0, BOT) not in mem for mem in membership.values())
+        assert len(model.worlds) == 1
 
     def test_output_validates_and_truth_lemma(self):
         rng = random.Random(43)
         for _ in range(20):
             f = gen_sorted_formula(rng, depth=2, mods=(0, 1, 2))
             delta = closure_of(f)
-            result = build_canonical_detailed(delta, verify_truth_lemma=True)
-            assert check_jstar_frame(result.model) == []
-            assert check_strong_persistence(result.model) == []
+            model, membership = canonical_model(CanonicalEngine(delta))
+            assert_truth_lemma(model, membership, delta)
+            assert check_jstar_frame(model) == []
+            assert check_strong_persistence(model) == []
 
     def test_truth_lemma_via_model_check(self):
         delta = closure_of(Dia(1, p0))
-        result = build_canonical_detailed(delta)
-        for w, mem in result.membership.items():
+        model, membership = canonical_model(CanonicalEngine(delta))
+        for w, mem in membership.items():
             for member in delta:
-                assert model_check(result.model, w, member) == (member in mem)
+                assert model_check(model, w, member) == (member in mem)

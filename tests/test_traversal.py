@@ -27,12 +27,15 @@ from glpstar.formulas import (
     Or,
     Top,
     Var,
+    adequate_closure,
     desugar,
     diamond_subformulas,
+    modified_negation,
     subformulas,
     to_omega_sorted,
     variables_of,
 )
+from glpstar.hintikka import CanonicalEngine
 from glpstar.kripke import (
     Evaluator,
     KripkeModel,
@@ -298,11 +301,15 @@ class TestCountermodels:
     def test_equal_to_greedy_model_level_minimization(self):
         shrunk = 0
         for system, f in non_theorems():
-            unminimized = decide(system, f, minimize=False)
             verdict = decide(system, f)
-            expected = ref_minimize(unminimized.countermodel, verdict.falsified)
+            # the engine's witness closure from decide's root, not minimized
+            target = verdict.falsified
+            engine = CanonicalEngine(adequate_closure({target}))
+            root = engine.refute(modified_negation(target))
+            unminimized = engine.build_model(engine.witness_closure(root))
+            expected = ref_minimize(unminimized, target)
             assert verdict.countermodel == expected
-            shrunk += len(unminimized.countermodel.worlds) > len(expected.worlds)
+            shrunk += len(unminimized.worlds) > len(expected.worlds)
         assert shrunk > 50
 
     def test_validators_run_once_per_non_theorem(self, monkeypatch):
