@@ -63,6 +63,14 @@ def _read_text(path: str) -> str:
         raise _UsageError(f"cannot read {path!r}: {exc}") from exc
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _read_formulas(arg: str) -> list[Formula]:
     if arg.startswith("@"):
         text = _read_text(arg[1:])
@@ -154,11 +162,9 @@ def _cmd_decide(args) -> int:
     single = results[0][1] if len(results) == 1 else None
     if single is not None and not single.theorem:
         if args.countermodel:
-            with open(args.countermodel, "w", encoding="utf-8") as handle:
-                handle.write(render_model(single.countermodel))
+            _write_text(args.countermodel, render_model(single.countermodel))
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(export_dot(single.countermodel, highlight=single.countermodel.root))
+            _write_text(args.dot, export_dot(single.countermodel, highlight=single.countermodel.root))
     if len(results) == 1:
         formula, verdict = results[0]
         payload = {
@@ -336,8 +342,7 @@ def _cmd_oracle(args) -> int:
         lines = [f"countermodel found (falsified at {result.world})",
                  render_model(result.model).rstrip("\n")]
         if args.dot:
-            with open(args.dot, "w", encoding="utf-8") as handle:
-                handle.write(export_dot(result.model, highlight=result.world))
+            _write_text(args.dot, export_dot(result.model, highlight=result.world))
     else:
         note = "search truncated by budget" if result.truncated else "search exhausted the budgeted space"
         lines = [f"no countermodel found ({note}; this is not a validity proof)"]

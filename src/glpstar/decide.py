@@ -13,11 +13,11 @@ other three systems reduce to it syntactically:
 
 Non-theorem verdicts carry a rooted countermodel of the base-level target:
 the engine's witness-closed generated submodel from that row
-(``witness_closure``), greedily shrunk on its bitmasks (``masks``) while it
-keeps falsifying the target, then materialized (``build_model``) and checked
-against the target and both validators once. ``decide`` is the only caller
-of the engine, and only the engine knows how its table lays out rows and
-columns.
+(``witness_closure``) as bitmasks (``masks``, computed once), greedily shrunk
+on them while it keeps falsifying the target, then materialized from them
+(``kripke.model_from_masks``) and checked against the target and both
+validators once. ``decide`` is the only caller of the engine, and only the
+engine knows how its table lays out rows and columns.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .kripke import (
     compile_formula,
     evaluate,
     model_check,
+    model_from_masks,
 )
 from .reductions import h_formula, m_plus, n_plus, _implies
 
@@ -123,40 +124,50 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
                         engine.rounds)
     if root is None:
         return Verdict(theorem=True, stats=stats)
-    # the root stays the first row through minimization
-    rows = _minimize_countermodel(engine, engine.witness_closure(root), target)
-    model = engine.build_model(rows)
+    rows = engine.witness_closure(root)
+    succ, extension = engine.masks(rows)
+    # the root, at position 0, stays through minimization
+    kept = _minimize_countermodel(len(rows), succ, extension, target)
+    model = model_from_masks(len(kept), {n: [_restrict(succ[n][p], kept) for p in kept] for n in succ},
+                             {name: _restrict(mask, kept) for name, mask in extension.items()},
+                             {v.name: v.sort for v in engine.variables}, 0)
     _check_countermodel(model, target)
     return Verdict(theorem=False, countermodel=model, falsified=target, stats=stats)
 
 
-def _minimize_countermodel(engine: CanonicalEngine, rows: list[int], target: Formula) -> list[int]:
-    """Greedily drop rows while the first row still refutes the target.
+def _minimize_countermodel(count: int, succ: dict[int, list[int]], extension: dict[str, int],
+                           target: Formula) -> list[int]:
+    """Positions kept after greedily dropping worlds, of ``count`` given as
+    bitmasks over their positions, while world 0 still refutes the target.
 
-    After each drop the scan starts again after the first row. The target
-    is compiled once and run on bitmasks over the given rows; a trial is
-    the submodel induced by the rows kept. The frame and persistence conditions are
-    universal, so every induced submodel of a valid model is valid, and no
-    trial needs the validators: the final model is validated once.
+    After each drop the scan starts again after world 0. The target is
+    compiled once and run on the masks; a trial is the submodel induced by
+    the worlds kept. The frame and persistence conditions are universal, so
+    every induced submodel of a valid model is valid, and no trial needs the
+    validators: the final model is validated once.
     """
     program = compile_formula(target)
-    succ, extension = engine.masks(rows)
     values = [extension[v.name] for v in program.variables]
 
     def refutes(keep: int) -> bool:
         trial = {n: [row & keep for row in masks] for n, masks in succ.items()}
         return not evaluate(program.code, keep, trial, [v & keep for v in values])[-1] & 1
 
-    keep = (1 << len(rows)) - 1
+    keep = (1 << count) - 1
     changed = True
     while changed:
         changed = False
-        for j in range(1, len(rows)):
+        for j in range(1, count):
             if keep >> j & 1 and refutes(keep & ~(1 << j)):
                 keep &= ~(1 << j)
                 changed = True
                 break
-    return [r for j, r in enumerate(rows) if keep >> j & 1]
+    return [j for j in range(count) if keep >> j & 1]
+
+
+def _restrict(mask: int, kept: list[int]) -> int:
+    """A mask over all positions as a mask over the kept ones, renumbered."""
+    return sum(1 << k for k, p in enumerate(kept) if mask >> p & 1)
 
 
 def _check_countermodel(model: KripkeModel, target: Formula) -> None:

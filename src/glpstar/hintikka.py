@@ -26,8 +26,8 @@ comparisons, and each elimination step to a subset-OR transform on a
 lattice of masks by classes, or to a cross join of the rows where that
 lattice would be sparse.
 
-``decide`` reaches the table only through ``refute``, ``witness_closure``,
-``masks`` and ``build_model``; the row layout is known here alone.
+``decide`` reaches the table only through ``refute``, ``witness_closure``
+and ``masks``; the row layout, and ``relation``, its one edge test, live here.
 
 The relation follows the four textbook conditions with condition (2) widened
 from "same level" to "same or higher level": an edge at level n absorbs a
@@ -56,7 +56,6 @@ from .formulas import (
     sort_of,
     subformulas,
 )
-from .kripke import KripkeModel, model_from_masks
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
 
@@ -160,8 +159,10 @@ class CanonicalEngine:
                     raise AssertionError("adequate set is missing a transit partner")
                 mentioned.append(partner)
                 word_bits = 1 << self.bit[partner]
-            if any(pos.get(g, -1) >= pos[d] for g in mentioned):
-                raise AssertionError("a forced formula mentions an atom at or above its diamond")
+            # an atom missing from the set counts as out of order
+            late = [g for g in mentioned if type(g) in (Var, Dia) and pos.get(g, len(pos)) >= pos[d]]
+            if late:
+                raise AssertionError(f"{late[0]!r}, forced by {d!r}, is missing or not below it")
             self._steps.append((self.bit[d], fold, need_bits, word_bits))
 
         reached, words, need = self._grow()
@@ -382,16 +383,14 @@ class CanonicalEngine:
 
     # ----- scalar queries -----
 
-    def relation(self, i: int, j: int, n: int) -> bool:
-        """Canonical edge between candidate rows, by packed masks."""
+    def relation(self, i: int, j, n: int):
+        """Canonical edge at level n from row i to row j, by packed masks: one
+        class, req of j within d of i, and d differing. ``j`` may also be an
+        index array or a slice, for a bool column over those rows."""
         if n not in self.low_offset:
             return False
-        if self.col[("class", n)][i] != self.col[("class", n)][j]:
-            return False
-        d_i = int(self.col[("d", n)][i])
-        if int(self.col[("req", n)][j]) & ~d_i:
-            return False
-        return int(self.col[("d", n)][j]) != d_i
+        d, cls_id = self.col[("d", n)], self.col[("class", n)]
+        return (cls_id[j] == cls_id[i]) & (self.col[("req", n)][j] & ~d[i] == 0) & (d[j] != d[i])
 
     def membership(self, i: int) -> frozenset[Formula]:
         """The candidate's formula set."""
@@ -402,10 +401,7 @@ class CanonicalEngine:
     def find_witness(self, i: int, n: int, bit: int) -> Optional[int]:
         """Alive successor of row i at level n that holds the body of diamond
         bit ``bit``: the one with the fewest diamonds, then the lowest row."""
-        d, cls_id = self.col[("d", n)], self.col[("class", n)]
-        ok = self.alive & (cls_id == cls_id[i]) & (d != d[i])
-        ok &= (self.col[("req", n)] & ~d[i]) == 0
-        ok &= (self.col[("need", n)] >> bit & 1) != 0
+        ok = self.alive & self.relation(i, slice(None), n) & (self.col[("need", n)] >> bit & 1 != 0)
         rows = np.flatnonzero(ok)
         dia_bits = np.uint64((1 << len(self.levels) * len(self.bodies)) - 1)  # below the variables
         diamonds = np.bitwise_count(self.words[rows] & dia_bits)
@@ -424,9 +420,7 @@ class CanonicalEngine:
         for x in chosen:
             for n in self.levels:
                 d_mask, need = int(self.col[("d", n)][x]), self.col[("need", n)]
-                for bit in range(len(self.bodies)):
-                    if not d_mask >> bit & 1:
-                        continue
+                for bit in (b for b in range(len(self.bodies)) if d_mask >> b & 1):
                     if not any(self.relation(x, y, n) and int(need[y]) >> bit & 1 for y in chosen):
                         found = self.find_witness(x, n, bit)
                         if found is None:
@@ -445,13 +439,3 @@ class CanonicalEngine:
         extension = {v.name: sum(1 << j for j, r in enumerate(rows)
                                  if int(self.words[r]) >> self.bit[v] & 1) for v in self.variables}
         return succ, extension
-
-    # ----- materialization -----
-
-    def build_model(self, rows: list[int]) -> KripkeModel:
-        """Kripke model over the given candidate rows, worlds named w0, w1, ...
-        and rooted at the first row's world w0."""
-        succ, extension = self.masks(rows)
-        return model_from_masks(len(rows), succ, extension,
-                                {var.name: var.sort for var in self.variables}, 0)
-

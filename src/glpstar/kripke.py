@@ -113,9 +113,8 @@ class KripkeModel:
         valuation: Optional[Mapping[str, Iterable[str]]] = None,
         sorts: Optional[Mapping[str, Sort]] = None,
         root: Optional[str] = None,
-        frame: Optional[KripkeFrame] = None,
     ):
-        self.frame = frame if frame is not None else KripkeFrame(worlds, relations or {})
+        self.frame = KripkeFrame(worlds, relations or {})
         self.valuation = {name: frozenset(members) for name, members in (valuation or {}).items()}
         self.sorts = dict(sorts or {})
         for name, members in self.valuation.items():

@@ -2,7 +2,8 @@
 
 ``canonical_relation`` states the canonical edge over formula sets, and
 ``assert_truth_lemma`` checks that satisfaction is membership in a canonical
-model; ``canonical_model`` builds that model from an engine's own calls.
+model; ``canonical_model`` builds that model, and ``model_over`` any model
+over candidate rows, from an engine's own calls.
 """
 
 from typing import Iterable
@@ -10,7 +11,7 @@ from typing import Iterable
 import numpy as np
 
 from glpstar.formulas import Dia, Formula, modal_levels
-from glpstar.kripke import Evaluator, KripkeModel
+from glpstar.kripke import Evaluator, KripkeModel, model_from_masks
 
 
 def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterable[Formula], n: int) -> bool:
@@ -37,12 +38,19 @@ def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterab
     return any(f.index == n and f in xset and f not in yset for f in dias)
 
 
+def model_over(engine, rows: list[int]) -> KripkeModel:
+    """Kripke model over the given candidate rows, worlds named w0, w1, ...
+    and rooted at the first row's world w0."""
+    succ, extension = engine.masks(rows)
+    return model_from_masks(len(rows), succ, extension, {v.name: v.sort for v in engine.variables}, 0)
+
+
 def canonical_model(engine) -> tuple[KripkeModel, dict[str, frozenset[Formula]]]:
     """The engine's canonical model, after running its elimination to the
     fixpoint, and each world's formula set."""
     engine.eliminate()
     rows = [int(r) for r in np.flatnonzero(engine.alive)]
-    model = engine.build_model(rows)
+    model = model_over(engine, rows)
     return model, {f"w{k}": engine.membership(r) for k, r in enumerate(rows)}
 
 

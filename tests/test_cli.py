@@ -277,6 +277,17 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert err.startswith(f"error: cannot read {str(path)!r}") and "utf-8" in err
 
+    @pytest.mark.parametrize("argv", [("decide", "--system", "jstar", "--countermodel", "{}", "<0>p"),
+                                      ("decide", "--system", "jstar", "--dot", "{}", "<0>p"),
+                                      ("oracle", "--dot", "{}", "<0>p")],
+                             ids=["decide-countermodel", "decide-dot", "oracle-dot"])
+    def test_unwritable_output_file_usage_error(self, capsys, tmp_path, argv):
+        path = tmp_path / "no" / "dir" / "x.out"
+        code, out, err = invoke(capsys, *(arg.format(path) for arg in argv))
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {str(path)!r}") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_oracle(self, capsys):
         code, out, _ = invoke(capsys, "oracle", "--max-worlds", "2", "<0>T")
         assert code == 1

@@ -212,6 +212,26 @@ class TestReductionRoutes:
         assert any(not v.theorem for v in plain) and any(v.theorem for v in plain)
         assert plain[-1].theorem
 
+    def test_countermodel_masks_computed_once(self, monkeypatch):
+        # minimization and the model read the same masks of the witness closure
+        decide_module = sys.modules["glpstar.decide"]
+        masks, materialize = CanonicalEngine.masks, decide_module.model_from_masks
+        calls = []
+
+        def counted_masks(self, rows):
+            calls.append("masks")
+            return masks(self, rows)
+
+        def counted_model(*args):
+            calls.append("model")
+            return materialize(*args)
+
+        monkeypatch.setattr(CanonicalEngine, "masks", counted_masks)
+        monkeypatch.setattr(decide_module, "model_from_masks", counted_model)
+        verdict = decide(SystemId.JSTAR, parse_formula("<1>p -> <0>p"))
+        assert not verdict.theorem and len(verdict.countermodel.worlds) == 2
+        assert calls == ["masks", "model"]
+
 
 class TestTargets:
     def test_jstar_target_is_identity(self):

@@ -92,6 +92,11 @@ class TestHintikkaCandidates:
         with pytest.raises(AssertionError, match="missing a level twin"):
             CanonicalEngine(delta - {Dia(0, p0)})
 
+    def test_requires_the_atoms_a_diamond_forces(self):
+        # a body's variable missing from the set is named, not a KeyError from growth
+        with pytest.raises(AssertionError, match=r"^Var\(name='p', sort=0\), forced by .*, is missing"):
+            CanonicalEngine({Dia(0, Var("p", 0))})
+
     def test_candidate_cap(self):
         delta = closure_of(And(Dia(0, pw), Dia(1, Var("q", OMEGA))))
         with pytest.raises(ResourceLimitError):

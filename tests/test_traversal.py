@@ -46,6 +46,7 @@ from glpstar.kripke import (
 from glpstar.parsing import parse_formula, render_formula
 from glpstar.proofs import ProofError, is_tautology
 from conftest import gen_sorted_formula
+from reference import model_over
 
 DEEP = 10_000
 
@@ -306,7 +307,7 @@ class TestCountermodels:
             target = verdict.falsified
             engine = CanonicalEngine(adequate_closure({target}))
             root = engine.refute(modified_negation(target))
-            unminimized = engine.build_model(engine.witness_closure(root))
+            unminimized = model_over(engine, engine.witness_closure(root))
             expected = ref_minimize(unminimized, target)
             assert verdict.countermodel == expected
             shrunk += len(unminimized.worlds) > len(expected.worlds)
