@@ -23,7 +23,6 @@ from .formulas import (
     adequate_closure,
     desugar,
     diamond_subformulas,
-    is_adequate,
     modal_levels,
     modified_negation,
     sort_of,
@@ -42,7 +41,6 @@ from .parsing import (
     render_model,
 )
 from .kripke import (
-    KripkeFrame,
     KripkeModel,
     MissingVariableWarning,
     Violation,

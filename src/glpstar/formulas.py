@@ -416,6 +416,16 @@ def modal_levels(formulas: Iterable[Formula]) -> frozenset[int]:
     return frozenset(f.index for f in formulas if isinstance(f, Dia))
 
 
+def require_one_sort_per_name(variables: Iterable[tuple[str, Sort]]) -> None:
+    """Refuse a variable name used with two sorts: a model's valuation is
+    keyed by name, so the two would merge."""
+    seen: dict[str, Sort] = {}
+    for name, sort in variables:
+        if seen.setdefault(name, sort) != sort:
+            low, high = sorted((seen[name], sort))
+            raise ValueError(f"variable {name!r} used with sorts {render_sort(low)} and {render_sort(high)}")
+
+
 def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> set[Formula]:
     """The formulas an adequate set holds under a diamond at every present level.
 
@@ -446,61 +456,20 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
     negations, so neither L nor the bodies change.
     """
     delta: set[Formula] = set()
-
-    def absorb(f: Formula) -> None:
+    for f in (TOP, *gamma):
         # delta stays closed under subformulas and modified negations, so
-        # the walk stops at members: a negation's modified negation is its
+        # the walk skips members: a negation's modified negation is its
         # child, and any other node g brings ~g.
-        stack = [f]
-        while stack:
-            g = stack.pop()
-            if g in delta:
-                continue
+        for g in walk(f, delta)[0]:
+            if f._sort is None:
+                _require_core(g)
             delta.add(g)
-            if isinstance(g, Neg):
-                stack.append(g.child)
-                continue
-            _require_core(g)
-            stack.append(Neg(g))
-            if isinstance(g, (And, Or)):
-                stack.append(g.left)
-                stack.append(g.right)
-            elif isinstance(g, Dia):
-                stack.append(g.child)
-
-    absorb(TOP)
-    for f in gamma:
-        absorb(f)
+            delta.add(g.child if type(g) is Neg else Neg(g))
     levels = modal_levels(delta)
     for body in _bodies(delta, levels):
-        for m in levels:
-            absorb(Dia(m, body))
+        for m in levels:  # over a member body, a diamond brings only its negation
+            delta.update((Dia(m, body), Neg(Dia(m, body))))
     return frozenset(delta)
-
-
-def is_adequate(delta: Iterable[Formula]) -> bool:
-    """Check adequacy directly against the closure conditions.
-
-    Closure under subformulas is checked one step down: when every member's
-    immediate children are members, so is every subtree, by induction on depth.
-    The three closure rules, rediamonding and the two variable rules, are
-    checked as one: the set holds <m>b for every body b (see :func:`_bodies`)
-    and every present level m. The rules imply this grid, since a variable's
-    rule puts its diamond at one present level and rediamonding then puts it
-    at every one; the grid implies each rule directly.
-    """
-    dset = frozenset(delta)
-    if TOP not in dset:
-        return False
-    for f in dset:
-        if modified_negation(f) not in dset:
-            return False
-        if isinstance(f, (Neg, Dia)) and f.child not in dset:
-            return False
-        if isinstance(f, (And, Or)) and (f.left not in dset or f.right not in dset):
-            return False
-    levels = modal_levels(dset)
-    return all(Dia(m, body) in dset for body in _bodies(dset, levels) for m in levels)
 
 
 def to_omega_sorted(formula: Formula) -> Formula:

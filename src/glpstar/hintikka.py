@@ -51,7 +51,7 @@ from .formulas import (
     fold_boolean,
     formula_size,
     modal_levels,
-    render_sort,
+    require_one_sort_per_name,
     sort_key,
     sort_of,
     subformulas,
@@ -108,11 +108,7 @@ class CanonicalEngine:
 
         # Variable keys are shallow: the name, then the sort (omega last).
         variables = sorted({f for f in dset if isinstance(f, Var)}, key=lambda v: (v.name, v.sort))
-        for a, b in zip(variables, variables[1:]):
-            if a.name == b.name:
-                # a model's valuation is keyed by name, so the two would merge
-                raise ValueError(f"variable {a.name!r} used with sorts "
-                                 f"{render_sort(a.sort)} and {render_sort(b.sort)}")
+        require_one_sort_per_name((v.name, v.sort) for v in variables)
         self.variables = variables
 
         # Rediamonding puts every diamond body at every level, so a body has
@@ -391,12 +387,6 @@ class CanonicalEngine:
             return False
         d, cls_id = self.col[("d", n)], self.col[("class", n)]
         return (cls_id[j] == cls_id[i]) & (self.col[("req", n)][j] & ~d[i] == 0) & (d[j] != d[i])
-
-    def membership(self, i: int) -> frozenset[Formula]:
-        """The candidate's formula set."""
-        row, memo = int(self.words[i]), {}
-        return frozenset(f for f in self.delta
-                         if fold_boolean(f, memo, 1, lambda g: row >> self.bit[g] & 1))
 
     def find_witness(self, i: int, n: int, bit: int) -> Optional[int]:
         """Alive successor of row i at level n that holds the body of diamond

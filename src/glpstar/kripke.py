@@ -1,10 +1,11 @@
-"""Kripke frames and models, frame-class validators, model checking.
+"""Kripke models, frame-class validators, model checking.
 
-Frames are finite: a world tuple plus finitely many nonempty indexed
-relations. The frame validator checks the three conditions that carve out
-the target frame class (per-level transitive irreflexive relations and the
-two inter-level conditions); the persistence validator checks the two
-valuation clauses tying variable truth to sorts along edges.
+A model is finite: a world tuple, finitely many nonempty indexed relations
+and a valuation; a frame is a model without a valuation. The frame
+validator checks the three conditions that carve out the target frame class
+(per-level transitive irreflexive relations and the two inter-level
+conditions); the persistence validator checks the two valuation clauses
+tying variable truth to sorts along edges.
 
 Model checking has one kernel: :func:`compile_formula` turns a core formula
 into a post-order program, and :func:`evaluate` runs it over world bitmasks
@@ -66,45 +67,9 @@ class Violation:
         return ": ".join([parts[0], "; ".join(parts[1:])])
 
 
-class KripkeFrame:
-    """Finite frame: declared worlds and indexed relations over them."""
-
-    def __init__(self, worlds: Iterable[str], relations: Mapping[int, Iterable[tuple[str, str]]]):
-        self.worlds = tuple(worlds)
-        if not self.worlds:
-            raise ValueError("a frame needs at least one world")
-        seen = set()
-        for w in self.worlds:
-            if w in seen:
-                raise ValueError(f"duplicate world {w!r}")
-            seen.add(w)
-        self._world_set = seen
-        rels: dict[int, frozenset[tuple[str, str]]] = {}
-        for n, pairs in relations.items():
-            pairset = frozenset(pairs)
-            for x, y in pairset:
-                if x not in seen or y not in seen:
-                    raise ValueError(f"relation {n} references undeclared world")
-            if pairset:
-                rels[int(n)] = pairset
-        self.relations = rels
-
-    def has_world(self, w: str) -> bool:
-        return w in self._world_set
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, KripkeFrame)
-            and self._world_set == other._world_set
-            and self.relations == other.relations
-        )
-
-    def __repr__(self):
-        return f"KripkeFrame(worlds={self.worlds!r}, relations={self.relations!r})"
-
-
 class KripkeModel:
-    """Frame plus a valuation; each variable name carries one sort."""
+    """Worlds, indexed relations over them and a valuation in which each
+    variable name carries one sort; with no valuation, a frame."""
 
     def __init__(
         self,
@@ -114,31 +79,38 @@ class KripkeModel:
         sorts: Optional[Mapping[str, Sort]] = None,
         root: Optional[str] = None,
     ):
-        self.frame = KripkeFrame(worlds, relations or {})
+        self.worlds = tuple(worlds)
+        if not self.worlds:
+            raise ValueError("a frame needs at least one world")
+        seen = set()
+        for w in self.worlds:
+            if w in seen:
+                raise ValueError(f"duplicate world {w!r}")
+            seen.add(w)
+        self.relations: dict[int, frozenset[tuple[str, str]]] = {}
+        for n, pairs in (relations or {}).items():
+            pairset = frozenset(pairs)
+            if any(x not in seen or y not in seen for x, y in pairset):
+                raise ValueError(f"relation {n} references undeclared world")
+            if pairset:
+                self.relations[int(n)] = pairset
         self.valuation = {name: frozenset(members) for name, members in (valuation or {}).items()}
         self.sorts = dict(sorts or {})
         for name, members in self.valuation.items():
             if name not in self.sorts:
                 raise ValueError(f"variable {name!r} has no declared sort")
             for w in members:
-                if not self.frame.has_world(w):
+                if w not in seen:
                     raise ValueError(f"valuation of {name!r} references undeclared world {w!r}")
-        if root is not None and not self.frame.has_world(root):
+        if root is not None and root not in seen:
             raise ValueError(f"undeclared root {root!r}")
         self.root = root
-
-    @property
-    def worlds(self) -> tuple[str, ...]:
-        return self.frame.worlds
-
-    @property
-    def relations(self) -> dict[int, frozenset[tuple[str, str]]]:
-        return self.frame.relations
 
     def __eq__(self, other):
         return (
             isinstance(other, KripkeModel)
-            and self.frame == other.frame
+            and set(self.worlds) == set(other.worlds)
+            and self.relations == other.relations
             and self.valuation == other.valuation
             and self.sorts == other.sorts
             and self.root == other.root
@@ -178,17 +150,12 @@ def model_from_masks(count: int, succ: Mapping[int, Sequence[int]], valuation: M
     )
 
 
-def _frame_of(obj) -> KripkeFrame:
-    return obj.frame if isinstance(obj, KripkeModel) else obj
-
-
-def check_jstar_frame(frame_or_model) -> list[Violation]:
+def check_jstar_frame(model: KripkeModel) -> list[Violation]:
     """All violations of the three frame conditions (empty list = valid frame)."""
-    frame = _frame_of(frame_or_model)
     out: list[Violation] = []
-    levels = sorted(frame.relations)
+    levels = sorted(model.relations)
     for n in levels:
-        rel = frame.relations[n]
+        rel = model.relations[n]
         for x, y in sorted(rel):
             if x == y:
                 out.append(Violation(IRREFLEXIVITY, (n,), (x,)))
@@ -197,11 +164,11 @@ def check_jstar_frame(frame_or_model) -> list[Violation]:
                 if y2 == y and (x, z) not in rel:
                     out.append(Violation(TRANSITIVITY, (n,), (x, y, z)))
     for ni, n in enumerate(levels):
-        rel_n = frame.relations[n]
+        rel_n = model.relations[n]
         for m in levels[:ni]:
-            rel_m = frame.relations[m]
+            rel_m = model.relations[m]
             for x, y in sorted(rel_n):
-                for z in frame.worlds:
+                for z in model.worlds:
                     if ((x, z) in rel_m) != ((y, z) in rel_m):
                         out.append(Violation(CONDITION_II, (m, n), (x, y, z)))
             for x, y in sorted(rel_m):
@@ -382,38 +349,17 @@ def valid_in_model(model: KripkeModel, formula: Formula) -> bool:
     return ev.extension(desugar(formula)) == ev.full
 
 
-def find_roots(model_or_frame, transitive: bool = False) -> frozenset[str]:
-    """Worlds seeing every other world.
-
-    The default is the literal one-step reading: r is a root when every other
-    world is an immediate successor under some relation. With transitive=True
-    reachability along arbitrary relation paths counts instead.
-    """
-    frame = _frame_of(model_or_frame)
-    index = {w: i for i, w in enumerate(frame.worlds)}
-    full = (1 << len(frame.worlds)) - 1
-    step = [0] * len(frame.worlds)
-    for rel in frame.relations.values():
+def find_roots(model: KripkeModel) -> frozenset[str]:
+    """Worlds seeing every other world in one step, under some relation. On a
+    frame that passes :func:`check_jstar_frame` these are the worlds reaching
+    every other one along a path (see the :mod:`oracle` module docstring)."""
+    index = {w: i for i, w in enumerate(model.worlds)}
+    full = (1 << len(model.worlds)) - 1
+    step = [0] * len(model.worlds)
+    for rel in model.relations.values():
         for x, y in rel:
             step[index[x]] |= 1 << index[y]
-    reach = list(step)
-    if transitive:
-        changed = True
-        while changed:
-            changed = False
-            for i in range(len(reach)):
-                acc = reach[i]
-                scan = acc
-                while scan:
-                    j = (scan & -scan).bit_length() - 1
-                    acc |= reach[j]
-                    scan &= scan - 1
-                if acc != reach[i]:
-                    reach[i] = acc
-                    changed = True
-    return frozenset(
-        w for w, i in index.items() if reach[i] | (1 << i) == full
-    )
+    return frozenset(w for w, i in index.items() if step[i] | (1 << i) == full)
 
 
 def adjoin_root(model: KripkeModel) -> KripkeModel:
@@ -427,7 +373,7 @@ def adjoin_root(model: KripkeModel) -> KripkeModel:
         raise ValueError("adjoin_root needs a model with a designated root")
     fresh = "0"
     k = 0
-    while model.frame.has_world(fresh):
+    while fresh in model.worlds:
         fresh = f"r{k}"
         k += 1
     relations = {n: set(rel) for n, rel in model.relations.items()}
@@ -451,7 +397,7 @@ def adjoin_root(model: KripkeModel) -> KripkeModel:
 
 def generated_submodel(model: KripkeModel, world: str) -> KripkeModel:
     """Restriction to the worlds reachable from the given world (inclusive)."""
-    if not model.frame.has_world(world):
+    if world not in model.worlds:
         raise KeyError(f"unknown world {world!r}")
     reached = {world}
     frontier = [world]

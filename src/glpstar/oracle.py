@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .formulas import OMEGA, Formula, Sort, desugar
+from .formulas import OMEGA, Formula, Sort, desugar, require_one_sort_per_name
 from .kripke import (
     Evaluator,
     KripkeModel,
@@ -179,7 +179,7 @@ def _normalize_variables(variables) -> list[tuple[str, Sort]]:
         else:
             name, sort = item
             out.append((name, sort))
-    return out
+    return list(dict.fromkeys(out))  # a variable listed twice is enumerated once
 
 
 @lru_cache(maxsize=4096)
@@ -230,12 +230,14 @@ class ModelEnumeration:
 
     With ``rooted`` set (by :func:`brute_force_countermodel` only), only the
     frames in which w0 sees every other world at some level are listed, in
-    the same order as among all frames.
+    the same order as among all frames. A name given two sorts is refused
+    with a ``ValueError``, as ``decide`` refuses it.
     """
 
     def __init__(self, variables, modalities: Iterable[int], budget: Optional[SearchBudget] = None,
                  *, rooted: bool = False):
         self.variables = _normalize_variables(variables)
+        require_one_sort_per_name(self.variables)
         self.levels = tuple(sorted(set(modalities)))
         self.budget = budget or SearchBudget()
         self.rooted = rooted
@@ -363,17 +365,9 @@ def brute_force_countermodel(formula: Formula, budget: Optional[SearchBudget] = 
     program = compile_formula(f)
     modalities = budget.modalities if budget.modalities is not None else program.modalities
     enumeration = ModelEnumeration(program.variables, modalities, budget, rooted=True)
-    # a model's valuation is keyed by name: when two variables share a name
-    # (p:0 and p:1), the one enumerated last gives both their extension
-    pick = None
-    names = [name for name, _ in enumeration.variables]
-    if len(set(names)) < len(names):
-        last = {name: i for i, name in enumerate(names)}
-        pick = [last[name] for name in names]
     code = program.code
     for k, succ, val_masks in enumeration.masks():
-        values = val_masks if pick is None else [val_masks[i] for i in pick]
-        if not evaluate(code, (1 << k) - 1, succ, values)[-1] & 1:
+        if not evaluate(code, (1 << k) - 1, succ, val_masks)[-1] & 1:
             model = enumeration.materialize(k, succ, val_masks, root=0)
             if check_jstar_frame(model) or check_strong_persistence(model):
                 raise AssertionError("enumerator produced an invalid model")

@@ -1,17 +1,46 @@
-"""Plain definitions the canonical engine is tested against.
+"""Plain definitions the closure and the canonical engine are tested against.
 
-``canonical_relation`` states the canonical edge over formula sets, and
+``is_adequate`` checks the closure conditions on a formula set, and
+``canonical_relation`` states the canonical edge over formula sets.
 ``assert_truth_lemma`` checks that satisfaction is membership in a canonical
-model; ``canonical_model`` builds that model, and ``model_over`` any model
-over candidate rows, from an engine's own calls.
+model. From an engine's own calls, ``membership`` reads a candidate row's
+formula set, ``canonical_model`` builds that model, and ``model_over`` any
+model over candidate rows.
 """
 
 from typing import Iterable
 
 import numpy as np
 
-from glpstar.formulas import Dia, Formula, modal_levels
+from glpstar.formulas import (
+    TOP, And, Dia, Formula, Neg, Or, _bodies, fold_boolean, modal_levels, modified_negation,
+)
 from glpstar.kripke import Evaluator, KripkeModel, model_from_masks
+
+
+def is_adequate(delta: Iterable[Formula]) -> bool:
+    """Check adequacy directly against the closure conditions.
+
+    Closure under subformulas is checked one step down: when every member's
+    immediate children are members, so is every subtree, by induction on depth.
+    The three closure rules, rediamonding and the two variable rules, are
+    checked as one: the set holds <m>b for every body b (see ``_bodies``)
+    and every present level m. The rules imply this grid, since a variable's
+    rule puts its diamond at one present level and rediamonding then puts it
+    at every one; the grid implies each rule directly.
+    """
+    dset = frozenset(delta)
+    if TOP not in dset:
+        return False
+    for f in dset:
+        if modified_negation(f) not in dset:
+            return False
+        if isinstance(f, (Neg, Dia)) and f.child not in dset:
+            return False
+        if isinstance(f, (And, Or)) and (f.left not in dset or f.right not in dset):
+            return False
+    levels = modal_levels(dset)
+    return all(Dia(m, body) in dset for body in _bodies(dset, levels) for m in levels)
 
 
 def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterable[Formula], n: int) -> bool:
@@ -38,6 +67,13 @@ def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterab
     return any(f.index == n and f in xset and f not in yset for f in dias)
 
 
+def membership(engine, i: int) -> frozenset[Formula]:
+    """The formula set of the engine's candidate row i."""
+    row, memo = int(engine.words[i]), {}
+    return frozenset(f for f in engine.delta
+                     if fold_boolean(f, memo, 1, lambda g: row >> engine.bit[g] & 1))
+
+
 def model_over(engine, rows: list[int]) -> KripkeModel:
     """Kripke model over the given candidate rows, worlds named w0, w1, ...
     and rooted at the first row's world w0."""
@@ -51,10 +87,10 @@ def canonical_model(engine) -> tuple[KripkeModel, dict[str, frozenset[Formula]]]
     engine.eliminate()
     rows = [int(r) for r in np.flatnonzero(engine.alive)]
     model = model_over(engine, rows)
-    return model, {f"w{k}": engine.membership(r) for k, r in enumerate(rows)}
+    return model, {f"w{k}": membership(engine, r) for k, r in enumerate(rows)}
 
 
-def assert_truth_lemma(model: KripkeModel, membership: dict[str, frozenset[Formula]],
+def assert_truth_lemma(model: KripkeModel, memberships: dict[str, frozenset[Formula]],
                        delta: frozenset[Formula]) -> None:
     if not model.worlds:
         return
@@ -63,8 +99,8 @@ def assert_truth_lemma(model: KripkeModel, membership: dict[str, frozenset[Formu
         ext = ev.extension(formula)
         for w in model.worlds:
             holds = bool(ext >> ev.index[w] & 1)
-            if holds != (formula in membership[w]):
+            if holds != (formula in memberships[w]):
                 raise AssertionError(
                     f"truth lemma failed at {w} for {formula!r}: "
-                    f"satisfaction {holds}, membership {formula in membership[w]}"
+                    f"satisfaction {holds}, membership {formula in memberships[w]}"
                 )

@@ -144,11 +144,11 @@ class TestDecideCommand:
         many.write_text("<1>T -> <0>T\n" * 2000, encoding="ascii")
         args = [f"@{many}" if a == "@MANY" else a for a in args]
         env = dict(os.environ, PYTHONPATH=str(Path(glpstar.__file__).parents[1]))
-        proc = subprocess.Popen([sys.executable, "-m", "glpstar.cli", "decide", *args],
-                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        proc.stdout.close()  # the reader goes away before any output
-        err = proc.stderr.read().decode()
-        assert proc.wait(timeout=120) == expected
+        with subprocess.Popen([sys.executable, "-m", "glpstar.cli", "decide", *args],
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+            proc.stdout.close()  # the reader goes away before any output
+            err = proc.stderr.read().decode()
+            assert proc.wait(timeout=120) == expected
         assert err == ""
 
 

@@ -26,7 +26,6 @@ from glpstar.formulas import (
     desugar,
     diamond_subformulas,
     formula_size,
-    is_adequate,
     modal_levels,
     modified_negation,
     sort_key,
@@ -36,6 +35,7 @@ from glpstar.formulas import (
     to_omega_sorted,
 )
 from conftest import gen_sorted_formula
+from reference import is_adequate
 
 p0 = Var("p", 0)
 q1 = Var("q", 1)

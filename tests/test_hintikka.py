@@ -25,7 +25,7 @@ from glpstar.hintikka import CanonicalEngine, ResourceLimitError
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
 from glpstar.parsing import parse_formula, render_model
 from conftest import gen_sorted_formula
-from reference import assert_truth_lemma, canonical_model, canonical_relation
+from reference import assert_truth_lemma, canonical_model, canonical_relation, membership
 
 p0 = Var("p", 0)
 pw = Var("p", OMEGA)
@@ -38,7 +38,7 @@ def closure_of(*formulas):
 def candidates(delta):
     """Every candidate row's formula set."""
     engine = CanonicalEngine(delta)
-    return frozenset(engine.membership(i) for i in range(engine.count))
+    return frozenset(membership(engine, i) for i in range(engine.count))
 
 
 class TestHintikkaCandidates:
@@ -199,7 +199,7 @@ class TestEnumeration:
         for engine in engines:
             need = engine.col[("need", engine.levels[0])]
             for row in range(0, engine.count, 1 + engine.count // 600):
-                members = engine.membership(row)
+                members = membership(engine, row)
                 assert [int(need[row]) >> b & 1 == 1 for b in range(len(engine.bodies))] \
                     == [body in members for body in engine.bodies]
 
@@ -209,7 +209,7 @@ class TestEnumeration:
         for formula in (f, And(Var("p", OMEGA), Var("q", OMEGA))):  # a goal and a body
             column = engine.truth_column(formula)
             assert engine.truth_column(formula) is column
-            assert column.tolist() == [formula in engine.membership(i) for i in range(engine.count)]
+            assert column.tolist() == [formula in membership(engine, i) for i in range(engine.count)]
         # a cached column costs no allocation of a column's size
         target = next(iter(wide_targets("pqrs", 9)))
         engine = CanonicalEngine(closure_of(target))
@@ -489,7 +489,7 @@ class TestCanonicalRelation:
             engine = CanonicalEngine(delta)
             if engine.count > 40:
                 continue
-            members = [engine.membership(i) for i in range(engine.count)]
+            members = [membership(engine, i) for i in range(engine.count)]
             for i, x in enumerate(members):
                 for j, y in enumerate(members):
                     for n in engine.levels:
@@ -509,7 +509,7 @@ def reference_witness_closure(engine, root):
 
     def member(i):
         if i not in sets:
-            sets[i] = engine.membership(i)
+            sets[i] = membership(engine, i)
         return sets[i]
 
     def witnesses(x, dia, rows):
@@ -579,16 +579,16 @@ class TestWitnessClosure:
 class TestBuildCanonical:
     def test_all_survive_on_simple_closure(self):
         delta = closure_of(Dia(1, p0))
-        model, membership = canonical_model(CanonicalEngine(delta))
+        model, memberships = canonical_model(CanonicalEngine(delta))
         assert len(model.worlds) == 4
         # every diamond world has an edge to a body world without the diamond
-        for w, mem in membership.items():
+        for w, mem in memberships.items():
             if Dia(1, p0) in mem:
                 successors = [
                     y for x, y in model.relations.get(1, frozenset()) if x == w
                 ]
                 assert any(
-                    p0 in membership[y] and Dia(1, p0) not in membership[y]
+                    p0 in memberships[y] and Dia(1, p0) not in memberships[y]
                     for y in successors
                 )
 
@@ -599,8 +599,8 @@ class TestBuildCanonical:
 
     def test_unwitnessable_diamond_dies(self):
         delta = closure_of(Dia(0, BOT))
-        model, membership = canonical_model(CanonicalEngine(delta))
-        assert all(Dia(0, BOT) not in mem for mem in membership.values())
+        model, memberships = canonical_model(CanonicalEngine(delta))
+        assert all(Dia(0, BOT) not in mem for mem in memberships.values())
         assert len(model.worlds) == 1
 
     def test_output_validates_and_truth_lemma(self):
@@ -608,14 +608,14 @@ class TestBuildCanonical:
         for _ in range(20):
             f = gen_sorted_formula(rng, depth=2, mods=(0, 1, 2))
             delta = closure_of(f)
-            model, membership = canonical_model(CanonicalEngine(delta))
-            assert_truth_lemma(model, membership, delta)
+            model, memberships = canonical_model(CanonicalEngine(delta))
+            assert_truth_lemma(model, memberships, delta)
             assert check_jstar_frame(model) == []
             assert check_strong_persistence(model) == []
 
     def test_truth_lemma_via_model_check(self):
         delta = closure_of(Dia(1, p0))
-        model, membership = canonical_model(CanonicalEngine(delta))
-        for w, mem in membership.items():
+        model, memberships = canonical_model(CanonicalEngine(delta))
+        for w, mem in memberships.items():
             for member in delta:
                 assert model_check(model, w, member) == (member in mem)

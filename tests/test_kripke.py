@@ -26,7 +26,6 @@ from glpstar.kripke import (
     PERSISTENCE_I,
     PERSISTENCE_II,
     TRANSITIVITY,
-    KripkeFrame,
     Evaluator,
     KripkeModel,
     MissingVariableWarning,
@@ -48,30 +47,41 @@ def kinds(violations):
 
 
 class TestFrameValidator:
+    # a frame is a model without a valuation
+
+    def test_model_checks_its_worlds_and_relations(self):
+        for worlds, relations, message in [
+            ((), {}, "a frame needs at least one world"),
+            (("a", "b", "a"), {}, "duplicate world 'a'"),
+            (("a",), {0: {("a", "b")}}, "relation 0 references undeclared world"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                KripkeModel(worlds, relations)
+
     def test_reflexive_point(self):
-        frame = KripkeFrame(("a",), {0: {("a", "a")}})
+        frame = KripkeModel(("a",), {0: {("a", "a")}})
         assert kinds(check_jstar_frame(frame)) == {IRREFLEXIVITY}
 
     def test_missing_transitive_edge(self):
-        frame = KripkeFrame(("a", "b", "c"), {0: {("a", "b"), ("b", "c")}})
+        frame = KripkeModel(("a", "b", "c"), {0: {("a", "b"), ("b", "c")}})
         assert kinds(check_jstar_frame(frame)) == {TRANSITIVITY}
 
     def test_condition_ii(self):
-        frame = KripkeFrame(("a", "b", "c"), {1: {("a", "b")}, 0: {("a", "c")}})
+        frame = KripkeModel(("a", "b", "c"), {1: {("a", "b")}, 0: {("a", "c")}})
         assert CONDITION_II in kinds(check_jstar_frame(frame))
 
     def test_condition_iii(self):
         # a ->0 b ->1 c without a ->0 c; pad b's and a's level-0 successors
         # so condition (ii) is isolated away by keeping them equal
-        frame = KripkeFrame(("a", "b", "c"), {0: {("a", "b")}, 1: {("b", "c")}})
+        frame = KripkeModel(("a", "b", "c"), {0: {("a", "b")}, 1: {("b", "c")}})
         assert CONDITION_III in kinds(check_jstar_frame(frame))
 
     def test_empty_relations_valid(self):
-        frame = KripkeFrame(("a", "b"), {})
+        frame = KripkeModel(("a", "b"), {})
         assert check_jstar_frame(frame) == []
 
     def test_all_violations_reported(self):
-        frame = KripkeFrame(("a", "b"), {0: {("a", "a"), ("b", "b")}})
+        frame = KripkeModel(("a", "b"), {0: {("a", "a"), ("b", "b")}})
         assert len([v for v in check_jstar_frame(frame) if v.kind == IRREFLEXIVITY]) == 2
 
     def test_generated_frames_pass(self):
@@ -209,11 +219,10 @@ class TestFindRoots:
         assert find_roots(m) == frozenset()
 
     def test_transitive_flag(self):
-        # a sees b at level 1, b sees c at level 1: transitivity is violated
-        # as a frame, but reachability-roots still find a
+        # a sees b at level 1, b sees c at level 1: transitivity is violated,
+        # and a reaches c only by a path, so no world is a root
         m = KripkeModel(("a", "b", "c"), {1: {("a", "b"), ("b", "c")}}, {}, {})
         assert find_roots(m) == frozenset()
-        assert find_roots(m, transitive=True) == {"a"}
 
 
 class TestAdjoinRoot:

@@ -357,11 +357,17 @@ class TestMaskSearch:
         assert found > 80 and larger > 25
 
     def test_same_name_in_two_sorts(self):
-        # the parser refuses this; a model's valuation is keyed by name
+        # refused as the parser and decide refuse it: a model's valuation is keyed by name
         f = Or(Neg(Dia(1, Var("p", 0))), Dia(0, Var("p", 1)))
-        budget = SearchBudget(max_worlds=3)
-        r = brute_force_countermodel(f, budget)
-        assert (r.found, r.world, r.model, r.models_examined, r.truncated) == reference_search(f, budget)
+        with pytest.raises(ValueError, match="variable 'p' used with sorts 0 and 1"):
+            brute_force_countermodel(f, SearchBudget(max_worlds=3))
+        with pytest.raises(ValueError, match="variable 'p' used with sorts 0 and 1"):
+            enumerate_models([Var("p", 0), Var("p", 1)], [0], SearchBudget(max_worlds=2))
+
+    def test_variable_listed_twice(self):
+        budget = SearchBudget(max_worlds=2)
+        once = list(enumerate_models([Var("p", 0)], [0], budget))
+        assert list(enumerate_models([Var("p", 0), ("p", 0)], [0], budget)) == once
 
     def test_counts_per_world_count(self):
         # a theorem over one level: every rooted frame and model up to 3 worlds is examined
