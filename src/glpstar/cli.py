@@ -17,7 +17,7 @@ import os
 import sys
 from typing import Optional
 
-from .decide import SystemId, Verdict, decide
+from .decide import SystemId, decide
 from .formulas import Formula, adequate_closure, modal_levels, render_sort, sort_of
 from .hintikka import DEFAULT_CANDIDATE_CAP, ResourceLimitError
 from .kripke import check_jstar_frame, check_strong_persistence, model_check, valid_in_model

@@ -16,11 +16,11 @@ the b-th body in key order, at bit low_offset[n] + b and the variables above
 every diamond, so a level's diamond mask is one shift and mask of it. Growth
 also carries each row's need mask, whose bit b says that body b holds: each
 body is folded once, at the first diamond over it, so the sigma test reads a
-need bit, the transit test a word bit, and no pass after growth folds a body.
+need bit, the transit test a word bit, and after growth only the goal is folded.
 
-Per candidate and level the engine keeps the diamond mask, the need mask,
-the mask a witness demand imposes on a predecessor, and a class id for the
-masks of the lower levels, in the narrowest unsigned dtype that holds a
+Per candidate the engine keeps the need mask, and per level the diamond
+mask, the mask a witness demand imposes on a predecessor, and a class id for
+the masks of the lower levels, in the narrowest unsigned dtype that holds a
 level's mask. The canonical relation then reduces to a few integer
 comparisons, and each elimination step to a subset-OR transform on a
 lattice of masks by classes, or to a cross join of the rows where that
@@ -54,7 +54,6 @@ from .formulas import (
     require_one_sort_per_name,
     sort_key,
     sort_of,
-    subformulas,
 )
 
 DEFAULT_CANDIDATE_CAP = 1 << 20
@@ -76,26 +75,11 @@ class ResourceLimitError(RuntimeError):
         self.cap = cap
 
 
-class _TruthCache(dict):
-    """Truth columns by formula; a diamond body's is read off its need bit."""
-
-    def __init__(self, need: np.ndarray, body_bit: dict[Formula, int]):
-        super().__init__()
-        self.need, self.body_bit = need, body_bit
-
-    def __contains__(self, formula) -> bool:
-        return dict.__contains__(self, formula) or formula in self.body_bit
-
-    def __missing__(self, formula: Formula) -> np.ndarray:
-        column = self[formula] = self.need & 1 << self.body_bit[formula] != 0
-        return column
-
-
 class CanonicalEngine:
     """Packed candidate table over an adequate set, with witness elimination.
 
-    The set must be adequate: ``decide`` passes a closure that
-    :func:`formulas.adequate_closure` makes adequate.
+    Adequacy is a precondition and is not re-checked: ``decide`` passes a
+    closure that :func:`formulas.adequate_closure` makes adequate.
     """
 
     def __init__(self, delta: Iterable[Formula], candidate_cap: int = DEFAULT_CANDIDATE_CAP):
@@ -140,25 +124,19 @@ class CanonicalEngine:
         # (at the first diamond over it), and the need and word bits its
         # truth forces: sigma (<n>x with sort(x) <= n forces x) and transit
         # (<m><n>x with m < n forces <m>x). Variables come first and diamonds
-        # grow in size, so both mention only earlier atoms.
-        pos, first = {f: i for i, f in enumerate(self.atoms)}, {}
+        # grow in size, so both mention only earlier atoms (a missing one is a KeyError).
+        first = {}
         self._steps = [(self.bit[v], None, 0, 0) for v in variables]
         for d in diamonds:
             body, need_bits, word_bits = d.child, 0, 0
             fold = body if first.setdefault(body, d) is d else None
-            mentioned = [] if fold is None else list(subformulas(body))
             if sort_of(body) is not OMEGA and sort_of(body) <= d.index:
                 need_bits = 1 << self.body_bit[body]
             if isinstance(body, Dia) and d.index < body.index:
                 partner = Dia(d.index, body.child)
                 if partner not in dset:
                     raise AssertionError("adequate set is missing a transit partner")
-                mentioned.append(partner)
                 word_bits = 1 << self.bit[partner]
-            # an atom missing from the set counts as out of order
-            late = [g for g in mentioned if type(g) in (Var, Dia) and pos.get(g, len(pos)) >= pos[d]]
-            if late:
-                raise AssertionError(f"{late[0]!r}, forced by {d!r}, is missing or not below it")
             self._steps.append((self.bit[d], fold, need_bits, word_bits))
 
         reached, words, need = self._grow()
@@ -203,13 +181,12 @@ class CanonicalEngine:
         return len(words), words, need
 
     def _columns(self, words: np.ndarray, need: np.ndarray) -> None:
-        """The per-level columns: d sliced from the words, need as grown,
-        req and the class ids derived from them."""
+        """The need column as grown, and per level the d column sliced from
+        the words, and req and the class ids derived from them."""
         self.count = len(words)
-        self.words = words
+        self.words, self.need = words, need
         self.col: dict[tuple[str, int], np.ndarray] = {}
         self.classes: dict[int, int] = {}
-        self._truth_cache = _TruthCache(need, self.body_bit)
         width = len(self.bodies)
         # An edge at level n absorbs the successor's diamonds at levels >= n
         # as their level-n twins, which sit at the same bits.
@@ -218,7 +195,6 @@ class CanonicalEngine:
             d = (words >> np.uint64(self.low_offset[n])).astype(need.dtype) & (1 << width) - 1
             absorbed = absorbed | d
             self.col[("d", n)] = d
-            self.col[("need", n)] = need
             self.col[("req", n)] = absorbed
         # Rows of one class at level n agree on every diamond below n. Class
         # ids, below classes[n], are numbered level by level from the class
@@ -238,19 +214,16 @@ class CanonicalEngine:
     # ----- vector queries -----
 
     def truth_column(self, formula: Formula) -> np.ndarray:
-        """Truth of a set member at every candidate, as a bool column, kept
-        for later queries. A diamond is a bit of its level's narrow d column,
-        a diamond body a need bit, and a variable a bit of the row word."""
-        cache = self._truth_cache
-        if formula in cache:
-            return cache[formula]
+        """Truth of a formula over the set's atoms at every candidate, as a
+        bool column. A diamond is a bit of its level's narrow d column and
+        a variable a bit of the row word."""
 
         def atom(f: Formula) -> np.ndarray:
             if type(f) is Var:
                 return self.words & np.uint64(1 << self.bit[f]) != 0
             return self.col[("d", f.index)] & 1 << self.body_bit[f.child] != 0
 
-        return fold_boolean(formula, cache, np.ones(self.count, dtype=bool), atom)
+        return fold_boolean(formula, {}, np.ones(self.count, dtype=bool), atom)
 
     # ----- elimination -----
 
@@ -274,7 +247,7 @@ class CanonicalEngine:
                 return
             alive_rows, changed = np.flatnonzero(self.alive), False
             for n in self.levels:
-                cols = [self.col[(name, n)] for name in ("class", "d", "req", "need")]
+                cols = [self.col[(name, n)] for name in ("class", "d", "req")] + [self.need]
                 if len(alive_rows) < self.count:
                     cols = [col[alive_rows] for col in cols]
                 uncovered = self._uncovered(cols[0], self.classes[n], *cols[1:], len(self.bodies)) \
@@ -391,7 +364,7 @@ class CanonicalEngine:
     def find_witness(self, i: int, n: int, bit: int) -> Optional[int]:
         """Alive successor of row i at level n that holds the body of diamond
         bit ``bit``: the one with the fewest diamonds, then the lowest row."""
-        ok = self.alive & self.relation(i, slice(None), n) & (self.col[("need", n)] >> bit & 1 != 0)
+        ok = self.alive & self.relation(i, slice(None), n) & (self.need >> bit & 1 != 0)
         rows = np.flatnonzero(ok)
         dia_bits = np.uint64((1 << len(self.levels) * len(self.bodies)) - 1)  # below the variables
         diamonds = np.bitwise_count(self.words[rows] & dia_bits)
@@ -406,10 +379,10 @@ class CanonicalEngine:
         holds the body of diamond bit b exactly when bit b of need[y] is set,
         so no formula is evaluated.
         """
-        chosen = [root]
+        chosen, need = [root], self.need
         for x in chosen:
             for n in self.levels:
-                d_mask, need = int(self.col[("d", n)][x]), self.col[("need", n)]
+                d_mask = int(self.col[("d", n)][x])
                 for bit in (b for b in range(len(self.bodies)) if d_mask >> b & 1):
                     if not any(self.relation(x, y, n) and int(need[y]) >> bit & 1 for y in chosen):
                         found = self.find_witness(x, n, bit)

@@ -303,7 +303,6 @@ class Evaluator:
             for x, y in rel:
                 masks[self.index[x]] |= 1 << self.index[y]
             self.succ[n] = masks
-        self._cache: dict[Formula, int] = {}
         self._warned: set[str] = set()
 
     def _members(self, name: str) -> int:
@@ -323,14 +322,9 @@ class Evaluator:
         return mask
 
     def extension(self, formula: Formula) -> int:
-        cached = self._cache.get(formula)
-        if cached is not None:
-            return cached
         program = compile_formula(formula)
         values = [self._members(v.name) for v in program.variables]
-        ext = evaluate(program.code, self.full, self.succ, values)[-1]
-        self._cache[formula] = ext
-        return ext
+        return evaluate(program.code, self.full, self.succ, values)[-1]
 
     def holds(self, world: str, formula: Formula) -> bool:
         if world not in self.index:

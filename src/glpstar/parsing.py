@@ -118,6 +118,12 @@ def split_fields(text: str) -> list[str]:
     return [field for field in _SPACES.split(text) if field]
 
 
+def split_head(line: str) -> tuple[str, str]:
+    """A stripped line's first field, and the rest after it ('' for none)."""
+    head, rest = (_SPACES.split(line, maxsplit=1) + [""])[:2]
+    return head, rest
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
@@ -365,8 +371,7 @@ def parse_model(text: str) -> KripkeModel:
         line = strip_line(raw)
         if not line:
             continue
-        head, _, rest = line.partition(" ")
-        rest = rest.strip(WHITESPACE)
+        head, rest = split_head(line)
         if head == "worlds":
             if not rest:
                 err("empty worlds line", lineno)

@@ -47,6 +47,7 @@ from .parsing import (
     is_numeral,
     parse_formula,
     split_fields,
+    split_head,
     split_lines,
     strip_line,
 )
@@ -285,19 +286,20 @@ def parse_proof(text: str) -> ProofObject:
         def err(message: str):
             raise ProofError(f"line {lineno}: {message}")
 
-        if stripped.startswith("system "):
+        keyword, rest = split_head(stripped)
+        if keyword == "system":
             if system is not None:
                 err("duplicate system line")
             try:
-                system = SystemId.parse(stripped[len("system "):].strip(WHITESPACE))
+                system = SystemId.parse(rest)
             except ValueError as exc:
                 err(str(exc))
             continue
-        if stripped.startswith("goal "):
+        if keyword == "goal":
             if goal is not None:
                 err("duplicate goal line")
             try:
-                goal = parse_formula(stripped[len("goal "):])
+                goal = parse_formula(rest)
             except ParseError as exc:
                 err(f"bad goal formula: {exc}")
             continue

@@ -25,12 +25,9 @@ from .formulas import (
     Or,
     conjoin,
     diamond_subformulas,
-    sort_of,
     variables_of,
     _require_core,
 )
-
-ModalitySet = frozenset
 
 
 def _implies(a: Formula, b: Formula) -> Formula:

@@ -1,6 +1,5 @@
 import random
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,8 +92,8 @@ class TestHintikkaCandidates:
             CanonicalEngine(delta - {Dia(0, p0)})
 
     def test_requires_the_atoms_a_diamond_forces(self):
-        # a body's variable missing from the set is named, not a KeyError from growth
-        with pytest.raises(AssertionError, match=r"^Var\(name='p', sort=0\), forced by .*, is missing"):
+        # adequacy is not re-checked: growth stops on the missing variable and names it
+        with pytest.raises(KeyError, match=r"Var\(name='p', sort=0\)"):
             CanonicalEngine({Dia(0, Var("p", 0))})
 
     def test_candidate_cap(self):
@@ -197,30 +196,18 @@ class TestEnumeration:
         engines += [CanonicalEngine(closure_of(target)) for names, count, _, _ in WIDE_MASKS
                     for target in wide_targets(names, count)]
         for engine in engines:
-            need = engine.col[("need", engine.levels[0])]
+            need = engine.need
             for row in range(0, engine.count, 1 + engine.count // 600):
                 members = membership(engine, row)
                 assert [int(need[row]) >> b & 1 == 1 for b in range(len(engine.bodies))] \
                     == [body in members for body in engine.bodies]
 
-    def test_cached_truth_column_is_returned_as_is(self):
+    def test_truth_column_equals_membership(self):
         f = parse_formula("<0>(p & q) | ~(p & q) | <1>p")
         engine = CanonicalEngine(closure_of(f))
         for formula in (f, And(Var("p", OMEGA), Var("q", OMEGA))):  # a goal and a body
             column = engine.truth_column(formula)
-            assert engine.truth_column(formula) is column
             assert column.tolist() == [formula in membership(engine, i) for i in range(engine.count)]
-        # a cached column costs no allocation of a column's size
-        target = next(iter(wide_targets("pqrs", 9)))
-        engine = CanonicalEngine(closure_of(target))
-        column = engine.truth_column(target)
-        tracemalloc.start()
-        try:
-            again = engine.truth_column(target)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert again is column and peak < engine.count // 4
 
     def test_sparse_33_atom_closure_decides(self):
         # 33 atoms: 2^33 assignments, of which 768 are candidates
@@ -271,7 +258,8 @@ def reference_eliminate(engine):
         changed = False
         for n in engine.levels:
             rows = np.flatnonzero(alive)
-            cols = [engine.col[(name, n)][rows] for name in ("class", "d", "req", "need")]
+            cols = [engine.col[(name, n)][rows] for name in ("class", "d", "req")]
+            cols.append(engine.need[rows])
             if not cols[1].any():
                 continue
             checks += 1
@@ -315,7 +303,8 @@ class TestCoverageKernels:
                     rows = np.flatnonzero(rng_mask(rng, engine.count, keep))
                     if len(rows) == 0:
                         continue
-                    cols = [engine.col[(name, n)][rows] for name in ("class", "d", "req", "need")]
+                    cols = [engine.col[(name, n)][rows] for name in ("class", "d", "req")]
+                    cols.append(engine.need[rows])
                     got = CanonicalEngine._uncovered(cols[0], classes, *cols[1:], width)
                     assert got.tolist() == reference_uncovered(*cols)
                     compared += 1
@@ -422,8 +411,8 @@ class TestWideMasks:
         for target, valid in wide_targets(names, count).items():
             engine = CanonicalEngine(closure_of(target))
             assert len(engine.bodies) in widths
-            assert {engine.col[(name, n)].dtype for name in ("d", "need", "req")
-                    for n in engine.levels} == {np.dtype(dtype)}
+            assert {engine.col[(name, n)].dtype for name in ("d", "req")
+                    for n in engine.levels} | {engine.need.dtype} == {np.dtype(dtype)}
             v = decide("jstar", target)
             assert v.theorem == valid
             assert v.stats.rounds != []

@@ -170,7 +170,7 @@ class TestEvaluator:
                 f = desugar(gen_formula_over(rng, pool))
                 ext = ev.extension(f)
                 assert {w for w in m.worlds if ext >> ev.index[w] & 1} == truth_set(m, f), f
-                assert ev.extension(f) == ext  # cached
+                assert ev.extension(f) == ext  # the value repeats
 
     def test_program_shape(self):
         rng = random.Random(28)

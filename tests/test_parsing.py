@@ -190,6 +190,12 @@ class TestParseModel:
         crlf = MODEL_TEXT.replace("\n", "\r\n")
         assert parse_model(crlf) == parse_model(MODEL_TEXT) == parse_model(MODEL_TEXT.replace("\n", "\r"))
 
+    def test_any_ascii_whitespace_ends_a_section_keyword(self):
+        for space in ("\t", "\f", "\v", " \t "):
+            text = "\n".join(line.replace(" ", space, 1) for line in MODEL_TEXT.split("\n"))
+            assert parse_model(text) == parse_model(MODEL_TEXT), repr(space)
+        assert parse_model("worlds\ta\tb\n").worlds == ("a", "b")
+
     def test_error_span_with_crlf_and_stray_breaks(self):
         for brk in ("\r\n", "\r"):
             text = f"worlds a{brk}rel x: a a{brk}"

@@ -153,6 +153,17 @@ class TestCheckProof:
         with pytest.raises(ProofError):
             parse_proof("system jstar\ngoal T\n1. T ; zap\n")
 
+    def test_any_ascii_whitespace_ends_a_keyword(self):
+        text = "system jstar\ngoal T\n1. T ; ax taut\n"
+        for space in ("\t", "\f", "\v", " \t "):
+            tabbed = text.replace("system ", "system" + space).replace("goal ", "goal" + space)
+            assert parse_proof(tabbed) == parse_proof(text), repr(space)
+        # a bare keyword line is that keyword's own error
+        with pytest.raises(ProofError, match=r"^line 1: .*system"):
+            parse_proof("system\ngoal T\n1. T ; ax taut\n")
+        with pytest.raises(ProofError, match=r"^line 2: bad goal formula"):
+            parse_proof("system jstar\ngoal\n1. T ; ax taut\n")
+
     def test_non_ascii_numerals_rejected(self):
         for text, lineno in (
             ("system jstar\ngoal T\n². T ; ax taut\n", 3),
