@@ -11,7 +11,7 @@ import random
 
 from glpstar import SystemId, decide, parse_formula, render_formula
 from glpstar.decide import reduction_target
-from glpstar.formulas import Implies, desugar
+from glpstar.formulas import Implies
 from glpstar.reductions import (
     h_formula,
     m_formula,
@@ -67,9 +67,8 @@ for _ in range(40):
     phi = gen(rng)
     a = decide(SystemId.GLPSTAR, phi).theorem
     b = decide(SystemId.JSTAR, reduction_target(SystemId.GLPSTAR, phi)).theorem
-    c = decide(SystemId.JSTAR, desugar(Implies(n_plus(phi, "default"), phi))).theorem
+    c = decide(SystemId.JSTAR, Implies(n_plus(phi, "default"), phi)).theorem
     theta = sorted(occurring_modalities(phi))
-    d = decide(SystemId.GLP, desugar(Implies(r_theta_plus(phi, theta), phi)),
-               candidate_cap=1 << 22).theorem
+    d = decide(SystemId.GLP, Implies(r_theta_plus(phi, theta), phi), candidate_cap=1 << 22).theorem
     assert a == b == c == d, render_formula(phi)
 print("all routes agree")

@@ -238,13 +238,13 @@ def _cmd_reduce(args) -> int:
 def _cmd_modelcheck(args) -> int:
     model = _read_model(args.model)
     formula = _read_formulas(args.formula)[0]
-    if args.world is not None:
-        try:
+    try:
+        if args.world is not None:
             result = model_check(model, args.world, formula)
-        except KeyError as exc:
-            raise _UsageError(str(exc)) from exc
-    else:
-        result = valid_in_model(model, formula)
+        else:
+            result = valid_in_model(model, formula)
+    except (KeyError, ValueError) as exc:
+        raise _UsageError(exc.args[0]) from exc
     payload = {
         "command": "modelcheck",
         "formula": render_formula(formula),

@@ -28,8 +28,8 @@ from typing import Optional
 
 from .formulas import (
     Formula,
+    Implies,
     adequate_closure,
-    desugar,
     modified_negation,
     subformulas,
     to_omega_sorted,
@@ -44,7 +44,7 @@ from .kripke import (
     model_check,
     model_from_masks,
 )
-from .reductions import h_formula, m_plus, n_plus, _implies
+from .reductions import h_formula, m_plus, n_plus
 
 
 class SystemId(enum.Enum):
@@ -88,21 +88,20 @@ class Verdict:
 def reduction_target(system: SystemId, formula: Formula, via: str = "mplus",
                      nplus_variant: str = "default") -> Formula:
     """The base-level formula whose validity settles the query."""
-    f = desugar(formula)
     if system is SystemId.JSTAR:
-        return f
+        return formula
     if system is SystemId.GLP:
-        return reduction_target(SystemId.GLPSTAR, to_omega_sorted(f), via, nplus_variant)
+        return reduction_target(SystemId.GLPSTAR, to_omega_sorted(formula), via, nplus_variant)
     if system is SystemId.GLPSSTAR:
-        return reduction_target(SystemId.GLPSTAR, _implies(h_formula(f), f), via, nplus_variant)
+        return reduction_target(SystemId.GLPSTAR, Implies(h_formula(formula), formula), via, nplus_variant)
     if system is SystemId.GLPSTAR:
         if via == "mplus":
-            premise = m_plus(f)
+            premise = m_plus(formula)
         elif via == "nplus":
-            premise = n_plus(f, nplus_variant)
+            premise = n_plus(formula, nplus_variant)
         else:
             raise ValueError(f"unknown reduction route {via!r}")
-        return _implies(premise, f)
+        return Implies(premise, formula)
     raise ValueError(f"unknown system {system!r}")
 
 

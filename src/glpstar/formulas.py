@@ -7,10 +7,10 @@ is thread-safe: two threads building equal formulas get one node. Nodes are
 immutable; ``copy`` and ``pickle`` round-trip to the interned node. Each
 node computes its sort key, size and sort once, from its children's.
 
-The core connectives are T, F, variables, negation, conjunction,
-disjunction and the indexed diamonds <n>. Boxes [n] and implications are
-sugar removed by :func:`desugar`; every operation below except
-:func:`desugar` itself expects core formulas.
+The connectives are T, F, variables, negation, conjunction, disjunction
+and the indexed diamonds <n>; these are the only node classes. The boxes
+[n]x and the implications x -> y are abbreviations: :func:`Box` and
+:func:`Implies` build ~<n>~x and ~x | y, so every formula is core.
 
 Variable sorts range over 0, 1, 2, ... and the top sort omega. Negation
 bumps a sort by one; the successor saturates at omega so sorts stay in range.
@@ -92,8 +92,7 @@ class Formula:
 
     A node's fields are named in ``__match_args__``. Each node also carries
     its structural sort key, its node count and its sort, computed once from
-    its children's values when the node is first built. The sort is None
-    when a Box or an Implies occurs in the node: only core formulas have one.
+    its children's values when the node is first built.
     """
 
     __slots__ = ("_key", "_size", "_sort", "__weakref__")
@@ -150,12 +149,6 @@ def _sort_key_of_sort(s: Sort):
     return (1, 0) if s is OMEGA else (0, s)
 
 
-def _join_sort(left: Formula, right: Formula):
-    if left._sort is None or right._sort is None:
-        return None
-    return sort_max(left._sort, right._sort)
-
-
 class Top(Formula):
     __slots__ = ()
 
@@ -199,8 +192,7 @@ class Neg(Formula):
 
     @staticmethod
     def _derive(child):
-        sort = None if child._sort is None else sort_succ(child._sort)
-        return (3, child._key), 1 + child._size, sort
+        return (3, child._key), 1 + child._size, sort_succ(child._sort)
 
 
 class And(Formula):
@@ -212,7 +204,7 @@ class And(Formula):
 
     @staticmethod
     def _derive(left, right):
-        return (4, left._key, right._key), 1 + left._size + right._size, _join_sort(left, right)
+        return (4, left._key, right._key), 1 + left._size + right._size, sort_max(left._sort, right._sort)
 
 
 class Or(Formula):
@@ -224,7 +216,7 @@ class Or(Formula):
 
     @staticmethod
     def _derive(left, right):
-        return (5, left._key, right._key), 1 + left._size + right._size, _join_sort(left, right)
+        return (5, left._key, right._key), 1 + left._size + right._size, sort_max(left._sort, right._sort)
 
 
 class Dia(Formula):
@@ -236,43 +228,25 @@ class Dia(Formula):
 
     @staticmethod
     def _derive(index, child):
-        return (6, index, child._key), 1 + child._size, None if child._sort is None else index
-
-
-class Box(Formula):
-    """Sugar: [n]x stands for ~<n>~x."""
-
-    __slots__ = ("index", "child")
-    __match_args__ = ("index", "child")
-
-    def __new__(cls, index: int, child: Formula):
-        return _intern(cls, (index, child))
-
-    @staticmethod
-    def _derive(index, child):
-        return (7, index, child._key), 1 + child._size, None
-
-
-class Implies(Formula):
-    """Sugar: x -> y stands for ~x | y."""
-
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
-
-    def __new__(cls, left: Formula, right: Formula):
-        return _intern(cls, (left, right))
-
-    @staticmethod
-    def _derive(left, right):
-        return (8, left._key, right._key), 1 + left._size + right._size, None
+        return (6, index, child._key), 1 + child._size, index
 
 
 TOP = Top()
 BOT = Bot()
 
 
-_UNARY = frozenset({Neg, Dia, Box})
-_BINARY = frozenset({And, Or, Implies})
+def Box(index: int, child: Formula) -> Formula:
+    """[n]x, which abbreviates ~<n>~x."""
+    return Neg(Dia(index, Neg(child)))
+
+
+def Implies(left: Formula, right: Formula) -> Formula:
+    """x -> y, which abbreviates ~x | y."""
+    return Or(Neg(left), right)
+
+
+_UNARY = frozenset({Neg, Dia})
+_BINARY = frozenset({And, Or})
 
 
 def walk(formula: Formula, memo=(), dia_leaves: bool = False) -> tuple[list[Formula], dict[Formula, int]]:
@@ -323,72 +297,33 @@ def fold_boolean(formula: Formula, memo: dict, full, atom):
             value = memo[f.left] | memo[f.right]
         elif cls is Var or cls is Dia:
             value = atom(f)
-        elif cls is Top:
-            value = full
-        elif cls is Bot:
-            value = full ^ full
         else:
-            raise TypeError(f"not a core formula: {f!r}")
+            value = full if cls is Top else full ^ full
         memo[f] = value
     return memo[formula]
 
 
-def _rebuild(f: Formula, image: dict[Formula, Formula]) -> Formula:
-    """An inner node of the same kind over its children's images."""
-    cls = type(f)
-    if cls in _BINARY:
-        return cls(image[f.left], image[f.right])
-    return Neg(image[f.child]) if cls is Neg else cls(f.index, image[f.child])
-
-
 def desugar(formula: Formula) -> Formula:
-    """Rewrite boxes and implications into the core connectives. Idempotent."""
-    if formula._sort is not None:
-        return formula
-    out: dict[Formula, Formula] = {}
-    for f in walk(formula)[1]:
-        cls = type(f)
-        if f._sort is not None:
-            out[f] = f
-        elif cls is Box:
-            out[f] = Neg(Dia(f.index, Neg(out[f.child])))
-        elif cls is Implies:
-            out[f] = Or(Neg(out[f.left]), out[f.right])
-        else:
-            out[f] = _rebuild(f, out)
-    return out[formula]
-
-
-def _require_core(formula: Formula) -> None:
-    if isinstance(formula, (Box, Implies)):
-        raise ValueError(f"expected a desugared formula, got {formula!r}")
+    """The formula itself: :func:`Box` and :func:`Implies` already build
+    core formulas, so there is nothing to rewrite."""
+    return formula
 
 
 def sort_of(formula: Formula) -> Sort:
-    """Sort of a core formula: T/F are 0, <n>x is n, negation adds one.
-
-    A formula with a Box or an Implies anywhere in it is rejected.
-    """
-    if formula._sort is None:
-        raise ValueError(f"expected a desugared formula, got {formula!r}")
+    """Sort of a formula: T/F are 0, <n>x is n, negation adds one."""
     return formula._sort
 
 
 def modified_negation(formula: Formula) -> Formula:
     """Strip a top-level negation if present, otherwise negate."""
-    _require_core(formula)
     if isinstance(formula, Neg):
         return formula.child
     return Neg(formula)
 
 
 def subformulas(formula: Formula) -> frozenset[Formula]:
-    """All subtrees of a core formula, including the formula itself."""
-    nodes = walk(formula)[0]
-    if formula._sort is None:
-        for f in nodes:
-            _require_core(f)
-    return frozenset(nodes)
+    """All subtrees of a formula, including the formula itself."""
+    return frozenset(walk(formula)[0])
 
 
 def diamond_subformulas(formula: Formula, order: str = "occurrence") -> list[tuple[int, Formula]]:
@@ -397,7 +332,6 @@ def diamond_subformulas(formula: Formula, order: str = "occurrence") -> list[tup
     "occurrence" lists them in leftmost-outermost order; "level" stable-sorts
     the occurrence order by modality index, so ties keep occurrence order.
     """
-    _require_core(formula)
     pairs = [(f.index, f.child) for f in walk(formula)[0] if type(f) is Dia]
     if order == "occurrence":
         return pairs
@@ -461,8 +395,6 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
         # the walk skips members: a negation's modified negation is its
         # child, and any other node g brings ~g.
         for g in walk(f, delta)[0]:
-            if f._sort is None:
-                _require_core(g)
             delta.add(g)
             delta.add(g.child if type(g) is Neg else Neg(g))
     levels = modal_levels(delta)
@@ -479,10 +411,14 @@ def to_omega_sorted(formula: Formula) -> Formula:
         cls = type(f)
         if cls is Var:
             out[f] = Var(f.name, OMEGA)
-        elif cls is Top or cls is Bot:
-            out[f] = f
+        elif cls is Neg:
+            out[f] = Neg(out[f.child])
+        elif cls is Dia:
+            out[f] = Dia(f.index, out[f.child])
+        elif cls in _BINARY:
+            out[f] = cls(out[f.left], out[f.right])
         else:
-            out[f] = _rebuild(f, out)
+            out[f] = f
     return out[formula]
 
 
@@ -494,7 +430,7 @@ def formula_size(formula: Formula) -> int:
 def sort_key(formula: Formula):
     """Total structural order on formulas, for deterministic enumeration.
 
-    Nodes compare by kind (T, F, variable, ~, &, |, <n>, [n], ->), then by
+    Nodes compare by kind (T, F, variable, ~, &, |, <n>), then by
     name and sort or by index, then by their children's keys.
     """
     return formula._key

@@ -7,7 +7,7 @@ validator checks the three conditions that carve out the target frame class
 conditions); the persistence validator checks the two valuation clauses
 tying variable truth to sorts along edges.
 
-Model checking has one kernel: :func:`compile_formula` turns a core formula
+Model checking has one kernel: :func:`compile_formula` turns a formula
 into a post-order program, and :func:`evaluate` runs it over world bitmasks
 given each world's successor bitmask per modality and each variable's
 extension. :class:`Evaluator` feeds it a :class:`KripkeModel`; the oracle
@@ -24,7 +24,6 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 from .formulas import (
     OMEGA,
     And,
-    Bot,
     Dia,
     Formula,
     Neg,
@@ -32,7 +31,6 @@ from .formulas import (
     Sort,
     Top,
     Var,
-    desugar,
     render_sort,
     walk,
 )
@@ -204,7 +202,7 @@ _TOP, _BOT, _VAR, _NEG, _AND, _OR, _DIA = range(7)
 
 
 class Program(NamedTuple):
-    """A core formula compiled to a post-order program over world bitmasks.
+    """A formula compiled to a post-order program over world bitmasks.
 
     ``nodes`` are the distinct subformulas, each after its children;
     ``code`` holds one instruction per node; ``variables`` are the distinct
@@ -220,7 +218,7 @@ class Program(NamedTuple):
 
 @lru_cache(maxsize=1)
 def compile_formula(formula: Formula) -> Program:
-    """Compile a core formula over the exit order of :func:`formulas.walk`.
+    """Compile a formula over the exit order of :func:`formulas.walk`.
 
     Children come before their parents, left to right, so variables come
     out in leftmost-outermost order; a shared subformula is compiled once.
@@ -245,12 +243,8 @@ def compile_formula(formula: Formula) -> Program:
         elif cls is Var:
             op = (_VAR, len(variables), 0)
             variables.append(f)
-        elif cls is Top:
-            op = (_TOP, 0, 0)
-        elif cls is Bot:
-            op = (_BOT, 0, 0)
         else:
-            raise TypeError(f"not a core formula: {f!r}")
+            op = (_TOP if cls is Top else _BOT, 0, 0)
         code.append(op)
     return Program(tuple(slot), tuple(code), tuple(variables), frozenset(modalities))
 
@@ -291,7 +285,11 @@ def evaluate(code: Sequence[tuple[int, int, int]], full: int,
 
 
 class Evaluator:
-    """Extensions over a model, as world bitmasks (bit i is world i)."""
+    """Extensions over a model, as world bitmasks (bit i is world i).
+
+    A formula variable is read from the valuation by name; a name that the
+    model declares with another sort is refused with a ValueError.
+    """
 
     def __init__(self, model: KripkeModel):
         self.model = model
@@ -305,7 +303,12 @@ class Evaluator:
             self.succ[n] = masks
         self._warned: set[str] = set()
 
-    def _members(self, name: str) -> int:
+    def _members(self, var: Var) -> int:
+        name = var.name
+        sort = self.model.sorts.get(name, var.sort)
+        if sort != var.sort:
+            raise ValueError(f"variable {name!r} has sort {render_sort(var.sort)} in the formula "
+                             f"and sort {render_sort(sort)} in the model")
         members = self.model.valuation.get(name)
         if members is None:
             if name not in self._warned:
@@ -323,7 +326,7 @@ class Evaluator:
 
     def extension(self, formula: Formula) -> int:
         program = compile_formula(formula)
-        values = [self._members(v.name) for v in program.variables]
+        values = [self._members(v) for v in program.variables]
         return evaluate(program.code, self.full, self.succ, values)[-1]
 
     def holds(self, world: str, formula: Formula) -> bool:
@@ -333,14 +336,14 @@ class Evaluator:
 
 
 def model_check(model: KripkeModel, world: str, formula: Formula) -> bool:
-    """Truth of a formula at a world (sugar is desugared first)."""
-    return Evaluator(model).holds(world, desugar(formula))
+    """Truth of a formula at a world."""
+    return Evaluator(model).holds(world, formula)
 
 
 def valid_in_model(model: KripkeModel, formula: Formula) -> bool:
     """True when the formula holds at every world."""
     ev = Evaluator(model)
-    return ev.extension(desugar(formula)) == ev.full
+    return ev.extension(formula) == ev.full
 
 
 def find_roots(model: KripkeModel) -> frozenset[str]:

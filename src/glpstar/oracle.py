@@ -49,7 +49,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .formulas import OMEGA, Formula, Sort, desugar, require_one_sort_per_name
+from .formulas import OMEGA, Formula, Sort, require_one_sort_per_name
 from .kripke import (
     Evaluator,
     KripkeModel,
@@ -361,8 +361,7 @@ def brute_force_countermodel(formula: Formula, budget: Optional[SearchBudget] = 
     those of a search through every model.
     """
     budget = budget or SearchBudget()
-    f = desugar(formula)
-    program = compile_formula(f)
+    program = compile_formula(formula)
     modalities = budget.modalities if budget.modalities is not None else program.modalities
     enumeration = ModelEnumeration(program.variables, modalities, budget, rooted=True)
     code = program.code
@@ -371,7 +370,7 @@ def brute_force_countermodel(formula: Formula, budget: Optional[SearchBudget] = 
             model = enumeration.materialize(k, succ, val_masks, root=0)
             if check_jstar_frame(model) or check_strong_persistence(model):
                 raise AssertionError("enumerator produced an invalid model")
-            if Evaluator(model).holds("w0", f):
+            if Evaluator(model).holds("w0", formula):
                 raise AssertionError("refutation does not refute")
             return SearchResult(model, "w0", enumeration.truncated,
                                 enumeration.models_examined, enumeration.by_worlds)
@@ -405,7 +404,7 @@ def cross_validate(formula: Formula, system, budget: Optional[SearchBudget] = No
     if isinstance(system, str):
         system = SystemId.parse(system)
     budget = budget or SearchBudget()
-    target = reduction_target(system, desugar(formula))
+    target = reduction_target(system, formula)
     verdict = decide(system, formula)
     search = brute_force_countermodel(target, budget)
     searched_modalities = (

@@ -21,8 +21,10 @@ the grammar, non-ASCII spaces such as U+3000 included, is a ParseError.
 In formula, model and proof files a line ends at \\n, \\r\\n or \\r only, and
 the fields of a line are separated by that ASCII whitespace only.
 
-A bare variable name defaults to sort omega. Parsed formulas come out
-desugared. Errors carry byte-offset spans into the input.
+A bare variable name defaults to sort omega. '[n]x' and 'x -> y' are read
+as the core formulas ~<n>~x and ~x | y (built by :func:`formulas.Box` and
+:func:`formulas.Implies`), so rendering a parsed formula shows them in
+that form. Errors carry byte-offset spans into the input.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .formulas import (
     Sort,
     Top,
     Var,
-    desugar,
     render_sort,
     sort_key,
     walk,
@@ -294,8 +295,8 @@ class _Parser:
 
 
 def parse_formula(text: str) -> Formula:
-    """Parse one formula; the result is desugared."""
-    return desugar(_Parser(text).parse())
+    """Parse one formula."""
+    return _Parser(text).parse()
 
 
 def parse_formula_file(text: str) -> list[Formula]:
@@ -309,8 +310,8 @@ def parse_formula_file(text: str) -> list[Formula]:
 
 
 # Precedence of each node's own text; leaves are never parenthesized.
-_PREC = {Implies: 1, Or: 2, And: 3, Neg: 4, Dia: 4, Box: 4, Var: 5, Top: 5, Bot: 5}
-_INFIX = {Implies: " -> ", Or: " | ", And: " & "}
+_PREC = {Or: 2, And: 3, Neg: 4, Dia: 4, Var: 5, Top: 5, Bot: 5}
+_INFIX = {Or: " | ", And: " & "}
 
 
 def render_formula(formula: Formula) -> str:
@@ -319,7 +320,7 @@ def render_formula(formula: Formula) -> str:
     Each distinct node is rendered once, children first, over the exit
     order of :func:`formulas.walk`; a parent parenthesizes a child whose
     precedence is below the one its position needs. ``&`` and ``|`` group
-    to the left and ``->`` to the right, so the other side needs one more.
+    to the left, so the right side needs one more.
     """
     text: dict[Formula, str] = {}
 
@@ -334,14 +335,11 @@ def render_formula(formula: Formula) -> str:
             out = "T" if cls is Top else "F"
         elif cls is Neg:
             out = "~" + operand(f.child, 4)
-        elif cls is Dia or cls is Box:
-            out = (f"<{f.index}>" if cls is Dia else f"[{f.index}]") + operand(f.child, 4)
-        elif cls in _INFIX:
-            prec = _PREC[cls]
-            left, right = (prec + 1, prec) if cls is Implies else (prec, prec + 1)
-            out = operand(f.left, left) + _INFIX[cls] + operand(f.right, right)
+        elif cls is Dia:
+            out = f"<{f.index}>" + operand(f.child, 4)
         else:
-            raise TypeError(f"not a formula: {f!r}")
+            prec = _PREC[cls]
+            out = operand(f.left, prec) + _INFIX[cls] + operand(f.right, prec + 1)
         text[f] = out
     return text[formula]
 

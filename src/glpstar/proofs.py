@@ -30,13 +30,14 @@ from .decide import SystemId
 from .formulas import (
     OMEGA,
     And,
+    Box,
     Dia,
     Formula,
+    Implies,
     Neg,
     Or,
     Top,
     Var,
-    desugar,
     fold_boolean,
     sort_of,
     walk,
@@ -158,12 +159,12 @@ def match_axiom(formula: Formula, scheme: str, system: SystemId, *,
         raise SchemeUnavailableError(f"unknown scheme {scheme!r}")
     if scheme not in SYSTEM_SCHEMES[system]:
         raise SchemeUnavailableError(f"scheme {scheme!r} not available in {system.value}")
-    f = desugar(formula)
     if scheme == "taut":
-        return is_tautology(f)
-    imp = _as_implication(f)
+        return is_tautology(formula)
+    imp = _as_implication(formula)
     if scheme == "boxtop":
-        return isinstance(f, Neg) and isinstance(f.child, Dia) and f.child.child == Neg(Top())
+        return (isinstance(formula, Neg) and isinstance(formula.child, Dia)
+                and formula.child.child == Neg(Top()))
     if imp is None:
         return False
     ante, cons = imp
@@ -222,7 +223,7 @@ def check_proof(proof: ProofObject, *, loeb_literal: bool = False) -> CheckResul
         return CheckResult(False, None, "empty proof")
     by_index: dict[int, Formula] = {}
     for line in proof.lines:
-        f = desugar(line.formula)
+        f = line.formula
         just = line.justification
         reason = None
         if isinstance(just, Axiom):
@@ -236,7 +237,7 @@ def check_proof(proof: ProofObject, *, loeb_literal: bool = False) -> CheckResul
             impl = by_index.get(just.implication)
             if ante is None or impl is None:
                 reason = "modus ponens cites a line that is not above this one"
-            elif impl != Or(Neg(ante), f):
+            elif impl != Implies(ante, f):
                 reason = "cited implication does not match antecedent and conclusion"
         elif isinstance(just, DiaMono):
             if proof.system not in MODAL_RULE_SYSTEMS:
@@ -251,7 +252,7 @@ def check_proof(proof: ProofObject, *, loeb_literal: bool = False) -> CheckResul
                 else:
                     a, b = pair
                     n = just.modality
-                    if f != Or(Neg(Dia(n, a)), Dia(n, b)):
+                    if f != Implies(Dia(n, a), Dia(n, b)):
                         reason = "conclusion is not the diamond image of the premise"
         elif isinstance(just, Necessitation):
             if proof.system not in MODAL_RULE_SYSTEMS:
@@ -260,14 +261,14 @@ def check_proof(proof: ProofObject, *, loeb_literal: bool = False) -> CheckResul
                 premise = by_index.get(just.premise)
                 if premise is None:
                     reason = "necessitation cites a line that is not above this one"
-                elif f != Neg(Dia(just.modality, Neg(premise))):
+                elif f != Box(just.modality, premise):
                     reason = "conclusion is not the boxed premise"
         else:
             reason = f"unknown justification {just!r}"
         if reason is not None:
             return CheckResult(False, line.index, reason)
         by_index[line.index] = f
-    if desugar(proof.lines[-1].formula) != desugar(proof.goal):
+    if proof.lines[-1].formula != proof.goal:
         return CheckResult(False, proof.lines[-1].index, "last line differs from the goal")
     return CheckResult(True)
 

@@ -1,8 +1,10 @@
 """Syntactic reduction premises between the four systems.
 
-Each builder returns a desugared formula assembled in a fixed order, so the
-output is byte-identical across runs. Nothing is simplified: empty
-conjunctions become T and trivial conjuncts stay visible.
+Each builder returns a formula assembled in a fixed order, so the output
+is byte-identical across runs. Its implications and boxes are the core
+forms ~x | y and ~<n>~x that :func:`formulas.Implies` and
+:func:`formulas.Box` build. Nothing is simplified: empty conjunctions
+become T and trivial conjuncts stay visible.
 
 The pair builder for the language-preserving premise keeps the *same* body
 on both sides of each implication, pairing every enumerated diamond body
@@ -19,34 +21,25 @@ from typing import Iterable
 from .formulas import (
     OMEGA,
     TOP,
+    Box,
     Dia,
     Formula,
+    Implies,
     Neg,
-    Or,
     conjoin,
     diamond_subformulas,
     variables_of,
-    _require_core,
 )
-
-
-def _implies(a: Formula, b: Formula) -> Formula:
-    return Or(Neg(a), b)
-
-
-def _box(n: int, f: Formula) -> Formula:
-    return Neg(Dia(n, Neg(f)))
 
 
 def m_formula(formula: Formula) -> Formula:
     """For every diamond subformula <m>x and every level m < j <= max, add <j>x -> <m>x."""
-    _require_core(formula)
     dias = diamond_subformulas(formula, "occurrence")
     if not dias:
         return TOP
     top_level = max(m for m, _ in dias)
     conjuncts = [
-        _implies(Dia(j, body), Dia(m, body))
+        Implies(Dia(j, body), Dia(m, body))
         for m, body in dias
         for j in range(m + 1, top_level + 1)
     ]
@@ -55,13 +48,12 @@ def m_formula(formula: Formula) -> Formula:
 
 def m_plus(formula: Formula) -> Formula:
     """m_formula plus its boxed copies at every level up to the maximum."""
-    _require_core(formula)
     dias = diamond_subformulas(formula, "occurrence")
     if not dias:
         return TOP
     top_level = max(m for m, _ in dias)
     core = m_formula(formula)
-    return conjoin([core] + [_box(i, core) for i in range(top_level + 1)])
+    return conjoin([core] + [Box(i, core) for i in range(top_level + 1)])
 
 
 def n_formula(formula: Formula) -> Formula:
@@ -71,10 +63,9 @@ def n_formula(formula: Formula) -> Formula:
     order on ties); each body at position i is paired with the level of every
     later position j, giving <m_j>x_i -> <m_i>x_i.
     """
-    _require_core(formula)
     dias = diamond_subformulas(formula, "level")
     conjuncts = [
-        _implies(Dia(dias[j][0], dias[i][1]), Dia(dias[i][0], dias[i][1]))
+        Implies(Dia(dias[j][0], dias[i][1]), Dia(dias[i][0], dias[i][1]))
         for i in range(len(dias))
         for j in range(i + 1, len(dias))
     ]
@@ -88,30 +79,27 @@ def n_plus(formula: Formula, variant: str = "default") -> Formula:
     ascending. The "literal" variant reproduces the displayed text instead,
     boxing the bare input once per enumeration entry.
     """
-    _require_core(formula)
     dias = diamond_subformulas(formula, "level")
     core = n_formula(formula)
     if not dias:
         return core
     if variant == "default":
         levels = sorted({m for m, _ in dias})
-        return conjoin([core] + [_box(m, core) for m in levels])
+        return conjoin([core] + [Box(m, core) for m in levels])
     if variant == "literal":
-        return conjoin([core] + [_box(m, formula) for m, _ in dias])
+        return conjoin([core] + [Box(m, formula) for m, _ in dias])
     raise ValueError(f"unknown n_plus variant {variant!r}")
 
 
 def h_formula(formula: Formula) -> Formula:
     """For every diamond subformula <n>x, add x -> <n>x (occurrence order)."""
-    _require_core(formula)
     dias = diamond_subformulas(formula, "occurrence")
-    return conjoin([_implies(body, Dia(n, body)) for n, body in dias])
+    return conjoin([Implies(body, Dia(n, body)) for n, body in dias])
 
 
 def r_theta(formula: Formula, theta: Iterable[int]) -> Formula:
     """Sort axioms over a modality set: <j>p -> p for j >= sort(p), and
     <j>~p -> ~p for j > sort(p); omega variables contribute nothing."""
-    _require_core(formula)
     levels = sorted(set(theta))
     conjuncts: list[Formula] = []
     for var in variables_of(formula):
@@ -119,19 +107,18 @@ def r_theta(formula: Formula, theta: Iterable[int]) -> Formula:
             continue
         for j in levels:
             if j >= var.sort:
-                conjuncts.append(_implies(Dia(j, var), var))
+                conjuncts.append(Implies(Dia(j, var), var))
         for j in levels:
             if j > var.sort:
-                conjuncts.append(_implies(Dia(j, Neg(var)), Neg(var)))
+                conjuncts.append(Implies(Dia(j, Neg(var)), Neg(var)))
     return conjoin(conjuncts)
 
 
 def r_theta_plus(formula: Formula, theta: Iterable[int]) -> Formula:
     """r_theta plus one boxed copy per modality in the set, ascending."""
-    _require_core(formula)
     levels = sorted(set(theta))
     core = r_theta(formula, levels)
-    return conjoin([core] + [_box(j, core) for j in levels]) if levels else core
+    return conjoin([core] + [Box(j, core) for j in levels]) if levels else core
 
 
 def occurring_modalities(formula: Formula) -> frozenset[int]:

@@ -211,6 +211,17 @@ class TestOtherCommands:
         code, out, _ = invoke(capsys, "validate", "--model", str(path))
         assert code == 0 and out.strip() == "valid"
 
+    def test_modelcheck_bad_world_or_sort_usage_error(self, capsys, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("worlds a b\nrel 0: a b\nval p:w = {b}\n")
+        for argv, message in (
+            (("--world", "zz", "p"), "unknown world 'zz'"),
+            (("--world", "a", "<0>p:0 -> p:0"), "variable 'p' has sort 0 in the formula and sort w in the model"),
+            (("<0>p:0 -> p:0",), "variable 'p' has sort 0 in the formula and sort w in the model"),
+        ):
+            code, out, err = invoke(capsys, "modelcheck", "--model", str(path), *argv)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_validate_reports_violations(self, capsys, tmp_path):
         path = tmp_path / "bad.model"
         path.write_text("worlds a\nrel 0: a a\n")

@@ -34,6 +34,7 @@ from glpstar.formulas import (
     subformulas,
     to_omega_sorted,
 )
+from glpstar.parsing import parse_formula
 from conftest import gen_sorted_formula
 from reference import is_adequate
 
@@ -244,10 +245,6 @@ class TestAdequateClosure:
             shapes["no diamond"] += not modal_levels(delta)
         assert min(shapes.values()) > 20
 
-    def test_sugar_below_the_top_rejected(self):
-        with pytest.raises(ValueError):
-            adequate_closure({Dia(0, Neg(Box(1, p0)))})
-
 
 def _closure_by_subformula_walk(gamma):
     """The closure as first written: every subformula of every absorbed
@@ -309,9 +306,6 @@ class TestInterning:
         assert repr(pw) == "Var(name='p', sort=w)"
         assert repr(Neg(TOP)) == "Neg(child=Top())"
         assert repr(Dia(1, BOT)) == "Dia(index=1, child=Bot())"
-        assert repr(Implies(p0, q1)) == (
-            "Implies(left=Var(name='p', sort=0), right=Var(name='q', sort=1))"
-        )
         assert eval(repr(f), vars(formulas) | {"w": OMEGA}) is f
 
     def test_fields_cannot_be_assigned(self):
@@ -330,10 +324,6 @@ class TestInterning:
         assert sort_key(Neg(p0)) == (3, (2, "p", (0, 0)))
         assert sort_key(TOP) < sort_key(BOT) < sort_key(p0) < sort_key(Neg(TOP))
         assert sort_key(Var("p", 5)) < sort_key(pw)
-        with pytest.raises(ValueError):
-            sort_of(And(p0, Box(1, p0)))
-        with pytest.raises(ValueError):
-            sort_of(Dia(1, Neg(Box(1, p0))))
 
     def test_concurrent_construction_yields_one_node(self):
         # fresh names, so every thread races to build nodes none has built
@@ -386,11 +376,19 @@ class TestToOmegaSorted:
         assert to_omega_sorted(pw) == pw
 
 
-def test_sugar_rejected_by_core_operations():
-    with pytest.raises(ValueError):
-        sort_of(Box(1, p0))
-    with pytest.raises(ValueError):
-        subformulas(Implies(p0, q1))
+def test_box_and_implies_build_core_forms():
+    p, q = Var("p"), Var("q")
+    assert Box(1, p) is Neg(Dia(1, Neg(p)))
+    assert Implies(p, q) is Or(Neg(p), q)
+    assert parse_formula("[1]p -> q") is Implies(Box(1, p), q)
+    f = Implies(Box(2, Neg(qw)), Dia(1, p0))
+    assert desugar(f) is f
+    classes, todo = set(), [formulas.Formula]
+    while todo:
+        subclasses = todo.pop().__subclasses__()
+        classes.update(subclasses)
+        todo += subclasses
+    assert classes == {Top, formulas.Bot, Var, Neg, And, Or, Dia}
 
 
 def _adequate_by_definition(delta):

@@ -135,6 +135,17 @@ class TestModelCheck:
         assert valid_in_model(self.m, TOP) is True
         assert valid_in_model(self.m, Var("p")) is False
 
+    def test_variable_of_another_sort_refused(self):
+        # the model's p is omega-sorted, the formula's is of sort 0
+        m = KripkeModel(("a", "b"), {0: [("a", "b")]}, {"p": ["b"]}, {"p": OMEGA})
+        f = Implies(Dia(0, Var("p", 0)), Var("p", 0))
+        message = "variable 'p' has sort 0 in the formula and sort w in the model"
+        with pytest.raises(ValueError, match=message):
+            model_check(m, "a", f)
+        with pytest.raises(ValueError, match=message):
+            valid_in_model(m, f)
+        assert model_check(m, "a", Dia(0, Var("p"))) is True
+
     def test_sigma_scheme_in_persistent_model(self):
         m = KripkeModel(("a", "b"), {1: {("a", "b")}}, {"p": {"a", "b"}}, {"p": 1})
         assert check_strong_persistence(m) == []
@@ -196,13 +207,6 @@ class TestEvaluator:
             truth = {x for x, y in m.relations[0] if y not in truth}
         assert truth == {"a", "b"}
         assert Evaluator(m).extension(f) == 0b011
-
-    def test_sugar_rejected(self):
-        m = KripkeModel(("a",), {}, {}, {})
-        with pytest.raises(TypeError):
-            Evaluator(m).extension(Box(0, TOP))
-        with pytest.raises(TypeError):
-            compile_formula(And(BOT, Implies(TOP, TOP)))
 
 
 class TestFindRoots:
