@@ -12,7 +12,6 @@ from glpstar import (
     sort_of,
     subformulas,
 )
-from glpstar.formulas import render_sort
 
 # Variables carry sorts: `p:0`, `q:3`, `p:w` (omega). A bare name means
 # omega, which is handy for one-sorted formulas.
@@ -27,7 +26,7 @@ examples = [
 print("== sorts ==")
 for text in examples:
     f = parse_formula(text)
-    print(f"  {text:18s} parses to {render_formula(f):22s} sort {render_sort(sort_of(f))}")
+    print(f"  {text:18s} parses to {render_formula(f):22s} sort {sort_of(f)}")
 
 # Modified negation strips one top-level negation instead of stacking a
 # second; it keeps closure sets finite.

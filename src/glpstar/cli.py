@@ -4,9 +4,10 @@ Exit status contract: 0 affirmative (theorem / valid / accepted / nothing
 found), 1 negative (non-theorem / invalid / rejected / countermodel found),
 2 usage or input error, 3 resource limit. Formula arguments are read from
 the command line, or from a file when prefixed with '@' (one formula per
-line, '#' comments). `--format json` emits one JSON object instead of text;
-for a resource limit it carries the message and the closure's atom count,
-the candidate count reached and the candidate cap (null where unknown).
+line, '#' comments; only `decide` takes more than one). `--format json`
+emits one JSON object instead of text; for a resource limit it carries the
+message and the closure's atom count, the candidate count reached and the
+candidate cap (null where unknown).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import sys
 from typing import Optional
 
 from .decide import SystemId, decide
-from .formulas import Formula, adequate_closure, modal_levels, render_sort, sort_of
+from .formulas import Formula, adequate_closure, modal_levels, sort_of
 from .hintikka import DEFAULT_CANDIDATE_CAP, ResourceLimitError
 from .kripke import check_jstar_frame, check_strong_persistence, model_check, valid_in_model
 from .oracle import SearchBudget, brute_force_countermodel
@@ -84,6 +85,14 @@ def _read_formulas(arg: str) -> list[Formula]:
     return [_parse(arg)]
 
 
+def _read_formula(arg: str) -> Formula:
+    """The formula of a one-formula command; a file holding more is refused."""
+    formulas = _read_formulas(arg)
+    if len(formulas) > 1:
+        raise _UsageError(f"{arg[1:]!r} holds {len(formulas)} formulas; this command takes one")
+    return formulas[0]
+
+
 def _parse(text: str) -> Formula:
     try:
         return parse_formula(text)
@@ -104,7 +113,7 @@ def _model_json(model) -> dict:
         "worlds": list(model.worlds),
         "relations": {str(n): sorted(map(list, rel)) for n, rel in sorted(model.relations.items())},
         "valuation": {
-            f"{name}:{render_sort(model.sorts[name])}": sorted(model.valuation[name])
+            f"{name}:{model.sorts[name]}": sorted(model.valuation[name])
             for name in sorted(model.valuation)
         },
         "root": model.root,
@@ -208,7 +217,7 @@ def _cmd_decide(args) -> int:
 def _cmd_reduce(args) -> int:
     if args.theta is not None and args.kind not in ("rtheta", "rthetaplus"):
         raise _UsageError(f"--theta applies to the rtheta and rthetaplus kinds, not {args.kind}")
-    formula = _read_formulas(args.formula)[0]
+    formula = _read_formula(args.formula)
     theta = None
     if args.theta is not None:
         parts = args.theta.split(",")
@@ -237,7 +246,7 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_modelcheck(args) -> int:
     model = _read_model(args.model)
-    formula = _read_formulas(args.formula)[0]
+    formula = _read_formula(args.formula)
     try:
         if args.world is not None:
             result = model_check(model, args.world, formula)
@@ -277,7 +286,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_closure(args) -> int:
-    formula = _read_formulas(args.formula)[0]
+    formula = _read_formula(args.formula)
     delta = adequate_closure({formula})
     levels = sorted(modal_levels(delta))
     payload = {
@@ -292,10 +301,10 @@ def _cmd_closure(args) -> int:
 
 
 def _cmd_sort(args) -> int:
-    formula = _read_formulas(args.formula)[0]
+    formula = _read_formula(args.formula)
     s = sort_of(formula)
-    payload = {"command": "sort", "sort": render_sort(s)}
-    _emit(args, payload, [render_sort(s)])
+    payload = {"command": "sort", "sort": str(s)}
+    _emit(args, payload, [str(s)])
     return EXIT_YES
 
 
@@ -322,7 +331,7 @@ def _cmd_checkproof(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    formula = _read_formulas(args.formula)[0]
+    formula = _read_formula(args.formula)
     try:
         budget = SearchBudget(max_worlds=args.max_worlds, max_models=args.max_models)
     except ValueError as exc:

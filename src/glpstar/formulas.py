@@ -12,8 +12,10 @@ and the indexed diamonds <n>; these are the only node classes. The boxes
 [n]x and the implications x -> y are abbreviations: :func:`Box` and
 :func:`Implies` build ~<n>~x and ~x | y, so every formula is core.
 
-Variable sorts range over 0, 1, 2, ... and the top sort omega. Negation
-bumps a sort by one; the successor saturates at omega so sorts stay in range.
+A sort is a number: a natural 0, 1, 2, ... or the top sort omega, which is
+:data:`OMEGA`, positive infinity, printed ``w``. Sorts compare as numbers,
+the sort of x & y is the larger one, and negation adds one, with
+omega + 1 = omega.
 """
 
 from __future__ import annotations
@@ -24,67 +26,30 @@ from dataclasses import FrozenInstanceError
 from typing import Iterable, Union
 
 
-class _Omega:
-    """The top sort. Compares above every natural number."""
+class _Omega(float):
+    """The top sort omega: positive infinity, so it lies above every natural
+    number, and omega + 1 is omega. Copies and pickles are ``OMEGA`` itself."""
 
-    _instance = None
+    __slots__ = ()
 
     def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
+        return super().__new__(cls, "inf")
 
     def __repr__(self):
         return "w"
 
-    def __lt__(self, other):
-        if isinstance(other, (int, _Omega)):
-            return False
-        return NotImplemented
+    def __add__(self, other):
+        return self
 
-    def __le__(self, other):
-        if isinstance(other, _Omega):
-            return True
-        if isinstance(other, int):
-            return False
-        return NotImplemented
+    __radd__ = __add__
 
-    def __gt__(self, other):
-        if isinstance(other, _Omega):
-            return False
-        if isinstance(other, int):
-            return True
-        return NotImplemented
-
-    def __ge__(self, other):
-        if isinstance(other, (int, _Omega)):
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash("_Omega")
+    def __reduce__(self):
+        return "OMEGA"
 
 
-OMEGA = _Omega()
+OMEGA = _Omega()  # the one instance; a sort is a natural number or OMEGA
 
 Sort = Union[int, _Omega]
-
-
-def sort_succ(s: Sort) -> Sort:
-    """Successor of a sort, saturating at omega."""
-    if s is OMEGA:
-        return OMEGA
-    return s + 1
-
-
-def sort_max(a: Sort, b: Sort) -> Sort:
-    if a is OMEGA or b is OMEGA:
-        return OMEGA
-    return max(a, b)
-
-
-def render_sort(s: Sort) -> str:
-    return "w" if s is OMEGA else str(s)
 
 
 class Formula:
@@ -145,10 +110,6 @@ def _intern(cls: type, fields: tuple) -> Formula:
     return node
 
 
-def _sort_key_of_sort(s: Sort):
-    return (1, 0) if s is OMEGA else (0, s)
-
-
 class Top(Formula):
     __slots__ = ()
 
@@ -176,11 +137,13 @@ class Var(Formula):
     __match_args__ = ("name", "sort")
 
     def __new__(cls, name: str, sort: Sort = OMEGA):
+        if sort is not OMEGA and (type(sort) is not int or sort < 0):
+            raise ValueError(f"a sort is a natural number or w, not {sort!r}")
         return _intern(cls, (name, sort))
 
     @staticmethod
     def _derive(name, sort):
-        return (2, name, _sort_key_of_sort(sort)), 1, sort
+        return (2, name, sort), 1, sort
 
 
 class Neg(Formula):
@@ -192,7 +155,7 @@ class Neg(Formula):
 
     @staticmethod
     def _derive(child):
-        return (3, child._key), 1 + child._size, sort_succ(child._sort)
+        return (3, child._key), 1 + child._size, child._sort + 1
 
 
 class And(Formula):
@@ -204,7 +167,7 @@ class And(Formula):
 
     @staticmethod
     def _derive(left, right):
-        return (4, left._key, right._key), 1 + left._size + right._size, sort_max(left._sort, right._sort)
+        return (4, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
 
 
 class Or(Formula):
@@ -216,7 +179,7 @@ class Or(Formula):
 
     @staticmethod
     def _derive(left, right):
-        return (5, left._key, right._key), 1 + left._size + right._size, sort_max(left._sort, right._sort)
+        return (5, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
 
 
 class Dia(Formula):
@@ -357,7 +320,7 @@ def require_one_sort_per_name(variables: Iterable[tuple[str, Sort]]) -> None:
     for name, sort in variables:
         if seen.setdefault(name, sort) != sort:
             low, high = sorted((seen[name], sort))
-            raise ValueError(f"variable {name!r} used with sorts {render_sort(low)} and {render_sort(high)}")
+            raise ValueError(f"variable {name!r} used with sorts {low} and {high}")
 
 
 def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> set[Formula]:
@@ -373,9 +336,9 @@ def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> set[Formula]:
         cls = type(f)
         if cls is Dia:
             bodies.add(f.child)
-        elif cls is Var and f.sort is not OMEGA and f.sort <= top:
+        elif cls is Var and f.sort <= top:
             bodies.add(f)
-        elif cls is Neg and type(f.child) is Var and f.child.sort is not OMEGA and f.child.sort < top:
+        elif cls is Neg and type(f.child) is Var and f.child.sort < top:
             bodies.add(f)
     return bodies
 

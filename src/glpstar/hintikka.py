@@ -44,7 +44,6 @@ from typing import Iterable, Optional
 import numpy as np
 
 from .formulas import (
-    OMEGA,
     Dia,
     Formula,
     Var,
@@ -130,7 +129,7 @@ class CanonicalEngine:
         for d in diamonds:
             body, need_bits, word_bits = d.child, 0, 0
             fold = body if first.setdefault(body, d) is d else None
-            if sort_of(body) is not OMEGA and sort_of(body) <= d.index:
+            if sort_of(body) <= d.index:
                 need_bits = 1 << self.body_bit[body]
             if isinstance(body, Dia) and d.index < body.index:
                 partner = Dia(d.index, body.child)

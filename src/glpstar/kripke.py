@@ -22,7 +22,6 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .formulas import (
-    OMEGA,
     And,
     Dia,
     Formula,
@@ -31,7 +30,6 @@ from .formulas import (
     Sort,
     Top,
     Var,
-    render_sort,
     walk,
 )
 
@@ -115,7 +113,7 @@ class KripkeModel:
         )
 
     def __repr__(self):
-        val = {f"{n}:{render_sort(self.sorts[n])}": sorted(m) for n, m in self.valuation.items()}
+        val = {f"{n}:{self.sorts[n]}": sorted(m) for n, m in self.valuation.items()}
         return (
             f"KripkeModel(worlds={self.worlds!r}, relations={self.relations!r}, "
             f"valuation={val!r}, root={self.root!r})"
@@ -183,8 +181,6 @@ def check_strong_persistence(model: KripkeModel) -> list[Violation]:
         rel = model.relations[n]
         for name in sorted(model.valuation):
             sort = model.sorts[name]
-            if sort is OMEGA:
-                continue
             members = model.valuation[name]
             for x, y in sorted(rel):
                 if sort <= n and y in members and x not in members:
@@ -307,8 +303,8 @@ class Evaluator:
         name = var.name
         sort = self.model.sorts.get(name, var.sort)
         if sort != var.sort:
-            raise ValueError(f"variable {name!r} has sort {render_sort(var.sort)} in the formula "
-                             f"and sort {render_sort(sort)} in the model")
+            raise ValueError(f"variable {name!r} has sort {var.sort} in the formula "
+                             f"and sort {sort} in the model")
         members = self.model.valuation.get(name)
         if members is None:
             if name not in self._warned:
@@ -326,7 +322,12 @@ class Evaluator:
 
     def extension(self, formula: Formula) -> int:
         program = compile_formula(formula)
-        values = [self._members(v) for v in program.variables]
+        # a plain loop: before Python 3.12 a comprehension is a frame of its
+        # own, and the warning's stacklevel counts the frames to the caller
+        # of model_check, valid_in_model or holds
+        values = []
+        for v in program.variables:
+            values.append(self._members(v))
         return evaluate(program.code, self.full, self.succ, values)[-1]
 
     def holds(self, world: str, formula: Formula) -> bool:
@@ -337,7 +338,10 @@ class Evaluator:
 
 def model_check(model: KripkeModel, world: str, formula: Formula) -> bool:
     """Truth of a formula at a world."""
-    return Evaluator(model).holds(world, formula)
+    ev = Evaluator(model)
+    if world not in ev.index:
+        raise KeyError(f"unknown world {world!r}")
+    return bool(ev.extension(formula) >> ev.index[world] & 1)
 
 
 def valid_in_model(model: KripkeModel, formula: Formula) -> bool:

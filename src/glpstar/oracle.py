@@ -45,11 +45,11 @@ never claims theoremhood.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .formulas import OMEGA, Formula, Sort, require_one_sort_per_name
+from .formulas import Formula, Sort, require_one_sort_per_name
 from .kripke import (
     Evaluator,
     KripkeModel,
@@ -86,14 +86,11 @@ class SearchBudget:
             raise ValueError(f"max_worlds must be at most {MAX_WORLDS}")
 
 
-_strict_orders_cache: dict[int, list[int]] = {1: [0]}
-_row0_cache: dict[int, dict[int, list[int]]] = {}
-
-
 def _rows(mask: int, k: int) -> list[int]:
     return [(mask >> (i * k)) & ((1 << k) - 1) for i in range(k)]
 
 
+@cache
 def _strict_orders(k: int) -> list[int]:
     """All transitive irreflexive relations on k worlds, ascending bitmaps.
 
@@ -104,9 +101,8 @@ def _strict_orders(k: int) -> list[int]:
     are exactly transitivity and irreflexivity at m, so each order on k
     worlds arises once.
     """
-    cached = _strict_orders_cache.get(k)
-    if cached is not None:
-        return cached
+    if k == 1:
+        return [0]
     m = k - 1
     subsets = range(1 << m)
     out = []
@@ -130,25 +126,21 @@ def _strict_orders(k: int) -> list[int]:
                 if s & ~allowed == 0:
                     out.append(base | column | s << (m * k))
     out.sort()
-    _strict_orders_cache[k] = out
     return out
 
 
+@cache
 def _orders_by_row0(k: int) -> dict[int, list[int]]:
     """The strict orders on k worlds grouped by row 0 (the successors of w0),
     each group ascending."""
-    orders = _strict_orders(k)
-    groups = _row0_cache.get(k)
-    if groups is None:
-        groups = {}
-        low = (1 << k) - 1
-        for mask in orders:
-            groups.setdefault(mask & low, []).append(mask)
-        _row0_cache[k] = groups
+    groups: dict[int, list[int]] = {}
+    low = (1 << k) - 1
+    for mask in _strict_orders(k):
+        groups.setdefault(mask & low, []).append(mask)
     return groups
 
 
-@lru_cache(maxsize=None)
+@cache
 def _allowed(lower: int, k: int) -> int:
     """Pairs a higher relation may hold over a lower one, as a bitmap.
 
@@ -192,8 +184,6 @@ def _closed_valuations(k: int, levels: tuple[int, ...], rel_masks: tuple[int, ..
     so each set's requirements come from the set without its lowest member,
     and no transitive closure is needed.
     """
-    if sort is OMEGA:
-        return tuple(range(1 << k))
     edges = [0] * k  # the worlds that a member forces in
     for level, mask in zip(levels, rel_masks):
         for x, row in enumerate(_rows(mask, k)):

@@ -49,7 +49,6 @@ from .formulas import (
     Sort,
     Top,
     Var,
-    render_sort,
     sort_key,
     walk,
 )
@@ -287,7 +286,7 @@ class _Parser:
             if self.var_sorts.setdefault(name, sort) != sort:
                 self.error(
                     f"variable {name!r} used with sorts "
-                    f"{render_sort(self.var_sorts[name])} and {render_sort(sort)}",
+                    f"{self.var_sorts[name]} and {sort}",
                     tok,
                 )
             return Var(name, sort)
@@ -330,7 +329,7 @@ def render_formula(formula: Formula) -> str:
     for f in walk(formula)[1]:
         cls = type(f)
         if cls is Var:
-            out = f.name if f.sort is OMEGA else f"{f.name}:{render_sort(f.sort)}"
+            out = f.name if f.sort is OMEGA else f"{f.name}:{f.sort}"
         elif cls is Top or cls is Bot:
             out = "T" if cls is Top else "F"
         elif cls is Neg:
@@ -465,7 +464,7 @@ def render_model(model: KripkeModel) -> str:
             out.append(f"rel {n}: {x} {y}")
     for name in sorted(model.valuation):
         members = ", ".join(sorted(model.valuation[name]))
-        out.append(f"val {name}:{render_sort(model.sorts[name])} = {{{members}}}")
+        out.append(f"val {name}:{model.sorts[name]} = {{{members}}}")
     if model.root is not None:
         out.append(f"root {model.root}")
     return "\n".join(out) + "\n"

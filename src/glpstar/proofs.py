@@ -28,7 +28,6 @@ from typing import Optional, Union
 
 from .decide import SystemId
 from .formulas import (
-    OMEGA,
     And,
     Box,
     Dia,
@@ -201,8 +200,7 @@ def match_axiom(formula: Formula, scheme: str, system: SystemId, *,
     if scheme == "sigma":
         if not isinstance(ante, Dia) or ante.child != cons:
             return False
-        s = sort_of(cons)
-        return s is not OMEGA and s <= ante.index
+        return sort_of(cons) <= ante.index
     if scheme == "transit":
         return (
             isinstance(ante, Dia)

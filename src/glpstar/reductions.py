@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from .formulas import (
-    OMEGA,
     TOP,
     Box,
     Dia,
@@ -103,8 +102,6 @@ def r_theta(formula: Formula, theta: Iterable[int]) -> Formula:
     levels = sorted(set(theta))
     conjuncts: list[Formula] = []
     for var in variables_of(formula):
-        if var.sort is OMEGA:
-            continue
         for j in levels:
             if j >= var.sort:
                 conjuncts.append(Implies(Dia(j, var), var))

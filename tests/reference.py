@@ -1,7 +1,8 @@
 """Plain definitions the closure and the canonical engine are tested against.
 
-``is_adequate`` checks the closure conditions on a formula set, and
-``canonical_relation`` states the canonical edge over formula sets.
+``is_adequate`` checks the closure conditions on a formula set,
+``canonical_relation`` states the canonical edge over formula sets, and
+``reference_sort_key`` the structural order on formulas.
 ``assert_truth_lemma`` checks that satisfaction is membership in a canonical
 model. From an engine's own calls, ``membership`` reads a candidate row's
 formula set, ``canonical_model`` builds that model, and ``model_over`` any
@@ -13,7 +14,8 @@ from typing import Iterable
 import numpy as np
 
 from glpstar.formulas import (
-    TOP, And, Dia, Formula, Neg, Or, _bodies, fold_boolean, modal_levels, modified_negation,
+    OMEGA, TOP, And, Bot, Dia, Formula, Neg, Or, Top, Var, _bodies, fold_boolean, modal_levels,
+    modified_negation,
 )
 from glpstar.kripke import Evaluator, KripkeModel, model_from_masks
 
@@ -41,6 +43,20 @@ def is_adequate(delta: Iterable[Formula]) -> bool:
             return False
     levels = modal_levels(dset)
     return all(Dia(m, body) in dset for body in _bodies(dset, levels) for m in levels)
+
+
+def reference_sort_key(f: Formula) -> tuple:
+    """The structural order with a variable's sort spelled out as a key:
+    (0, s) for a natural s and (1, 0) for omega, so omega sorts last."""
+    if isinstance(f, (Top, Bot)):
+        return (0,) if isinstance(f, Top) else (1,)
+    if isinstance(f, Var):
+        return (2, f.name, (1, 0) if f.sort is OMEGA else (0, f.sort))
+    if isinstance(f, Neg):
+        return (3, reference_sort_key(f.child))
+    if isinstance(f, Dia):
+        return (6, f.index, reference_sort_key(f.child))
+    return (4 if isinstance(f, And) else 5, reference_sort_key(f.left), reference_sort_key(f.right))
 
 
 def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterable[Formula], n: int) -> bool:

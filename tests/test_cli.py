@@ -211,6 +211,23 @@ class TestOtherCommands:
         code, out, _ = invoke(capsys, "validate", "--model", str(path))
         assert code == 0 and out.strip() == "valid"
 
+    @pytest.mark.parametrize("command", [
+        ["reduce", "--kind", "m"], ["modelcheck", "--model", "MODEL"], ["closure"], ["sort"], ["oracle"],
+    ])
+    def test_one_formula_commands_refuse_a_file_of_many(self, capsys, tmp_path, command):
+        model = tmp_path / "m.model"
+        model.write_text("worlds a\nval p:0 = {a}\n")
+        two = tmp_path / "two.txt"
+        two.write_text("p:0\nq\n")
+        argv = [str(model) if a == "MODEL" else a for a in command]
+        code, out, err = invoke(capsys, *argv, f"@{two}")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {str(two)!r} holds 2 formulas; this command takes one\n"
+        one = tmp_path / "one.txt"
+        one.write_text("# a comment\np:0\n")
+        assert invoke(capsys, *argv, f"@{one}")[0] in (0, 1)
+
     def test_modelcheck_bad_world_or_sort_usage_error(self, capsys, tmp_path):
         path = tmp_path / "m.model"
         path.write_text("worlds a b\nrel 0: a b\nval p:w = {b}\n")

@@ -30,13 +30,12 @@ from glpstar.formulas import (
     modified_negation,
     sort_key,
     sort_of,
-    sort_succ,
     subformulas,
     to_omega_sorted,
 )
 from glpstar.parsing import parse_formula
 from conftest import gen_sorted_formula
-from reference import is_adequate
+from reference import is_adequate, reference_sort_key
 
 p0 = Var("p", 0)
 q1 = Var("q", 1)
@@ -53,8 +52,21 @@ class TestSorts:
         assert OMEGA >= 3
 
     def test_successor_saturates(self):
-        assert sort_succ(4) == 5
-        assert sort_succ(OMEGA) is OMEGA
+        assert sort_of(Neg(Var("p", 4))) == 5
+        assert OMEGA + 1 is OMEGA
+
+    def test_omega_is_a_number_above_every_natural(self):
+        assert all(n < OMEGA for n in (0, 1, 2, 10**400))
+        assert max(2, OMEGA) is OMEGA and max(OMEGA, 2) is OMEGA
+        assert str(OMEGA) == repr(OMEGA) == "w"
+        assert copy.copy(OMEGA) is OMEGA
+        assert copy.deepcopy(OMEGA) is OMEGA
+        assert pickle.loads(pickle.dumps(OMEGA)) is OMEGA
+
+    @pytest.mark.parametrize("sort", [-1, 1.5, True, float("inf"), "0", None])
+    def test_var_refuses_what_is_not_a_sort(self, sort):
+        with pytest.raises(ValueError, match="a sort is a natural number or w"):
+            Var("p", sort)
 
 
 class TestDesugar:
@@ -321,9 +333,17 @@ class TestInterning:
         f = And(Neg(Dia(2, Neg(Var("p", 1)))), Or(Var("q", 0), Neg(Var("q", 0))))
         assert formula_size(f) == 9
         assert sort_of(f) == 3
-        assert sort_key(Neg(p0)) == (3, (2, "p", (0, 0)))
+        assert sort_key(Neg(p0)) == (3, (2, "p", 0))
         assert sort_key(TOP) < sort_key(BOT) < sort_key(p0) < sort_key(Neg(TOP))
         assert sort_key(Var("p", 5)) < sort_key(pw)
+
+    def test_sort_key_orders_as_the_reference(self):
+        # a closure keeps one sort per name, so pool several: p:0 meets p:w
+        rng = random.Random(25)
+        for _ in range(20):
+            delta = set().union(*(adequate_closure({gen_sorted_formula(rng, depth=3, max_vars=3)})
+                                   for _ in range(5)))
+            assert sorted(delta, key=sort_key) == sorted(delta, key=reference_sort_key)
 
     def test_concurrent_construction_yields_one_node(self):
         # fresh names, so every thread races to build nodes none has built

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import pytest
 
@@ -130,6 +131,14 @@ class TestModelCheck:
     def test_absent_variable_false_with_warning(self):
         with pytest.warns(MissingVariableWarning):
             assert model_check(self.m, "a", Var("ghost")) is False
+
+    def test_missing_variable_warning_names_the_caller(self):
+        for check in (lambda: model_check(self.m, "a", Var("ghost")),
+                      lambda: valid_in_model(self.m, Var("ghost"))):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                check()
+            assert [(w.category, w.filename) for w in caught] == [(MissingVariableWarning, __file__)]
 
     def test_validity(self):
         assert valid_in_model(self.m, TOP) is True

@@ -385,8 +385,8 @@ class TestMaskSearch:
 
     def test_budget_checked_before_the_next_frame_table(self, monkeypatch):
         built = []
-        orders = oracle._strict_orders
-        monkeypatch.setattr(oracle, "_strict_orders", lambda k: built.append(k) or orders(k))
+        tables = oracle._orders_by_row0  # cached, so spied on where the search asks for it
+        monkeypatch.setattr(oracle, "_orders_by_row0", lambda k: built.append(k) or tables(k))
         budget = SearchBudget(max_worlds=3, max_models=2)  # p alone has 2 models on 1 world
         r = brute_force_countermodel(parse_formula("p | ~p | <0>T"), budget)
         assert (r.found, r.models_examined, r.truncated) == (False, 2, True)
