@@ -153,8 +153,7 @@ def _cmd_decide(args) -> int:
     results = []
     for formula in formulas:
         try:
-            verdict = decide(system, formula, via=args.via, nplus_variant=args.nplus_variant,
-                             candidate_cap=args.candidate_cap)
+            verdict = decide(system, formula, via=args.via, candidate_cap=args.candidate_cap)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
         results.append((formula, verdict))
@@ -373,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decide", help="decide a formula in one of the four systems")
     p.add_argument("--system", required=True, choices=["jstar", "glpstar", "glp", "glpsstar"])
     p.add_argument("--via", choices=["mplus", "nplus"], default="mplus")
-    p.add_argument("--nplus-variant", choices=["default", "literal"], default="default")
     p.add_argument("--countermodel", metavar="OUT.model")
     p.add_argument("--dot", metavar="OUT.dot")
     p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP)

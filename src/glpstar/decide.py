@@ -85,33 +85,31 @@ class Verdict:
         return self.theorem
 
 
-def reduction_target(system: SystemId, formula: Formula, via: str = "mplus",
-                     nplus_variant: str = "default") -> Formula:
-    """The base-level formula whose validity settles the query."""
+_PREMISES = {"mplus": m_plus, "nplus": n_plus}
+
+
+def reduction_target(system: SystemId, formula: Formula, via: str = "mplus") -> Formula:
+    """The base-level formula whose validity settles the query: GLP takes the
+    omega-sorted copy x, GLPS* takes H(x) -> x, then each takes premise -> x."""
     if system is SystemId.JSTAR:
         return formula
     if system is SystemId.GLP:
-        return reduction_target(SystemId.GLPSTAR, to_omega_sorted(formula), via, nplus_variant)
-    if system is SystemId.GLPSSTAR:
-        return reduction_target(SystemId.GLPSTAR, Implies(h_formula(formula), formula), via, nplus_variant)
-    if system is SystemId.GLPSTAR:
-        if via == "mplus":
-            premise = m_plus(formula)
-        elif via == "nplus":
-            premise = n_plus(formula, nplus_variant)
-        else:
-            raise ValueError(f"unknown reduction route {via!r}")
-        return Implies(premise, formula)
-    raise ValueError(f"unknown system {system!r}")
+        formula = to_omega_sorted(formula)
+    elif system is SystemId.GLPSSTAR:
+        formula = Implies(h_formula(formula), formula)
+    elif system is not SystemId.GLPSTAR:
+        raise ValueError(f"unknown system {system!r}")
+    if via not in _PREMISES:
+        raise ValueError(f"unknown reduction route {via!r}")
+    return Implies(_PREMISES[via](formula), formula)
 
 
 def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
-           nplus_variant: str = "default",
            candidate_cap: int = DEFAULT_CANDIDATE_CAP) -> Verdict:
     """Theorem or a validated rooted countermodel of the reduction target."""
     if isinstance(system, str):
         system = SystemId.parse(system)
-    target = reduction_target(system, formula, via, nplus_variant)
+    target = reduction_target(system, formula, via)
     negated = modified_negation(target)
     # the target's closure holds its subformulas and negated; the closure
     # of negated alone lacks the target when the target is a double negation

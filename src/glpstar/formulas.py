@@ -15,14 +15,17 @@ and the indexed diamonds <n>; these are the only node classes. The boxes
 A sort is a number: a natural 0, 1, 2, ... or the top sort omega, which is
 :data:`OMEGA`, positive infinity, printed ``w``. Sorts compare as numbers,
 the sort of x & y is the larger one, and negation adds one, with
-omega + 1 = omega.
+omega + 1 = omega. A variable's name is an ASCII identifier other than T
+and F (:func:`is_variable_name`); :class:`Var` refuses any other name or sort.
 """
 
 from __future__ import annotations
 
+import string
 import threading
 import weakref
 from dataclasses import FrozenInstanceError
+from functools import lru_cache
 from typing import Iterable, Union
 
 
@@ -50,6 +53,18 @@ class _Omega(float):
 OMEGA = _Omega()  # the one instance; a sort is a natural number or OMEGA
 
 Sort = Union[int, _Omega]
+
+# The name rule, as sets rather than a regex: the tokenizer scans a name on
+# every parse, and a regex call per name costs it several percent.
+NAME_START = frozenset(string.ascii_letters + "_")
+NAME_CHARS = NAME_START | frozenset(string.digits)
+
+
+@lru_cache(maxsize=1024)  # every parse builds its variables anew
+def is_variable_name(text: str) -> bool:
+    """True for a name a formula can refer to: an ASCII identifier other than T, F."""
+    return (isinstance(text, str) and text[:1] in NAME_START and NAME_CHARS.issuperset(text)
+            and text not in ("T", "F"))
 
 
 class Formula:
@@ -143,6 +158,9 @@ class Var(Formula):
 
     @staticmethod
     def _derive(name, sort):
+        # only a new node gets here, so an invalid name is never interned
+        if not is_variable_name(name):
+            raise ValueError(f"{name!r} is not a variable name")
         return (2, name, sort), 1, sort
 
 

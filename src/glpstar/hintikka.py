@@ -106,8 +106,6 @@ class CanonicalEngine:
         limits = {"atoms": atom_count, "cap": candidate_cap}
         if width > 32:
             raise ResourceLimitError(f"{width} diamonds at each level exceed 32", **limits)
-        if len(self.levels) * width > 63:
-            raise ResourceLimitError("more than 63 diamond positions overall", **limits)
         if atom_count > 63:
             raise ResourceLimitError(f"{atom_count} atoms exceed the 63-bit index budget", **limits)
         diamonds = sorted(diamonds, key=lambda d: (formula_size(d), sort_key(d)))

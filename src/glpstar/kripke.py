@@ -92,6 +92,8 @@ class KripkeModel:
                 self.relations[int(n)] = pairset
         self.valuation = {name: frozenset(members) for name, members in (valuation or {}).items()}
         self.sorts = dict(sorts or {})
+        for name, sort in self.sorts.items():
+            Var(name, sort)  # refuses a name or sort that no formula variable has
         for name, members in self.valuation.items():
             if name not in self.sorts:
                 raise ValueError(f"variable {name!r} has no declared sort")
@@ -150,26 +152,30 @@ def check_jstar_frame(model: KripkeModel) -> list[Violation]:
     """All violations of the three frame conditions (empty list = valid frame)."""
     out: list[Violation] = []
     levels = sorted(model.relations)
+    edges = {n: sorted(model.relations[n]) for n in levels}
+    succ: dict[tuple[int, str], list[str]] = {}  # (level, world) -> its successors, ascending
+    for n in levels:
+        for x, y in edges[n]:
+            succ.setdefault((n, x), []).append(y)
     for n in levels:
         rel = model.relations[n]
-        for x, y in sorted(rel):
+        for x, y in edges[n]:
             if x == y:
                 out.append(Violation(IRREFLEXIVITY, (n,), (x,)))
-        for x, y in sorted(rel):
-            for y2, z in sorted(rel):
-                if y2 == y and (x, z) not in rel:
+        for x, y in edges[n]:
+            for z in succ.get((n, y), ()):
+                if (x, z) not in rel:
                     out.append(Violation(TRANSITIVITY, (n,), (x, y, z)))
     for ni, n in enumerate(levels):
-        rel_n = model.relations[n]
         for m in levels[:ni]:
             rel_m = model.relations[m]
-            for x, y in sorted(rel_n):
+            for x, y in edges[n]:
                 for z in model.worlds:
                     if ((x, z) in rel_m) != ((y, z) in rel_m):
                         out.append(Violation(CONDITION_II, (m, n), (x, y, z)))
-            for x, y in sorted(rel_m):
-                for y2, z in sorted(rel_n):
-                    if y2 == y and (x, z) not in rel_m:
+            for x, y in edges[m]:
+                for z in succ.get((n, y), ()):
+                    if (x, z) not in rel_m:
                         out.append(Violation(CONDITION_III, (m, n), (x, y, z)))
     return out
 

@@ -49,7 +49,7 @@ from functools import cache, lru_cache
 from itertools import product
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional
 
-from .formulas import Formula, Sort, require_one_sort_per_name
+from .formulas import Formula, Sort, Var, require_one_sort_per_name
 from .kripke import (
     Evaluator,
     KripkeModel,
@@ -162,16 +162,14 @@ def _allowed(lower: int, k: int) -> int:
 
 
 def _normalize_variables(variables) -> list[tuple[str, Sort]]:
+    """(name, sort) pairs, each checked by :class:`formulas.Var` and listed once."""
     if isinstance(variables, Mapping):
-        return sorted(variables.items())
+        variables = sorted(variables.items())
     out = []
     for item in variables:
-        if hasattr(item, "name"):
-            out.append((item.name, item.sort))
-        else:
-            name, sort = item
-            out.append((name, sort))
-    return list(dict.fromkeys(out))  # a variable listed twice is enumerated once
+        name, sort = (item.name, item.sort) if hasattr(item, "name") else item
+        out.append(Var(name, sort))
+    return [(v.name, v.sort) for v in dict.fromkeys(out)]
 
 
 @lru_cache(maxsize=4096)
@@ -221,7 +219,8 @@ class ModelEnumeration:
     With ``rooted`` set (by :func:`brute_force_countermodel` only), only the
     frames in which w0 sees every other world at some level are listed, in
     the same order as among all frames. A name given two sorts is refused
-    with a ``ValueError``, as ``decide`` refuses it.
+    with a ``ValueError``, as ``decide`` refuses it, and so is a name or
+    sort that no formula variable has.
     """
 
     def __init__(self, variables, modalities: Iterable[int], budget: Optional[SearchBudget] = None,

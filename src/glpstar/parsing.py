@@ -30,12 +30,13 @@ that form. Errors carry byte-offset spans into the input.
 from __future__ import annotations
 
 import re
-import string
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .formulas import (
     BOT,
+    NAME_CHARS,
+    NAME_START,
     OMEGA,
     TOP,
     And,
@@ -49,6 +50,7 @@ from .formulas import (
     Sort,
     Top,
     Var,
+    is_variable_name,
     sort_key,
     walk,
 )
@@ -84,12 +86,9 @@ class _Token:
     end: int
 
 
-_DIGITS = frozenset(string.digits)
 WHITESPACE = " \t\n\r\f\v"
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _SPACES = re.compile(f"[{re.escape(WHITESPACE)}]+")
-_NAME_START = frozenset(string.ascii_letters + "_")
-_NAME_CHARS = _NAME_START | _DIGITS
 
 
 def is_numeral(text: str) -> bool:
@@ -97,10 +96,17 @@ def is_numeral(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
-def is_variable_name(text: str) -> bool:
-    """True for a name a formula can refer to: an identifier other than T, F."""
-    return (text[:1] in _NAME_START and all(c in _NAME_CHARS for c in text)
-            and text not in ("T", "F"))
+def _read_sort(text: str, start: int) -> tuple[Optional[Sort], int]:
+    """The sort written at ``start`` and the index after it: a numeral, or
+    'w' (or 'ω') for omega; ``(None, start)`` when none is written there."""
+    end = start
+    while end < len(text) and "0" <= text[end] <= "9":
+        end += 1
+    if end > start:
+        return int(text[start:end]), end
+    if text[start:start + 1] in ("w", "ω"):
+        return OMEGA, start + 1
+    return None, start
 
 
 def split_lines(text: str) -> list[str]:
@@ -124,6 +130,17 @@ def split_head(line: str) -> tuple[str, str]:
     return head, rest
 
 
+# One-character tokens as (kind, value), and the modality openers as
+# (kind, closer); '<n>' and '[n]' close, '◊n' and '□n' do not.
+_SINGLE = {
+    "(": ("lparen", "("), ")": ("rparen", ")"), "~": ("neg", "~"), "¬": ("neg", "~"),
+    "&": ("and", "&"), "∧": ("and", "&"), "|": ("or", "|"), "∨": ("or", "|"),
+    "→": ("implies", "->"), "⊤": ("top", "⊤"), "⊥": ("bot", "⊥"),
+}
+_MODALITY = {"<": ("dia", ">"), "◊": ("dia", None), "[": ("box", "]"), "□": ("box", None)}
+_CONSTANTS = {"T": "top", "F": "bot"}
+
+
 def _tokenize(text: str) -> list[_Token]:
     tokens: list[_Token] = []
     i, n = 0, len(text)
@@ -131,88 +148,46 @@ def _tokenize(text: str) -> list[_Token]:
         c = text[i]
         if c in WHITESPACE:
             i += 1
-            continue
-        if c == "#":
-            break
-        if c in "()":
-            tokens.append(_Token("lparen" if c == "(" else "rparen", c, i, i + 1))
+        elif c in _SINGLE:
+            kind, value = _SINGLE[c]
+            tokens.append(_Token(kind, value, i, i + 1))
             i += 1
-            continue
-        if c in "~¬":
-            tokens.append(_Token("neg", "~", i, i + 1))
-            i += 1
-            continue
-        if c in "&∧":
-            tokens.append(_Token("and", "&", i, i + 1))
-            i += 1
-            continue
-        if c in "|∨":
-            tokens.append(_Token("or", "|", i, i + 1))
-            i += 1
-            continue
-        if c == "→":
-            tokens.append(_Token("implies", "->", i, i + 1))
-            i += 1
-            continue
-        if c == "-":
-            if i + 1 < n and text[i + 1] == ">":
-                tokens.append(_Token("implies", "->", i, i + 2))
-                i += 2
-                continue
-            raise ParseError("stray '-'", _byte_span(text, i, i + 1))
-        if c in "<◊" or c in "[□":
-            kind = "dia" if c in "<◊" else "box"
-            closer = ">" if c == "<" else "]" if c == "[" else None
-            j = i + 1
-            if j >= n or text[j] not in _DIGITS:
-                raise ParseError("expected modality index", _byte_span(text, i, min(j + 1, n)))
-            k = j
-            while k < n and text[k] in _DIGITS:
-                k += 1
-            index = int(text[j:k])
+        elif c in _MODALITY:
+            kind, closer = _MODALITY[c]
+            index, k = _read_sort(text, i + 1)  # a modality index is a finite sort
+            if index is None or index is OMEGA:
+                raise ParseError("expected modality index", _byte_span(text, i, min(i + 2, n)))
             if closer is not None:
-                if k >= n or text[k] != closer:
+                if text[k:k + 1] != closer:
                     raise ParseError(f"expected '{closer}'", _byte_span(text, i, k))
                 k += 1
             tokens.append(_Token(kind, index, i, k))
             i = k
-            continue
-        if c == "⊤" or c == "⊥":
-            tokens.append(_Token("top" if c == "⊤" else "bot", c, i, i + 1))
-            i += 1
-            continue
-        if c in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            name = text[i:j]
-            if name == "T":
-                tokens.append(_Token("top", name, i, j))
-                i = j
-                continue
-            if name == "F":
-                tokens.append(_Token("bot", name, i, j))
-                i = j
-                continue
-            sort: Optional[Sort] = None
-            end = j
-            if j < n and text[j] == ":":
-                k = j + 1
-                if k < n and (text[k] == "w" or text[k] == "ω"):
-                    sort = OMEGA
-                    end = k + 1
-                elif k < n and text[k] in _DIGITS:
-                    m = k
-                    while m < n and text[m] in _DIGITS:
-                        m += 1
-                    sort = int(text[k:m])
-                    end = m
-                else:
-                    raise ParseError("expected sort after ':'", _byte_span(text, j, min(k + 1, n)))
-            tokens.append(_Token("var", (name, sort), i, end))
+        elif c == "-":
+            if text[i + 1:i + 2] != ">":
+                raise ParseError("stray '-'", _byte_span(text, i, i + 1))
+            tokens.append(_Token("implies", "->", i, i + 2))
+            i += 2
+        elif c == "#":
+            break
+        elif c in NAME_START:
+            end = i + 1
+            while end < n and text[end] in NAME_CHARS:
+                end += 1
+            name = text[i:end]
+            if name in _CONSTANTS:
+                tokens.append(_Token(_CONSTANTS[name], name, i, end))
+            else:
+                sort = None
+                if text[end:end + 1] == ":":
+                    sort, after = _read_sort(text, end + 1)
+                    if sort is None:
+                        raise ParseError("expected sort after ':'", _byte_span(text, end, min(end + 2, n)))
+                    end = after
+                tokens.append(_Token("var", (name, sort), i, end))
             i = end
-            continue
-        raise ParseError(f"unexpected character {c!r}", _byte_span(text, i, i + 1))
+        else:
+            raise ParseError(f"unexpected character {c!r}", _byte_span(text, i, i + 1))
     tokens.append(_Token("eof", None, n, n))
     return tokens
 
@@ -397,11 +372,8 @@ def parse_model(text: str) -> KripkeModel:
             if not is_variable_name(vname):
                 err(f"bad variable name {vname!r}", lineno)
             sort_text = sort_text.strip(WHITESPACE)
-            if sort_text in ("w", "ω"):
-                sort: Sort = OMEGA
-            elif is_numeral(sort_text):
-                sort = int(sort_text)
-            else:
+            sort, end = _read_sort(sort_text, 0)
+            if sort is None or end != len(sort_text):
                 err(f"bad sort {sort_text!r}", lineno)
             set_part = set_part.strip(WHITESPACE)
             if not (set_part.startswith("{") and set_part.endswith("}")):

@@ -3,21 +3,29 @@
 ``is_adequate`` checks the closure conditions on a formula set,
 ``canonical_relation`` states the canonical edge over formula sets, and
 ``reference_sort_key`` the structural order on formulas.
+``reference_tokenize`` and ``reference_check_jstar_frame`` are the formula
+tokenizer and the frame validator as first written, which the library's
+versions must match exactly.
 ``assert_truth_lemma`` checks that satisfaction is membership in a canonical
 model. From an engine's own calls, ``membership`` reads a candidate row's
 formula set, ``canonical_model`` builds that model, and ``model_over`` any
 model over candidate rows.
 """
 
-from typing import Iterable
+import string
+from typing import Iterable, Optional
 
 import numpy as np
 
 from glpstar.formulas import (
-    OMEGA, TOP, And, Bot, Dia, Formula, Neg, Or, Top, Var, _bodies, fold_boolean, modal_levels,
+    OMEGA, TOP, And, Bot, Dia, Formula, Neg, Or, Sort, Top, Var, _bodies, fold_boolean, modal_levels,
     modified_negation,
 )
-from glpstar.kripke import Evaluator, KripkeModel, model_from_masks
+from glpstar.kripke import (
+    CONDITION_II, CONDITION_III, IRREFLEXIVITY, TRANSITIVITY, Evaluator, KripkeModel, Violation,
+    model_from_masks,
+)
+from glpstar.parsing import WHITESPACE, ParseError, _byte_span, _Token
 
 
 def is_adequate(delta: Iterable[Formula]) -> bool:
@@ -120,3 +128,131 @@ def assert_truth_lemma(model: KripkeModel, memberships: dict[str, frozenset[Form
                     f"truth lemma failed at {w} for {formula!r}: "
                     f"satisfaction {holds}, membership {formula in memberships[w]}"
                 )
+
+
+_DIGITS = frozenset(string.digits)
+_NAME_START = frozenset(string.ascii_letters + "_")
+_NAME_CHARS = _NAME_START | _DIGITS
+
+
+def reference_tokenize(text: str) -> list[_Token]:
+    """The tokenizer as first written, one branch per character class."""
+    tokens: list[_Token] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c in WHITESPACE:
+            i += 1
+            continue
+        if c == "#":
+            break
+        if c in "()":
+            tokens.append(_Token("lparen" if c == "(" else "rparen", c, i, i + 1))
+            i += 1
+            continue
+        if c in "~¬":
+            tokens.append(_Token("neg", "~", i, i + 1))
+            i += 1
+            continue
+        if c in "&∧":
+            tokens.append(_Token("and", "&", i, i + 1))
+            i += 1
+            continue
+        if c in "|∨":
+            tokens.append(_Token("or", "|", i, i + 1))
+            i += 1
+            continue
+        if c == "→":
+            tokens.append(_Token("implies", "->", i, i + 1))
+            i += 1
+            continue
+        if c == "-":
+            if i + 1 < n and text[i + 1] == ">":
+                tokens.append(_Token("implies", "->", i, i + 2))
+                i += 2
+                continue
+            raise ParseError("stray '-'", _byte_span(text, i, i + 1))
+        if c in "<◊" or c in "[□":
+            kind = "dia" if c in "<◊" else "box"
+            closer = ">" if c == "<" else "]" if c == "[" else None
+            j = i + 1
+            if j >= n or text[j] not in _DIGITS:
+                raise ParseError("expected modality index", _byte_span(text, i, min(j + 1, n)))
+            k = j
+            while k < n and text[k] in _DIGITS:
+                k += 1
+            index = int(text[j:k])
+            if closer is not None:
+                if k >= n or text[k] != closer:
+                    raise ParseError(f"expected '{closer}'", _byte_span(text, i, k))
+                k += 1
+            tokens.append(_Token(kind, index, i, k))
+            i = k
+            continue
+        if c == "⊤" or c == "⊥":
+            tokens.append(_Token("top" if c == "⊤" else "bot", c, i, i + 1))
+            i += 1
+            continue
+        if c in _NAME_START:
+            j = i
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            name = text[i:j]
+            if name == "T":
+                tokens.append(_Token("top", name, i, j))
+                i = j
+                continue
+            if name == "F":
+                tokens.append(_Token("bot", name, i, j))
+                i = j
+                continue
+            sort: Optional[Sort] = None
+            end = j
+            if j < n and text[j] == ":":
+                k = j + 1
+                if k < n and (text[k] == "w" or text[k] == "ω"):
+                    sort = OMEGA
+                    end = k + 1
+                elif k < n and text[k] in _DIGITS:
+                    m = k
+                    while m < n and text[m] in _DIGITS:
+                        m += 1
+                    sort = int(text[k:m])
+                    end = m
+                else:
+                    raise ParseError("expected sort after ':'", _byte_span(text, j, min(k + 1, n)))
+            tokens.append(_Token("var", (name, sort), i, end))
+            i = end
+            continue
+        raise ParseError(f"unexpected character {c!r}", _byte_span(text, i, i + 1))
+    tokens.append(_Token("eof", None, n, n))
+    return tokens
+
+
+def reference_check_jstar_frame(model: KripkeModel) -> list[Violation]:
+    """The frame validator as first written: every composite edge is found
+    by scanning the whole sorted relation."""
+    out: list[Violation] = []
+    levels = sorted(model.relations)
+    for n in levels:
+        rel = model.relations[n]
+        for x, y in sorted(rel):
+            if x == y:
+                out.append(Violation(IRREFLEXIVITY, (n,), (x,)))
+        for x, y in sorted(rel):
+            for y2, z in sorted(rel):
+                if y2 == y and (x, z) not in rel:
+                    out.append(Violation(TRANSITIVITY, (n,), (x, y, z)))
+    for ni, n in enumerate(levels):
+        rel_n = model.relations[n]
+        for m in levels[:ni]:
+            rel_m = model.relations[m]
+            for x, y in sorted(rel_n):
+                for z in model.worlds:
+                    if ((x, z) in rel_m) != ((y, z) in rel_m):
+                        out.append(Violation(CONDITION_II, (m, n), (x, y, z)))
+            for x, y in sorted(rel_m):
+                for y2, z in sorted(rel_n):
+                    if y2 == y and (x, z) not in rel_m:
+                        out.append(Violation(CONDITION_III, (m, n), (x, y, z)))
+    return out

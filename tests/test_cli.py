@@ -78,6 +78,14 @@ class TestDecideCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_nplus_variant_is_not_a_decide_option(self, capsys):
+        # reduce --nplus-variant literal still prints the literal premise
+        code, out, err = invoke(capsys, "decide", "--system", "glpstar", "--via", "nplus",
+                                "--nplus-variant", "literal", "<0>p")
+        assert code == 2 and out == "" and "--nplus-variant" in err
+        code, out, _ = invoke(capsys, "reduce", "--kind", "nplus", "--nplus-variant", "literal", "<0>p")
+        assert code == 0 and out.strip()
+
     def test_resource_limit_exit(self, capsys):
         code, _, err = invoke(
             capsys, "decide", "--system", "glpstar", "--candidate-cap", "2",

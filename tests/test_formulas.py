@@ -68,6 +68,13 @@ class TestSorts:
         with pytest.raises(ValueError, match="a sort is a natural number or w"):
             Var("p", sort)
 
+    @pytest.mark.parametrize("name", ["p q", "T", "F", "", "1p", "p-q", "日本", "p\n", 7])
+    def test_var_refuses_what_no_formula_can_name(self, name):
+        # each would render as text that parse_formula refuses or reads otherwise
+        with pytest.raises(ValueError, match="is not a variable name"):
+            Var(name, 0)
+        assert (Var, name, 0) not in formulas._nodes
+
 
 class TestDesugar:
     def test_box(self):

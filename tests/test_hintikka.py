@@ -176,7 +176,7 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("text, message, atoms", [
         ("~" + "<0>" * 300 + "p:0 | p:0", "300 diamonds at each level exceed 32", 301),
-        ("~" + "<0>" * 21 + "p:0 | <1>T | <2>T", "more than 63 diamond positions overall", 70),
+        ("~" + "<0>" * 21 + "p:0 | <1>T | <2>T", "70 atoms exceed the 63-bit index budget", 70),
         (" | ".join(f"p{i}:0" for i in range(64)), "64 atoms exceed the 63-bit index budget", 64),
     ], ids=["width", "positions", "atoms"])
     def test_limits_refuse_before_sorting(self, monkeypatch, text, message, atoms):

@@ -41,6 +41,7 @@ from glpstar.kripke import (
 )
 from glpstar.reductions import occurring_modalities
 from conftest import gen_persistent_model, perturb_model
+from reference import reference_check_jstar_frame
 
 
 def kinds(violations):
@@ -58,6 +59,33 @@ class TestFrameValidator:
         ]:
             with pytest.raises(ValueError, match=message):
                 KripkeModel(worlds, relations)
+
+    @pytest.mark.parametrize("sort", [-1, "x"])
+    def test_model_refuses_what_is_not_a_sort(self, sort):
+        # built, -1 would read as a persistence violation and "x" would make
+        # check_strong_persistence raise TypeError
+        with pytest.raises(ValueError, match="a sort is a natural number or w"):
+            KripkeModel(("a", "b"), {0: {("a", "b")}}, {"p": {"a"}}, {"p": sort})
+
+    def test_model_refuses_what_is_not_a_variable_name(self):
+        with pytest.raises(ValueError, match="is not a variable name"):
+            KripkeModel(("a",), {}, {"p q": {"a"}}, {"p q": 0})
+
+    def test_matches_reference(self):
+        # valid frames, and the same with up to three edges flipped at random levels
+        rng = random.Random(31)
+        invalid = 0
+        for _ in range(300):
+            model = perturb_model(rng, gen_persistent_model(rng, max_worlds=6))
+            relations = {n: set(rel) for n, rel in model.relations.items()}
+            for _ in range(rng.randint(0, 3)):
+                pair = (rng.choice(model.worlds), rng.choice(model.worlds))
+                relations.setdefault(rng.randrange(3), set()).symmetric_difference_update({pair})
+            model = KripkeModel(model.worlds, relations, model.valuation, model.sorts)
+            violations = check_jstar_frame(model)
+            assert violations == reference_check_jstar_frame(model)
+            invalid += bool(violations)
+        assert 100 < invalid < 250
 
     def test_reflexive_point(self):
         frame = KripkeModel(("a",), {0: {("a", "a")}})

@@ -25,6 +25,16 @@ from glpstar.reductions import occurring_modalities
 from conftest import gen_sorted_formula
 
 
+@pytest.mark.parametrize("variables, message", [
+    ({"p": 1.5}, "a sort is a natural number or w"),
+    ([("p", -1)], "a sort is a natural number or w"),
+    ({"T": 0}, "is not a variable name"),
+], ids=["fractional sort", "negative sort", "constant name"])
+def test_enumeration_refuses_what_no_variable_has(variables, message):
+    with pytest.raises(ValueError, match=message):
+        enumerate_models(variables, [0], SearchBudget(max_worlds=2))
+
+
 def reference_orders(k):
     """Strict orders on k worlds by a scan of every relation bitmap."""
     out = []

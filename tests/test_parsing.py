@@ -6,6 +6,7 @@ from glpstar.formulas import OMEGA, And, Dia, Neg, Or, Var, TOP, desugar
 from glpstar.kripke import KripkeModel
 from glpstar.parsing import (
     ParseError,
+    _tokenize,
     export_dot,
     parse_formula,
     parse_formula_file,
@@ -14,6 +15,22 @@ from glpstar.parsing import (
     render_model,
 )
 from conftest import gen_sorted_formula
+from reference import reference_tokenize
+
+# Pieces of formula text: the grammar, its unicode aliases, and characters
+# just outside it (a superscript digit, a CJK letter, the ideographic space).
+FRAGMENTS = [
+    "(", ")", "~", "¬", "&", "∧", "|", "∨", "->", "-", ">", "→", "<", "[", "]", "◊", "□",
+    "<0>", "[1]", "◊2", "□12", "⊤", "⊥", "T", "F", "p", "q_1", "Tx", "_", "0", "12", "w",
+    "ω", ":", "p:0", "q:w", "r:ω", " ", "\t", "\n", "²", "日", "\u3000", "#",
+]
+
+
+def tokens_or_error(tokenize, text):
+    try:
+        return tokenize(text)
+    except ParseError as err:
+        return err.message, err.span
 
 
 class TestParseFormula:
@@ -99,6 +116,16 @@ class TestParseFormula:
 
     def test_ascii_identifiers(self):
         assert parse_formula("_x9 & A_b:12") == And(Var("_x9"), Var("A_b", 12))
+
+    def test_tokenizer_matches_reference(self):
+        rng = random.Random(30)
+        refused = 0
+        for _ in range(100_000):
+            text = "".join(rng.choices(FRAGMENTS, k=rng.randint(0, 12)))
+            expected = tokens_or_error(reference_tokenize, text)
+            assert tokens_or_error(_tokenize, text) == expected, text
+            refused += isinstance(expected, tuple)
+        assert 20_000 < refused < 90_000
 
     def test_formula_file(self):
         text = "# corpus\n<0>T\n\np:1 -> p:1  # trailing comment\n"

@@ -16,7 +16,6 @@ import glpstar
 
 # module.qualified name -> what bounds the recursion depth
 ALLOWED = {
-    "decide.reduction_target": "the system chain: glp and glpsstar reduce to glpstar, once",
     "oracle._strict_orders": "the world count of the search",
     "oracle.ModelEnumeration._frames.extend": "the number of modalities",
 }
