@@ -31,12 +31,12 @@ from .formulas import (
     Implies,
     adequate_closure,
     modified_negation,
-    subformulas,
     to_omega_sorted,
 )
 from .hintikka import DEFAULT_CANDIDATE_CAP, CanonicalEngine
 from .kripke import (
     KripkeModel,
+    Program,
     check_jstar_frame,
     check_strong_persistence,
     compile_formula,
@@ -110,6 +110,8 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
     if isinstance(system, str):
         system = SystemId.parse(system)
     target = reduction_target(system, formula, via)
+    # compiled first, so the countermodel check finds it in the cache
+    program = compile_formula(target)
     negated = modified_negation(target)
     # the target's closure holds its subformulas and negated; the closure
     # of negated alone lacks the target when the target is a double negation
@@ -117,14 +119,14 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
 
     engine = CanonicalEngine(delta, candidate_cap)
     root = engine.refute(negated)
-    stats = DecideStats(len(subformulas(target)), len(engine.delta), len(engine.atoms), engine.count,
+    stats = DecideStats(len(program.nodes), len(engine.delta), len(engine.atoms), engine.count,
                         engine.rounds)
     if root is None:
         return Verdict(theorem=True, stats=stats)
     rows = engine.witness_closure(root)
     succ, extension = engine.masks(rows)
     # the root, at position 0, stays through minimization
-    kept = _minimize_countermodel(len(rows), succ, extension, target)
+    kept = _minimize_countermodel(len(rows), succ, extension, program)
     model = model_from_masks(len(kept), {n: [_restrict(succ[n][p], kept) for p in kept] for n in succ},
                              {name: _restrict(mask, kept) for name, mask in extension.items()},
                              {v.name: v.sort for v in engine.variables}, 0)
@@ -133,17 +135,16 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
 
 
 def _minimize_countermodel(count: int, succ: dict[int, list[int]], extension: dict[str, int],
-                           target: Formula) -> list[int]:
+                           program: Program) -> list[int]:
     """Positions kept after greedily dropping worlds, of ``count`` given as
     bitmasks over their positions, while world 0 still refutes the target.
 
-    After each drop the scan starts again after world 0. The target is
-    compiled once and run on the masks; a trial is the submodel induced by
-    the worlds kept. The frame and persistence conditions are universal, so
+    After each drop the scan starts again after world 0. The target's
+    program runs on the masks; a trial is the submodel induced by the
+    worlds kept. The frame and persistence conditions are universal, so
     every induced submodel of a valid model is valid, and no trial needs the
     validators: the final model is validated once.
     """
-    program = compile_formula(target)
     values = [extension[v.name] for v in program.variables]
 
     def refutes(keep: int) -> bool:

@@ -17,6 +17,8 @@ A sort is a number: a natural 0, 1, 2, ... or the top sort omega, which is
 the sort of x & y is the larger one, and negation adds one, with
 omega + 1 = omega. A variable's name is an ASCII identifier other than T
 and F (:func:`is_variable_name`); :class:`Var` refuses any other name or sort.
+A modality index is a natural number (:func:`is_natural`); :class:`Dia`
+refuses any other.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import threading
 import weakref
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
+from operator import attrgetter
 from typing import Iterable, Union
 
 
@@ -58,6 +61,16 @@ Sort = Union[int, _Omega]
 # every parse, and a regex call per name costs it several percent.
 NAME_START = frozenset(string.ascii_letters + "_")
 NAME_CHARS = NAME_START | frozenset(string.digits)
+
+# The six ASCII whitespace characters, which separate tokens and fields in
+# formula, model and proof text.
+WHITESPACE = " \t\n\r\f\v"
+
+
+def is_natural(value) -> bool:
+    """True for a natural number: an ``int`` at least 0, ``bool`` excluded.
+    A modality index is one, and so is every sort but omega."""
+    return type(value) is int and value >= 0
 
 
 @lru_cache(maxsize=1024)  # every parse builds its variables anew
@@ -152,7 +165,7 @@ class Var(Formula):
     __match_args__ = ("name", "sort")
 
     def __new__(cls, name: str, sort: Sort = OMEGA):
-        if sort is not OMEGA and (type(sort) is not int or sort < 0):
+        if sort is not OMEGA and not is_natural(sort):
             raise ValueError(f"a sort is a natural number or w, not {sort!r}")
         return _intern(cls, (name, sort))
 
@@ -205,6 +218,9 @@ class Dia(Formula):
     __match_args__ = ("index", "child")
 
     def __new__(cls, index: int, child: Formula):
+        # checked before the lookup: True and 1.0 are equal keys to 1
+        if not is_natural(index):
+            raise ValueError(f"a modality index is a natural number, not {index!r}")
         return _intern(cls, (index, child))
 
     @staticmethod
@@ -230,34 +246,37 @@ _UNARY = frozenset({Neg, Dia})
 _BINARY = frozenset({And, Or})
 
 
-def walk(formula: Formula, memo=(), dia_leaves: bool = False) -> tuple[list[Formula], dict[Formula, int]]:
-    """The distinct nodes of a formula, in entry order and in exit order.
+def walk(formula: Formula, memo=(), dia_leaves: bool = False) -> list[Formula]:
+    """The distinct nodes of a formula in entry order: leftmost-outermost,
+    each node before its children.
 
-    One iterative depth-first walk, children left to right. Entry order is
-    leftmost-outermost (each node before its children) and comes as a list;
-    exit order (each node after its children) comes as a dict from node to
-    its position in that order. A node in ``memo`` is skipped with
-    everything below it; with ``dia_leaves`` a diamond's body is not entered.
+    One iterative depth-first walk, children left to right. A node in
+    ``memo`` is skipped with everything below it; with ``dia_leaves`` a
+    diamond's body is not entered.
     """
-    entry: list[Formula] = []
-    done: dict[Formula, int] = {}
-    stack: list = [formula]
-    pop, enter = stack.pop, entry.append
+    seen: dict[Formula, None] = {}  # insertion-ordered, so it is the order too
+    stack: list[Formula] = [formula]
+    pop = stack.pop
     while stack:
         f = pop()
-        if f is None:  # exit marker, above the node it closes
-            f = pop()
-            done[f] = len(done)
-        elif f not in done and f not in memo:
-            enter(f)
+        if f not in seen and f not in memo:
+            seen[f] = None
             cls = type(f)
             if cls in _BINARY:
-                stack += (f, None, f.right, f.left)
+                stack += (f.right, f.left)
             elif cls in _UNARY and not (dia_leaves and cls is Dia):
-                stack += (f, None, f.child)
-            else:
-                done[f] = len(done)
-    return entry, done
+                stack.append(f.child)
+    return list(seen)
+
+
+def children_first(nodes: Iterable[Formula]) -> list[Formula]:
+    """The nodes, each after those of its children that are among them.
+
+    A child's size is strictly below its parent's, so sorting by size puts
+    children first; the sort is stable, so the leaves, all of size 1, keep
+    their order (leftmost-outermost, on a walk).
+    """
+    return sorted(nodes, key=attrgetter("_size"))
 
 
 def fold_boolean(formula: Formula, memo: dict, full, atom):
@@ -268,7 +287,7 @@ def fold_boolean(formula: Formula, memo: dict, full, atom):
     the all-true column. ``atom`` gives a variable's or a diamond's column.
     ``memo`` maps nodes to their columns; it is read and extended.
     """
-    for f in walk(formula, memo, dia_leaves=True)[1]:
+    for f in children_first(walk(formula, memo, dia_leaves=True)):
         cls = type(f)
         if cls is Neg:
             value = full ^ memo[f.child]
@@ -304,26 +323,17 @@ def modified_negation(formula: Formula) -> Formula:
 
 def subformulas(formula: Formula) -> frozenset[Formula]:
     """All subtrees of a formula, including the formula itself."""
-    return frozenset(walk(formula)[0])
+    return frozenset(walk(formula))
 
 
-def diamond_subformulas(formula: Formula, order: str = "occurrence") -> list[tuple[int, Formula]]:
-    """Distinct diamond subformulas <k>x as (k, x) pairs.
-
-    "occurrence" lists them in leftmost-outermost order; "level" stable-sorts
-    the occurrence order by modality index, so ties keep occurrence order.
-    """
-    pairs = [(f.index, f.child) for f in walk(formula)[0] if type(f) is Dia]
-    if order == "occurrence":
-        return pairs
-    if order == "level":
-        return sorted(pairs, key=lambda p: p[0])
-    raise ValueError(f"unknown order {order!r}")
+def diamond_subformulas(formula: Formula) -> list[tuple[int, Formula]]:
+    """Distinct diamond subformulas <k>x as (k, x) pairs, leftmost-outermost."""
+    return [(f.index, f.child) for f in walk(formula) if type(f) is Dia]
 
 
 def variables_of(formula: Formula) -> list[Var]:
     """Distinct variables in leftmost-outermost occurrence order."""
-    return [f for f in walk(formula)[0] if type(f) is Var]
+    return [f for f in walk(formula) if type(f) is Var]
 
 
 def modal_levels(formulas: Iterable[Formula]) -> frozenset[int]:
@@ -370,12 +380,12 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
     diamonds only at levels in L, over bodies already in the set, and their
     negations, so neither L nor the bodies change.
     """
-    delta: set[Formula] = set()
-    for f in (TOP, *gamma):
+    delta: set[Formula] = {TOP, Neg(TOP)}
+    for f in gamma:
         # delta stays closed under subformulas and modified negations, so
         # the walk skips members: a negation's modified negation is its
         # child, and any other node g brings ~g.
-        for g in walk(f, delta)[0]:
+        for g in walk(f, delta):
             delta.add(g)
             delta.add(g.child if type(g) is Neg else Neg(g))
     levels = modal_levels(delta)
@@ -388,7 +398,7 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
 def to_omega_sorted(formula: Formula) -> Formula:
     """Replace every variable's sort by omega, keeping the shape."""
     out: dict[Formula, Formula] = {}
-    for f in walk(formula)[1]:
+    for f in children_first(walk(formula)):
         cls = type(f)
         if cls is Var:
             out[f] = Var(f.name, OMEGA)

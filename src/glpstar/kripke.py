@@ -8,10 +8,10 @@ conditions); the persistence validator checks the two valuation clauses
 tying variable truth to sorts along edges.
 
 Model checking has one kernel: :func:`compile_formula` turns a formula
-into a post-order program, and :func:`evaluate` runs it over world bitmasks
-given each world's successor bitmask per modality and each variable's
-extension. :class:`Evaluator` feeds it a :class:`KripkeModel`; the oracle
-feeds it the bitmasks it enumerates.
+into a children-first program, and :func:`evaluate` runs it over world
+bitmasks given each world's successor bitmask per modality and each
+variable's extension. :class:`Evaluator` feeds it a :class:`KripkeModel`;
+the oracle feeds it the bitmasks it enumerates.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
 
 from .formulas import (
+    WHITESPACE,
     And,
     Dia,
     Formula,
@@ -30,6 +31,8 @@ from .formulas import (
     Sort,
     Top,
     Var,
+    children_first,
+    is_natural,
     walk,
 )
 
@@ -63,9 +66,22 @@ class Violation:
         return ": ".join([parts[0], "; ".join(parts[1:])])
 
 
+_NOT_IN_WORLD_NAMES = frozenset(WHITESPACE + ",#")  # field, member and comment separators
+
+
+def is_world_name(text) -> bool:
+    """True for a name a model file can give a world: a nonempty string
+    without ASCII whitespace, ',' or '#'."""
+    return isinstance(text, str) and text != "" and _NOT_IN_WORLD_NAMES.isdisjoint(text)
+
+
 class KripkeModel:
     """Worlds, indexed relations over them and a valuation in which each
-    variable name carries one sort; with no valuation, a frame."""
+    variable name carries one sort; with no valuation, a frame.
+
+    World names follow :func:`is_world_name` and relation indices are
+    natural numbers; anything else is refused with a ValueError.
+    """
 
     def __init__(
         self,
@@ -80,16 +96,20 @@ class KripkeModel:
             raise ValueError("a frame needs at least one world")
         seen = set()
         for w in self.worlds:
+            if not is_world_name(w):
+                raise ValueError(f"{w!r} is not a world name")
             if w in seen:
                 raise ValueError(f"duplicate world {w!r}")
             seen.add(w)
         self.relations: dict[int, frozenset[tuple[str, str]]] = {}
         for n, pairs in (relations or {}).items():
+            if not is_natural(n):
+                raise ValueError(f"a modality index is a natural number, not {n!r}")
             pairset = frozenset(pairs)
             if any(x not in seen or y not in seen for x, y in pairset):
                 raise ValueError(f"relation {n} references undeclared world")
             if pairset:
-                self.relations[int(n)] = pairset
+                self.relations[n] = pairset
         self.valuation = {name: frozenset(members) for name, members in (valuation or {}).items()}
         self.sorts = dict(sorts or {})
         for name, sort in self.sorts.items():
@@ -204,7 +224,7 @@ _TOP, _BOT, _VAR, _NEG, _AND, _OR, _DIA = range(7)
 
 
 class Program(NamedTuple):
-    """A formula compiled to a post-order program over world bitmasks.
+    """A formula compiled to a children-first program over world bitmasks.
 
     ``nodes`` are the distinct subformulas, each after its children;
     ``code`` holds one instruction per node; ``variables`` are the distinct
@@ -220,18 +240,20 @@ class Program(NamedTuple):
 
 @lru_cache(maxsize=1)
 def compile_formula(formula: Formula) -> Program:
-    """Compile a formula over the exit order of :func:`formulas.walk`.
+    """Compile a formula's distinct nodes, children first
+    (:func:`formulas.children_first`).
 
-    Children come before their parents, left to right, so variables come
-    out in leftmost-outermost order; a shared subformula is compiled once.
-    The last program is kept: a search checks its refutation, and ``decide``
-    checks its countermodel, against the formula it just compiled.
+    Variables come out in leftmost-outermost order, and a shared subformula
+    is compiled once. The last program is kept: a search checks its
+    refutation, and ``decide`` checks its countermodel, against the formula
+    it just compiled.
     """
-    slot = walk(formula)[1]
+    nodes = children_first(walk(formula))
+    slot = {f: i for i, f in enumerate(nodes)}
     variables: list[Var] = []
     code: list[tuple[int, int, int]] = []
     modalities: set[int] = set()
-    for f in slot:
+    for f in nodes:
         cls = type(f)
         if cls is Neg:
             op = (_NEG, slot[f.child], 0)
@@ -248,7 +270,7 @@ def compile_formula(formula: Formula) -> Program:
         else:
             op = (_TOP if cls is Top else _BOT, 0, 0)
         code.append(op)
-    return Program(tuple(slot), tuple(code), tuple(variables), frozenset(modalities))
+    return Program(tuple(nodes), tuple(code), tuple(variables), frozenset(modalities))
 
 
 def evaluate(code: Sequence[tuple[int, int, int]], full: int,

@@ -30,7 +30,7 @@ allowed-pairs mask only shrinks, so a partial frame whose seen worlds and
 the row 0 of its mask cannot cover every world is cut. :func:`enumerate_models`
 still lists every valid model.
 
-The search runs in index space. The goal is compiled once into a post-order
+The search runs in index space. The goal is compiled once into a children-first
 program (:func:`kripke.compile_formula`), and each enumerated model, as
 relation rows and valuation bitmasks, runs it through the same kernel as
 :class:`kripke.Evaluator`. Only the refuting model is materialized as a

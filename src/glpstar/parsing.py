@@ -39,6 +39,7 @@ from .formulas import (
     NAME_START,
     OMEGA,
     TOP,
+    WHITESPACE,
     And,
     Bot,
     Box,
@@ -50,11 +51,12 @@ from .formulas import (
     Sort,
     Top,
     Var,
+    children_first,
     is_variable_name,
     sort_key,
     walk,
 )
-from .kripke import KripkeModel
+from .kripke import KripkeModel, is_world_name
 
 
 class SourceSpan(NamedTuple):
@@ -86,7 +88,6 @@ class _Token:
     end: int
 
 
-WHITESPACE = " \t\n\r\f\v"
 _LINE_BREAK = re.compile(r"\r\n|\r|\n")
 _SPACES = re.compile(f"[{re.escape(WHITESPACE)}]+")
 
@@ -291,8 +292,8 @@ _INFIX = {Or: " | ", And: " & "}
 def render_formula(formula: Formula) -> str:
     """Surface syntax with minimal parentheses; parse_formula inverts it.
 
-    Each distinct node is rendered once, children first, over the exit
-    order of :func:`formulas.walk`; a parent parenthesizes a child whose
+    Each distinct node is rendered once, children first
+    (:func:`formulas.children_first`); a parent parenthesizes a child whose
     precedence is below the one its position needs. ``&`` and ``|`` group
     to the left, so the right side needs one more.
     """
@@ -301,7 +302,7 @@ def render_formula(formula: Formula) -> str:
     def operand(f: Formula, prec: int) -> str:
         return f"({text[f]})" if _PREC[type(f)] < prec else text[f]
 
-    for f in walk(formula)[1]:
+    for f in children_first(walk(formula)):
         cls = type(f)
         if cls is Var:
             out = f.name if f.sort is OMEGA else f"{f.name}:{f.sort}"
@@ -323,7 +324,8 @@ def parse_model(text: str) -> KripkeModel:
 
     Sections in any order: 'worlds a b ...', 'rel <n>: <x> <y>' (one pair per
     line), 'val <name>:<sort> = {w1, w2, ...}', optional 'root <w>'. A val
-    name follows the formula grammar's name rule and is not T or F.
+    name follows the formula grammar's name rule and is not T or F; a world
+    name contains no ASCII whitespace, ',' or '#' (:func:`kripke.is_world_name`).
     """
     worlds: list[str] = []
     world_set: set[str] = set()
@@ -348,6 +350,8 @@ def parse_model(text: str) -> KripkeModel:
             if not rest:
                 err("empty worlds line", lineno)
             for name in split_fields(rest):
+                if not is_world_name(name):
+                    err(f"bad world name {name!r}", lineno)
                 if name in world_set:
                     err(f"duplicate world name {name!r}", lineno)
                 world_set.add(name)

@@ -133,7 +133,7 @@ def is_tautology(formula: Formula) -> bool:
     where bit i of j is set. The formula is a tautology when its column is
     all ones.
     """
-    atoms = [f for f in walk(formula, dia_leaves=True)[0] if type(f) in (Var, Dia)]
+    atoms = [f for f in walk(formula, dia_leaves=True) if type(f) in (Var, Dia)]
     if len(atoms) > TAUT_ATOM_LIMIT:
         raise ProofError(f"tautology check limited to {TAUT_ATOM_LIMIT} atoms, got {len(atoms)}")
     rows = 1 << len(atoms)

@@ -33,26 +33,23 @@ from .formulas import (
 
 def m_formula(formula: Formula) -> Formula:
     """For every diamond subformula <m>x and every level m < j <= max, add <j>x -> <m>x."""
-    dias = diamond_subformulas(formula, "occurrence")
-    if not dias:
-        return TOP
-    top_level = max(m for m, _ in dias)
-    conjuncts = [
-        Implies(Dia(j, body), Dia(m, body))
-        for m, body in dias
-        for j in range(m + 1, top_level + 1)
-    ]
-    return conjoin(conjuncts)
+    return _m_core(diamond_subformulas(formula))
 
 
 def m_plus(formula: Formula) -> Formula:
     """m_formula plus its boxed copies at every level up to the maximum."""
-    dias = diamond_subformulas(formula, "occurrence")
+    dias = diamond_subformulas(formula)
     if not dias:
         return TOP
-    top_level = max(m for m, _ in dias)
-    core = m_formula(formula)
-    return conjoin([core] + [Box(i, core) for i in range(top_level + 1)])
+    core = _m_core(dias)
+    return conjoin([core] + [Box(i, core) for i in range(max(m for m, _ in dias) + 1)])
+
+
+def _m_core(dias: list[tuple[int, Formula]]) -> Formula:
+    """m_formula over the listed diamonds <m>x, given as (m, x) pairs."""
+    top_level = max((m for m, _ in dias), default=0)
+    return conjoin([Implies(Dia(j, body), Dia(m, body))
+                    for m, body in dias for j in range(m + 1, top_level + 1)])
 
 
 def n_formula(formula: Formula) -> Formula:
@@ -62,13 +59,7 @@ def n_formula(formula: Formula) -> Formula:
     order on ties); each body at position i is paired with the level of every
     later position j, giving <m_j>x_i -> <m_i>x_i.
     """
-    dias = diamond_subformulas(formula, "level")
-    conjuncts = [
-        Implies(Dia(dias[j][0], dias[i][1]), Dia(dias[i][0], dias[i][1]))
-        for i in range(len(dias))
-        for j in range(i + 1, len(dias))
-    ]
-    return conjoin(conjuncts)
+    return _n_core(diamond_subformulas(formula))
 
 
 def n_plus(formula: Formula, variant: str = "default") -> Formula:
@@ -78,21 +69,28 @@ def n_plus(formula: Formula, variant: str = "default") -> Formula:
     ascending. The "literal" variant reproduces the displayed text instead,
     boxing the bare input once per enumeration entry.
     """
-    dias = diamond_subformulas(formula, "level")
-    core = n_formula(formula)
-    if not dias:
+    dias = diamond_subformulas(formula)
+    core = _n_core(dias)
+    levels = sorted(m for m, _ in dias)
+    if not levels:
         return core
     if variant == "default":
-        levels = sorted({m for m, _ in dias})
-        return conjoin([core] + [Box(m, core) for m in levels])
+        return conjoin([core] + [Box(m, core) for m in sorted(set(levels))])
     if variant == "literal":
-        return conjoin([core] + [Box(m, formula) for m, _ in dias])
+        return conjoin([core] + [Box(m, formula) for m in levels])
     raise ValueError(f"unknown n_plus variant {variant!r}")
+
+
+def _n_core(dias: list[tuple[int, Formula]]) -> Formula:
+    """n_formula over the listed diamonds, given as (m, x) pairs in occurrence order."""
+    dias = sorted(dias, key=lambda pair: pair[0])
+    return conjoin([Implies(Dia(dias[j][0], body), Dia(m, body))
+                    for i, (m, body) in enumerate(dias) for j in range(i + 1, len(dias))])
 
 
 def h_formula(formula: Formula) -> Formula:
     """For every diamond subformula <n>x, add x -> <n>x (occurrence order)."""
-    dias = diamond_subformulas(formula, "occurrence")
+    dias = diamond_subformulas(formula)
     return conjoin([Implies(body, Dia(n, body)) for n, body in dias])
 
 
@@ -120,4 +118,4 @@ def r_theta_plus(formula: Formula, theta: Iterable[int]) -> Formula:
 
 def occurring_modalities(formula: Formula) -> frozenset[int]:
     """All diamond indices occurring anywhere in the formula."""
-    return frozenset(m for m, _ in diamond_subformulas(formula, "occurrence"))
+    return frozenset(m for m, _ in diamond_subformulas(formula))

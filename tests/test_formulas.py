@@ -9,7 +9,7 @@ import uuid
 import pytest
 
 from glpstar import formulas
-from glpstar.decide import SystemId, reduction_target
+from glpstar.decide import SystemId, decide, reduction_target
 from glpstar.formulas import (
     BOT,
     OMEGA,
@@ -74,6 +74,37 @@ class TestSorts:
         with pytest.raises(ValueError, match="is not a variable name"):
             Var(name, 0)
         assert (Var, name, 0) not in formulas._nodes
+
+
+class TestModalityIndex:
+    # each index was once accepted, and rendered as text that parse_formula
+    # refuses or reads otherwise
+    def _refuses(self, index):
+        with pytest.raises(ValueError, match="a modality index is a natural number, not "):
+            Dia(index, p0)
+
+    def test_negative(self):
+        self._refuses(-1)
+        with pytest.raises(ValueError, match="a modality index is a natural number"):
+            Box(-1, p0)
+        assert (Dia, -1, p0) not in formulas._nodes
+
+    def test_fractional(self):
+        # decide once called <1.5>p:0 -> p:0 a theorem
+        with pytest.raises(ValueError, match="a modality index is a natural number, not 1.5"):
+            decide("jstar", Implies(Dia(1.5, p0), p0))
+        assert (Dia, 1.5, p0) not in formulas._nodes
+
+    def test_bool(self):
+        # True equals 1 as a key, so it is refused even while <1>p:0 lives
+        live = Dia(1, p0)
+        self._refuses(True)
+        assert Dia(1, p0) is live
+
+    def test_string(self):
+        # decide once raised a bare TypeError on <"1">p:0 -> p:0
+        self._refuses("1")
+        assert (Dia, "1", p0) not in formulas._nodes
 
 
 class TestDesugar:
@@ -153,8 +184,8 @@ class TestSubformulas:
 class TestDiamondSubformulas:
     def test_occurrence_and_level_order(self):
         f = And(Dia(2, pw), Dia(0, qw))
-        assert diamond_subformulas(f, "occurrence") == [(2, pw), (0, qw)]
-        assert diamond_subformulas(f, "level") == [(0, qw), (2, pw)]
+        assert diamond_subformulas(f) == [(2, pw), (0, qw)]
+        assert sorted(diamond_subformulas(f), key=lambda p: p[0]) == [(0, qw), (2, pw)]
 
     def test_no_diamonds(self):
         assert diamond_subformulas(p0) == []
@@ -165,7 +196,7 @@ class TestDiamondSubformulas:
 
     def test_level_sort_is_stable(self):
         f = And(Dia(0, pw), Dia(0, qw))
-        assert diamond_subformulas(f, "level") == [(0, pw), (0, qw)]
+        assert sorted(diamond_subformulas(f), key=lambda p: p[0]) == [(0, pw), (0, qw)]
 
 
 class TestModalLevels:

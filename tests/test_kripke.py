@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from glpstar.decide import decide
 from glpstar.formulas import (
     BOT,
     OMEGA,
@@ -36,9 +37,11 @@ from glpstar.kripke import (
     compile_formula,
     find_roots,
     generated_submodel,
+    is_world_name,
     model_check,
     valid_in_model,
 )
+from glpstar.parsing import parse_formula
 from glpstar.reductions import occurring_modalities
 from conftest import gen_persistent_model, perturb_model
 from reference import reference_check_jstar_frame
@@ -66,6 +69,25 @@ class TestFrameValidator:
         # check_strong_persistence raise TypeError
         with pytest.raises(ValueError, match="a sort is a natural number or w"):
             KripkeModel(("a", "b"), {0: {("a", "b")}}, {"p": {"a"}}, {"p": sort})
+
+    @pytest.mark.parametrize("index", [1.5, -1, True, "1"])
+    def test_model_refuses_what_is_not_a_modality_index(self, index):
+        # int() once made 1.5 level 1 and let -1 through
+        with pytest.raises(ValueError, match="a modality index is a natural number, not "):
+            KripkeModel(("a", "b"), {index: {("a", "b")}})
+
+    @pytest.mark.parametrize("name", ["a#b", "a,b", "", "a b", "a\tb", "a\nb", "a\x0bb", 7, None])
+    def test_model_refuses_what_is_not_a_world_name(self, name):
+        # each would render as model text that parse_model refuses or reads otherwise
+        with pytest.raises(ValueError, match="is not a world name"):
+            KripkeModel((name, "c"))
+
+    def test_generated_world_names_are_world_names(self):
+        assert all(map(is_world_name, ("w0", "w12", "0", "r0", "r17", "a\u3000b", "{=:}")))
+        m = KripkeModel(("0", "r0"), {0: {("0", "r0")}}, {}, {}, root="0")
+        assert adjoin_root(m).worlds == ("r1", "0", "r0")
+        verdict = decide("glpstar", parse_formula("<0>p & ~<1>q:0"))
+        assert all(map(is_world_name, verdict.countermodel.worlds))
 
     def test_model_refuses_what_is_not_a_variable_name(self):
         with pytest.raises(ValueError, match="is not a variable name"):

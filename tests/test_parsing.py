@@ -1,4 +1,5 @@
 import random
+import string
 
 import pytest
 
@@ -243,6 +244,29 @@ class TestParseModel:
     def test_round_trip(self):
         m = parse_model(MODEL_TEXT)
         assert parse_model(render_model(m)) == m
+
+    def test_worlds_line_refuses_a_comma(self):
+        # a world a,b would read as the two worlds a and b in a val line
+        text = "worlds c\nworlds a,b d\n"
+        with pytest.raises(ParseError, match="bad world name 'a,b'") as err:
+            parse_model(text)
+        assert err.value.span == (9, len(text) - 1)
+
+    def test_round_trip_random_world_names(self):
+        # any nonempty name without ASCII whitespace, ',' or '#': punctuation,
+        # control characters, and non-ASCII letters, spaces and line breaks
+        alphabet = (string.ascii_letters + string.digits + string.punctuation.replace(",", "").replace("#", "")
+                    + "\x00\x1c\x7f\x85\xa0\u2028\u3000é日ω²")
+        rng = random.Random(13)
+        for _ in range(300):
+            worlds = list(dict.fromkeys(
+                "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4))) for _ in range(rng.randint(1, 5))))
+            relations = {n: {(rng.choice(worlds), rng.choice(worlds)) for _ in range(rng.randint(0, 4))}
+                         for n in rng.sample(range(4), rng.randint(0, 3))}
+            names = rng.sample(["p", "q", "r_1"], rng.randint(0, 3))
+            m = KripkeModel(worlds, relations, {v: {w for w in worlds if rng.random() < 0.5} for v in names},
+                            {v: rng.choice((0, 1, 2, OMEGA)) for v in names}, rng.choice(worlds + [None]))
+            assert parse_model(render_model(m)) == m
 
     def test_round_trip_random(self):
         rng = random.Random(12)

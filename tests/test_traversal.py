@@ -1,10 +1,11 @@
 """Formula traversals against plain recursive references, and at depth.
 
-Every traversal in the library is one iterative walk. The references below
-are the recursive definitions the walk replaced, written out here so that
-the library's results can be compared with them on random formulas, built
-with boxes and implications too. The deep tests build formulas 10^4 levels
-deep, far past the interpreter's recursion limit.
+Every traversal in the library is one iterative walk, read in entry order
+or, sorted by size, children first. The references below are the recursive
+definitions the walk replaced, written out here so that the library's
+results can be compared with them on random formulas, built with boxes and
+implications too. The deep tests build formulas 10^4 levels deep, far past
+the interpreter's recursion limit.
 """
 
 import itertools
@@ -28,12 +29,14 @@ from glpstar.formulas import (
     Top,
     Var,
     adequate_closure,
+    children_first,
     desugar,
     diamond_subformulas,
     modified_negation,
     subformulas,
     to_omega_sorted,
     variables_of,
+    walk,
 )
 from glpstar.hintikka import CanonicalEngine
 from glpstar.kripke import (
@@ -41,6 +44,7 @@ from glpstar.kripke import (
     KripkeModel,
     check_jstar_frame,
     check_strong_persistence,
+    compile_formula,
     model_check,
 )
 from glpstar.parsing import parse_formula, render_formula
@@ -65,13 +69,15 @@ def ref_to_omega_sorted(f):
     return type(f)(ref_to_omega_sorted(f.left), ref_to_omega_sorted(f.right))
 
 
-def ref_preorder(f):
+def ref_preorder(f, memo=(), dia_leaves=False):
+    if f in memo:
+        return
     yield f
-    if isinstance(f, (Neg, Dia)):
-        yield from ref_preorder(f.child)
+    if isinstance(f, Neg) or isinstance(f, Dia) and not dia_leaves:
+        yield from ref_preorder(f.child, memo, dia_leaves)
     elif isinstance(f, (And, Or)):
-        yield from ref_preorder(f.left)
-        yield from ref_preorder(f.right)
+        yield from ref_preorder(f.left, memo, dia_leaves)
+        yield from ref_preorder(f.right, memo, dia_leaves)
 
 
 def ref_distinct(f, kind):
@@ -176,8 +182,20 @@ class TestAgainstReferences:
             assert variables_of(f) == ref_distinct(f, Var)
             pairs = [(d.index, d.child) for d in ref_distinct(f, Dia)]
             assert diamond_subformulas(f) == pairs
-            assert diamond_subformulas(f, "occurrence") == pairs
-            assert diamond_subformulas(f, "level") == sorted(pairs, key=lambda p: p[0])
+
+    def test_walk_is_the_distinct_preorder(self):
+        rng = random.Random(67)
+        for f in sugared_formulas(68):
+            nodes = sorted(subformulas(f), key=repr)
+            memo = set(rng.sample(nodes, rng.randint(0, min(2, len(nodes)))))
+            for args in ((), (memo,), ((), True), (memo, True)):
+                assert walk(f, *args) == list(dict.fromkeys(ref_preorder(f, *args))), args
+
+    def test_children_first_puts_every_node_after_its_children(self):
+        for f in sugared_formulas(69):
+            for nodes in (walk(f), walk(f, dia_leaves=True)):
+                ordered = children_first(nodes)
+                _assert_children_first(nodes, ordered)
 
     def test_is_tautology_up_to_sixteen_atoms(self):
         rng = random.Random(64)
@@ -201,6 +219,18 @@ class TestAgainstReferences:
             big = Or(big, Var(f"v{i}"))
         with pytest.raises(ProofError, match="^tautology check limited to 16 atoms, got 17$"):
             is_tautology(big)
+
+
+def _assert_children_first(nodes, ordered):
+    """``ordered`` holds ``nodes``, each after its children among them, and
+    the leaves in their order in ``nodes``."""
+    assert sorted(ordered, key=id) == sorted(nodes, key=id)
+    position = {g: i for i, g in enumerate(ordered)}
+    for g in ordered:
+        for child in (getattr(g, name) for name in ("child", "left", "right") if hasattr(g, name)):
+            assert position.get(child, -1) < position[g]
+    leaves = [g for g in nodes if isinstance(g, (Top, Bot, Var))]
+    assert [g for g in ordered if isinstance(g, (Top, Bot, Var))] == leaves
 
 
 def _boolean_combination(rng, atoms):
@@ -302,6 +332,40 @@ class TestCountermodels:
         assert len(calls) == len(cases)
 
 
+# ----- walks per decide call -----
+
+class TestWalkCounts:
+    # Per system (jstar, glpstar, glp, glpsstar), with the compile cache
+    # cleared first: each premise lists its diamonds in one walk, the target
+    # is walked once to compile it and once to close it, the glp route walks
+    # to drop the sorts, and each boolean fold of the engine walks once.
+    WALKS = {
+        "<0>p & ~<1>q:0": (6, 8, 8, 9),
+        "<1>p:1 -> p:1": (4, 6, 7, 7),
+        "[1](p:0 -> q) -> <2>T": (7, 9, 8, 10),
+    }
+
+    def test_pinned(self, monkeypatch):
+        count = 0
+
+        def counting(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return walk(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            if getattr(module, "__name__", "").startswith("glpstar") and getattr(module, "walk", None) is walk:
+                monkeypatch.setattr(module, "walk", counting)
+        for text, expected in self.WALKS.items():
+            counts = []
+            for system in SystemId:
+                compile_formula.cache_clear()
+                count = 0
+                decide(system, parse_formula(text))
+                counts.append(count)
+            assert tuple(counts) == expected, text
+
+
 # ----- depth far past the recursion limit -----
 
 def _chain(wrap, leaf, depth=DEEP):
@@ -341,6 +405,18 @@ class TestDeepFormulas:
         dias = diamond_subformulas(f)
         assert len(dias) == DEEP // 2
         assert dias[0] == (DEEP // 2 - 1, f.child) and dias[-1] == (0, Neg(Var("p", 2)))
+
+    def test_walk_and_children_first(self):
+        f = _chain(lambda g: And(Neg(g), Var("q")), Var("p"))
+        expected, g = [], f
+        while isinstance(g, And):
+            expected += [g, g.left]
+            g = g.left.child
+        expected += [Var("p"), Var("q")]
+        assert walk(f) == expected
+        _assert_children_first(expected, children_first(expected))
+        assert walk(f, dia_leaves=True) == expected
+        assert walk(f, {f.left}) == [f, Var("q")]
 
     def test_evaluator_and_tautology(self):
         m = KripkeModel(("a", "b"), {0: {("a", "b")}}, {"p": {"b"}}, {"p": OMEGA})
