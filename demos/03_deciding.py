@@ -37,5 +37,5 @@ print(export_dot(verdict.countermodel, highlight=verdict.countermodel.root))
 
 # Elimination statistics show the size of the canonical construction.
 stats = verdict.stats
-print(f"closure size {stats.delta_size}, atoms {stats.atom_count}, "
-      f"candidates {stats.candidates}, survivors per sweep {stats.rounds}")
+print(f"atoms {stats.atom_count}, candidates {stats.candidates}, "
+      f"survivors per sweep {stats.rounds}")

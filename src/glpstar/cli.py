@@ -7,7 +7,9 @@ the command line, or from a file when prefixed with '@' (one formula per
 line, '#' comments; only `decide` takes more than one). `--format json`
 emits one JSON object instead of text; for a resource limit it carries the
 message and the closure's atom count, the candidate count reached and the
-candidate cap (null where unknown).
+candidate cap (null where unknown). A `decide` batch gives each formula its
+own outcome, a resource limit included, and exits with the worst outcome's
+code (3 over 1 over 0).
 """
 
 from __future__ import annotations
@@ -156,14 +158,22 @@ def _cmd_decide(args) -> int:
             verdict = decide(system, formula, via=args.via, candidate_cap=args.candidate_cap)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
+        except (ResourceLimitError, RecursionError) as exc:
+            if len(formulas) == 1:
+                raise
+            # a batch goes on: the limit is this formula's outcome
+            limit = _as_resource_limit(exc)
+            print(f"resource limit: {limit}", file=sys.stderr)
+            results.append((formula, limit))
+            worst = EXIT_RESOURCE
+            continue
         results.append((formula, verdict))
         if not verdict.theorem:
-            worst = EXIT_NO
+            worst = max(worst, EXIT_NO)
         if args.verbose:
             stats = verdict.stats
             print(
-                f"# closure {stats.delta_size} formulas, {stats.atom_count} atoms, "
-                f"{stats.candidates} candidates; survivors per round: "
+                f"# {stats.atom_count} atoms, {stats.candidates} candidates; survivors per round: "
                 f"{stats.rounds if stats.rounds else '[no eliminations]'}",
                 file=sys.stderr,
             )
@@ -183,7 +193,6 @@ def _cmd_decide(args) -> int:
             "countermodel": _model_json(verdict.countermodel) if verdict.countermodel else None,
             "falsified": render_formula(verdict.falsified) if verdict.falsified else None,
             "stats": {
-                "delta_size": verdict.stats.delta_size,
                 "atoms": verdict.stats.atom_count,
                 "candidates": verdict.stats.candidates,
                 "rounds": verdict.stats.rounds,
@@ -194,22 +203,16 @@ def _cmd_decide(args) -> int:
             lines.append(render_model(verdict.countermodel).rstrip("\n"))
         _emit(args, payload, lines)
     else:
-        payload = {
-            "command": "decide",
-            "system": system.value,
-            "results": [
-                {
-                    "formula": render_formula(f),
-                    "verdict": "theorem" if v.theorem else "non-theorem",
-                }
-                for f, v in results
-            ],
-        }
-        lines = [
-            f"{'theorem' if v.theorem else 'non-theorem'}  {render_formula(f)}"
-            for f, v in results
-        ]
-        _emit(args, payload, lines)
+        entries = []
+        for f, outcome in results:
+            entry = {"formula": render_formula(f)}
+            if isinstance(outcome, ResourceLimitError):
+                entry.update(verdict="resource limit", **_limit_fields(outcome))
+            else:
+                entry["verdict"] = "theorem" if outcome.theorem else "non-theorem"
+            entries.append(entry)
+        payload = {"command": "decide", "system": system.value, "results": entries}
+        _emit(args, payload, [f"{e['verdict']}  {e['formula']}" for e in entries])
     return worst
 
 
@@ -440,27 +443,29 @@ def run(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        return _resource_limit(args, exc)
-    except RecursionError:
-        # formula traversals and the parser are iterative, but ordering a
-        # level's diamonds by sort key compares nested tuples, which recurses
-        # once per nesting level inside the interpreter
-        return _resource_limit(args, ResourceLimitError("formula nesting too deep to traverse"))
+    except (ResourceLimitError, RecursionError) as exc:
+        return _resource_limit(args, _as_resource_limit(exc))
+
+
+def _as_resource_limit(exc: Exception) -> ResourceLimitError:
+    # formula traversals and the parser are iterative, but ordering a
+    # level's diamonds by sort key compares nested tuples, which recurses
+    # once per nesting level inside the interpreter
+    if isinstance(exc, RecursionError):
+        return ResourceLimitError("formula nesting too deep to traverse")
+    return exc
+
+
+def _limit_fields(exc: ResourceLimitError) -> dict:
+    return {"message": str(exc), "atoms": exc.atoms, "candidates": exc.candidates, "cap": exc.cap}
 
 
 def _resource_limit(args, exc: ResourceLimitError) -> int:
     """One stderr line, and under --format json the structured cause on stdout."""
     print(f"resource limit: {exc}", file=sys.stderr)
     if args.format == "json":
-        _out(json.dumps({
-            "command": args.command,
-            "error": "resource limit",
-            "message": str(exc),
-            "atoms": exc.atoms,
-            "candidates": exc.candidates,
-            "cap": exc.cap,
-        }, indent=2, sort_keys=True))
+        _out(json.dumps({"command": args.command, "error": "resource limit", **_limit_fields(exc)},
+                        indent=2, sort_keys=True))
     return EXIT_RESOURCE
 
 

@@ -138,6 +138,14 @@ def _intern(cls: type, fields: tuple) -> Formula:
     return node
 
 
+def _not_a_formula(*children) -> ValueError:
+    """The error for a node over a child that is not a formula. ``_derive``
+    raises it when a child lacks the derived values, so only a failed
+    derivation pays for the check, and only a miss runs ``_derive``."""
+    bad = next(child for child in children if not isinstance(child, Formula))
+    return ValueError(f"a formula's child is a formula, not {bad!r}")
+
+
 class Top(Formula):
     __slots__ = ()
 
@@ -186,7 +194,10 @@ class Neg(Formula):
 
     @staticmethod
     def _derive(child):
-        return (3, child._key), 1 + child._size, child._sort + 1
+        try:
+            return (3, child._key), 1 + child._size, child._sort + 1
+        except AttributeError:
+            raise _not_a_formula(child) from None
 
 
 class And(Formula):
@@ -198,7 +209,10 @@ class And(Formula):
 
     @staticmethod
     def _derive(left, right):
-        return (4, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
+        try:
+            return (4, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
+        except AttributeError:
+            raise _not_a_formula(left, right) from None
 
 
 class Or(Formula):
@@ -210,7 +224,10 @@ class Or(Formula):
 
     @staticmethod
     def _derive(left, right):
-        return (5, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
+        try:
+            return (5, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
+        except AttributeError:
+            raise _not_a_formula(left, right) from None
 
 
 class Dia(Formula):
@@ -225,7 +242,10 @@ class Dia(Formula):
 
     @staticmethod
     def _derive(index, child):
-        return (6, index, child._key), 1 + child._size, index
+        try:
+            return (6, index, child._key), 1 + child._size, index
+        except AttributeError:
+            raise _not_a_formula(child) from None
 
 
 TOP = Top()
@@ -356,7 +376,8 @@ def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> set[Formula]:
 
     These are the bodies of its diamonds, its variables p of finite sort s
     when some present level is at least s, and their negations ~p when
-    some present level exceeds s.
+    some present level exceeds s, built here, so that a set closed under
+    subformulas gives the bodies of its adequate closure.
     """
     top = max(levels, default=-1)
     bodies = set()
@@ -366,8 +387,8 @@ def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> set[Formula]:
             bodies.add(f.child)
         elif cls is Var and f.sort <= top:
             bodies.add(f)
-        elif cls is Neg and type(f.child) is Var and f.child.sort < top:
-            bodies.add(f)
+            if f.sort < top:
+                bodies.add(Neg(f))
     return bodies
 
 

@@ -1,11 +1,11 @@
 """Canonical-model machinery: Hintikka candidates and witness elimination.
 
 A candidate world over an adequate set is determined by a truth assignment
-to its atoms (variables and diamond formulas); every other member's truth is
-forced by boolean evaluation. Candidates additionally satisfy two local
-closure constraints mirroring the completeness axioms: a diamond whose body
-has sort at most its level pulls the body in, and a nested diamond <m><n>x
-with m < n pulls <m>x in.
+to its atoms (variables and diamond formulas), which the engine reads off
+the target's subformulas without building the set; every other member's
+truth is forced by boolean evaluation. Candidates also satisfy two closure
+constraints mirroring the completeness axioms: a diamond whose body has sort
+at most its level pulls the body in, and <m><n>x with m < n pulls <m>x in.
 
 Atoms are grown variables first, then diamonds by size, so everything a
 diamond forces mentions only earlier atoms. The engine grows the candidates
@@ -33,13 +33,19 @@ The relation follows the four textbook conditions with condition (2) widened
 from "same level" to "same or higher level": an edge at level n absorbs a
 successor's diamonds at every level k >= n down to level n. The literal
 same-level reading admits survivor triples x ->0 y ->1 z with no x ->0 z
-edge, which breaks the inter-level frame conditions the validators enforce;
-the widened reading provably restores them (see the repository notes).
+edge, which breaks the frame condition R_m o R_n within R_m (m < n) that
+the validators enforce: a body b of z puts <1>b into y, but nothing puts
+<0>b into x. The widened reading asks for <0>b in x exactly then. It keeps
+the witnesses the existence lemma needs: when x lacks <n>c it holds
+[n]~c, hence [n][k]~c for every k >= n (axiom 4 for k = n, and the transit
+axiom <n><k>c -> <n>c for k > n), so some witness of each of x's level-n
+diamonds holds no <k>c. ``TestLiteralReading`` in ``tests/test_hintikka.py``
+pins two formulas whose countermodels the literal reading breaks.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Collection, Optional
 
 import numpy as np
 
@@ -47,6 +53,7 @@ from .formulas import (
     Dia,
     Formula,
     Var,
+    _bodies,
     fold_boolean,
     formula_size,
     modal_levels,
@@ -75,40 +82,36 @@ class ResourceLimitError(RuntimeError):
 
 
 class CanonicalEngine:
-    """Packed candidate table over an adequate set, with witness elimination.
-
-    Adequacy is a precondition and is not re-checked: ``decide`` passes a
-    closure that :func:`formulas.adequate_closure` makes adequate.
+    """Packed candidate table, with witness elimination, over the atoms of
+    the adequate closure of a subformula-closed set (not re-checked), such
+    as a compiled target's ``nodes``: its variables, and the grid <n>b over
+    its present levels n and the bodies b of :func:`formulas._bodies`.
     """
 
-    def __init__(self, delta: Iterable[Formula], candidate_cap: int = DEFAULT_CANDIDATE_CAP):
+    def __init__(self, formulas: Collection[Formula], candidate_cap: int = DEFAULT_CANDIDATE_CAP):
         if candidate_cap < 1:
             raise ValueError(f"candidate cap must be at least 1, not {candidate_cap}")
-        dset = frozenset(delta)
-        self.delta = dset
-        self.levels = sorted(modal_levels(dset))
+        levels = modal_levels(formulas)
+        self.levels = sorted(levels)
         self.cap = candidate_cap
 
         # Variable keys are shallow: the name, then the sort (omega last).
-        variables = sorted({f for f in dset if isinstance(f, Var)}, key=lambda v: (v.name, v.sort))
+        variables = sorted({f for f in formulas if isinstance(f, Var)}, key=lambda v: (v.name, v.sort))
         require_one_sort_per_name((v.name, v.sort) for v in variables)
         self.variables = variables
 
-        # Rediamonding puts every diamond body at every level, so a body has
-        # one bit for all levels. The limits are checked on the set sizes
-        # before any diamond is ordered: a diamond's sort key is as deep as
-        # the diamond.
-        diamonds = {f for f in dset if isinstance(f, Dia)}
-        bodies = {d.child for d in diamonds}
-        if any(Dia(n, body) not in dset for n in self.levels for body in bodies):
-            raise AssertionError("adequate set is missing a level twin")
-        width, atom_count = len(bodies), len(variables) + len(diamonds)
+        # The diamonds are the grid, so a body has one bit for all levels.
+        # The limits are checked on the grid's size before any grid diamond
+        # is built or ordered: a diamond's sort key is as deep as the diamond.
+        bodies = _bodies(formulas, levels)
+        width, atom_count = len(bodies), len(variables) + len(levels) * len(bodies)
         limits = {"atoms": atom_count, "cap": candidate_cap}
         if width > 32:
             raise ResourceLimitError(f"{width} diamonds at each level exceed 32", **limits)
         if atom_count > 63:
             raise ResourceLimitError(f"{atom_count} atoms exceed the 63-bit index budget", **limits)
-        diamonds = sorted(diamonds, key=lambda d: (formula_size(d), sort_key(d)))
+        diamonds = sorted((Dia(n, body) for n in levels for body in bodies),
+                          key=lambda d: (formula_size(d), sort_key(d)))
         self.atoms: list[Formula] = variables + diamonds
         # a body's bit follows the order of the bodies' keys
         self.bodies = sorted(bodies, key=sort_key)
@@ -130,10 +133,7 @@ class CanonicalEngine:
             if sort_of(body) <= d.index:
                 need_bits = 1 << self.body_bit[body]
             if isinstance(body, Dia) and d.index < body.index:
-                partner = Dia(d.index, body.child)
-                if partner not in dset:
-                    raise AssertionError("adequate set is missing a transit partner")
-                word_bits = 1 << self.bit[partner]
+                word_bits = 1 << self.bit[Dia(d.index, body.child)]
             self._steps.append((self.bit[d], fold, need_bits, word_bits))
 
         reached, words, need = self._grow()

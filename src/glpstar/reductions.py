@@ -10,8 +10,11 @@ The pair builder for the language-preserving premise keeps the *same* body
 on both sides of each implication, pairing every enumerated diamond body
 with every higher-or-equal enumerated level. The displayed form that mixes
 two bodies makes the premise unprovable (for <2>p and <0>q it would demand
-<2>p -> <0>q), so the same-body reading is the one the reduction theorems
-need; see the decision notes shipped next to the repository.
+<2>p -> <0>q), while each same-body pair <j>x -> <m>x with m <= j is an
+instance of monotonicity. The reduction theorems need a premise that GLP*
+proves, so the same-body reading is the one they need. ``TestReductionRoutes``
+in ``tests/test_decide.py`` checks that N+ is a GLP* theorem on seeded
+formulas, and that the N+ route gives the M+ route's verdicts.
 """
 
 from __future__ import annotations

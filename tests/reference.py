@@ -8,8 +8,8 @@ tokenizer and the frame validator as first written, which the library's
 versions must match exactly.
 ``assert_truth_lemma`` checks that satisfaction is membership in a canonical
 model. From an engine's own calls, ``membership`` reads a candidate row's
-formula set, ``canonical_model`` builds that model, and ``model_over`` any
-model over candidate rows.
+formula set within a given closure, ``canonical_model`` builds that model,
+and ``model_over`` any model over candidate rows.
 """
 
 import string
@@ -91,10 +91,13 @@ def canonical_relation(delta: Iterable[Formula], x: Iterable[Formula], y: Iterab
     return any(f.index == n and f in xset and f not in yset for f in dias)
 
 
-def membership(engine, i: int) -> frozenset[Formula]:
-    """The formula set of the engine's candidate row i."""
+def membership(engine, delta: Iterable[Formula], i: int) -> frozenset[Formula]:
+    """The members of ``delta`` that the engine's candidate row i holds.
+
+    ``delta`` is the adequate closure of the set the engine was built from;
+    the engine's atoms are its atoms, so each member is a fold over them."""
     row, memo = int(engine.words[i]), {}
-    return frozenset(f for f in engine.delta
+    return frozenset(f for f in delta
                      if fold_boolean(f, memo, 1, lambda g: row >> engine.bit[g] & 1))
 
 
@@ -105,13 +108,13 @@ def model_over(engine, rows: list[int]) -> KripkeModel:
     return model_from_masks(len(rows), succ, extension, {v.name: v.sort for v in engine.variables}, 0)
 
 
-def canonical_model(engine) -> tuple[KripkeModel, dict[str, frozenset[Formula]]]:
+def canonical_model(engine, delta: Iterable[Formula]) -> tuple[KripkeModel, dict[str, frozenset[Formula]]]:
     """The engine's canonical model, after running its elimination to the
-    fixpoint, and each world's formula set."""
+    fixpoint, and each world's formula set within the closure ``delta``."""
     engine.eliminate()
     rows = [int(r) for r in np.flatnonzero(engine.alive)]
     model = model_over(engine, rows)
-    return model, {f"w{k}": membership(engine, r) for k, r in enumerate(rows)}
+    return model, {f"w{k}": membership(engine, delta, r) for k, r in enumerate(rows)}
 
 
 def assert_truth_lemma(model: KripkeModel, memberships: dict[str, frozenset[Formula]],

@@ -10,7 +10,7 @@ import glpstar
 from glpstar import oracle
 from glpstar.cli import run
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
-from glpstar.parsing import parse_formula, parse_model
+from glpstar.parsing import parse_formula, parse_model, render_formula
 
 
 def invoke(capsys, *argv):
@@ -57,6 +57,7 @@ class TestDecideCommand:
         assert payload["verdict"] == "non-theorem"
         assert payload["countermodel"]["worlds"] == ["w0"]
         assert payload["stats"]["candidates"] > 0
+        assert sorted(payload["stats"]) == ["atoms", "candidates", "rounds"]
 
     def test_formula_file(self, capsys, tmp_path):
         path = tmp_path / "batch.formulas"
@@ -108,6 +109,24 @@ class TestDecideCommand:
         assert payload["atoms"] == 8
         assert "cap 5" in payload["message"]
 
+    def test_batch_goes_on_past_a_resource_limit(self, capsys, tmp_path):
+        # 16 bodies at 4 levels and 16 variables: 80 atoms, refused before enumerating
+        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16))
+        path = tmp_path / "batch.formulas"
+        path.write_text(f"p -> p\n{wide}\n<0>T\n")
+        code, out, err = invoke(capsys, "decide", "--system", "jstar", f"@{path}")
+        assert code == 3
+        assert [line.split("  ")[0] for line in out.splitlines()] == ["theorem", "resource limit", "non-theorem"]
+        assert out.splitlines()[1] == f"resource limit  {render_formula(parse_formula(wide))}"
+        assert err == "resource limit: 80 atoms exceed the 63-bit index budget\n"
+        code, out, _ = invoke(capsys, "decide", "--system", "jstar", "--format", "json", f"@{path}")
+        assert code == 3
+        theorem, limit, non_theorem = json.loads(out)["results"]
+        assert (theorem["verdict"], non_theorem["verdict"]) == ("theorem", "non-theorem")
+        assert limit == {"formula": render_formula(parse_formula(wide)), "verdict": "resource limit",
+                         "message": "80 atoms exceed the 63-bit index budget",
+                         "atoms": 80, "candidates": None, "cap": 1 << 20}
+
     def test_nested_formula_decides(self, capsys):
         code, out, _ = invoke(capsys, "decide", "--system", "glpstar", "~" * 100 + "p")
         assert code == 1
@@ -119,7 +138,7 @@ class TestDecideCommand:
         assert code == 1
         assert out.startswith("non-theorem")
 
-    def test_deep_formula_is_a_resource_limit(self, capsys):
+    def test_deep_formula_is_a_resource_limit(self, capsys, tmp_path):
         # ordering a level's diamonds by sort key compares nested tuples,
         # which recurses once per nesting level the two keys share
         chain = "~" * 3000
@@ -128,6 +147,13 @@ class TestDecideCommand:
         assert code == 3
         assert out == ""
         assert err.startswith("resource limit:") and err.count("\n") == 1
+        # in a batch it is that formula's outcome
+        path = tmp_path / "batch.formulas"
+        path.write_text(f"p -> p\n<0>{chain}p & <0>{chain}q\n<0>T\n")
+        code, out, err = invoke(capsys, "decide", "--system", "glpstar", f"@{path}")
+        assert code == 3
+        assert [line.split("  ")[0] for line in out.splitlines()] == ["theorem", "resource limit", "non-theorem"]
+        assert err == "resource limit: formula nesting too deep to traverse\n"
 
     def test_sparse_33_atom_closure_decides(self, capsys):
         code, out, _ = invoke(capsys, "decide", "--system", "glpstar", "<0><3>(q:0 & F) & <1><2><1>F")
@@ -139,7 +165,7 @@ class TestDecideCommand:
             capsys, "decide", "--system", "glpstar", "--verbose", "<1>p -> <0>p"
         )
         assert code == 0
-        assert "candidates" in err
+        assert err.startswith("# 5 atoms, 32 candidates; ")
 
     @pytest.mark.parametrize("args, expected", [
         (["--system", "glp", "<1>T -> <0>T"], 0),

@@ -24,6 +24,7 @@ from glpstar.hintikka import CanonicalEngine, ResourceLimitError
 from glpstar.kripke import (
     check_jstar_frame,
     check_strong_persistence,
+    compile_formula,
     find_roots,
     model_check,
 )
@@ -184,9 +185,10 @@ class TestReductionRoutes:
                 assert decide(SystemId.GLPSSTAR, f).theorem
 
     def test_one_engine_and_no_adequacy_recheck(self, monkeypatch):
-        # the closure is adequate by construction, so no module of the
-        # package holds an adequacy check to re-run it; the truth lemma holds
-        # on the engine that gave the verdict, run on to the fixpoint
+        # the engine's atoms are those of the adequate closure by
+        # construction, so no module of the package holds an adequacy check;
+        # the truth lemma holds over the target's closure on the engine that
+        # gave the verdict, run on to the fixpoint
         modules = [importlib.import_module(f"glpstar.{m.name}") for m in pkgutil.iter_modules(glpstar.__path__)]
         assert [m.__name__ for m in [glpstar, *modules] if hasattr(m, "is_adequate")] == []
         hintikka = sys.modules["glpstar.hintikka"]
@@ -206,7 +208,8 @@ class TestReductionRoutes:
             got = decide(system, f)
             assert (got.theorem, got.stats) == (expected.theorem, expected.stats)
             assert got.countermodel == expected.countermodel
-            assert_truth_lemma(*canonical_model(engines[-1]), engines[-1].delta)
+            delta = adequate_closure({reduction_target(system, f)})
+            assert_truth_lemma(*canonical_model(engines[-1], delta), delta)
         assert len(engines) == len(cases)
         assert any(not v.theorem for v in plain) and any(v.theorem for v in plain)
         assert plain[-1].theorem
@@ -293,3 +296,31 @@ class TestWorms:
             assert not v.theorem
             assert len(v.countermodel.worlds) == n + 1
             assert check_jstar_frame(v.countermodel) == []
+
+
+class TestEngineInput:
+    """``decide`` builds its engine from the compiled target's nodes. The
+    engine reads the atoms off them, so it must equal, atom for atom and row
+    for row, the engine built from the target's adequate closure."""
+
+    @staticmethod
+    def assert_same_engine(target):
+        from_nodes = CanonicalEngine(compile_formula(target).nodes)
+        from_closure = CanonicalEngine(adequate_closure({target}))
+        for name in ("levels", "atoms", "bit", "bodies", "count"):
+            assert getattr(from_nodes, name) == getattr(from_closure, name), name
+        assert from_nodes.words.tolist() == from_closure.words.tolist()
+
+    def test_seeded_targets_of_every_system(self):
+        rng = random.Random(57)
+        for k in range(200):
+            f = gen_sorted_formula(rng, depth=rng.choice((2, 3, 4)), max_vars=3, mods=(0, 1, 2, 3))
+            self.assert_same_engine(reduction_target(list(SystemId)[k % 4], f))
+
+    def test_worm_targets(self):
+        worms = TestWorms.WORMS
+        cases = [(SystemId.GLP, g) for a in worms for b in worms
+                 for g in (Implies(b, Dia(0, a)), And(Implies(a, b), Implies(b, a)))]
+        cases += [(system, Neg(_worm([0] * n))) for system in SystemId for n in range(9)]
+        for system, f in cases:
+            self.assert_same_engine(reduction_target(system, f))

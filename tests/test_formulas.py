@@ -107,6 +107,25 @@ class TestModalityIndex:
         assert (Dia, "1", p0) not in formulas._nodes
 
 
+class TestChildren:
+    # each once raised a bare AttributeError ("'int' object has no attribute '_key'")
+    @pytest.mark.parametrize("cls, fields, shown", [
+        (Neg, (5,), "5"),
+        (And, (Var("p"), "q"), "'q'"),
+        (Or, (None, TOP), "None"),
+        (Dia, (0, None), "None"),
+    ])
+    def test_refuses_what_is_not_a_formula(self, cls, fields, shown):
+        with pytest.raises(ValueError, match=f"a formula's child is a formula, not {shown}$"):
+            cls(*fields)
+        assert (cls, *fields) not in formulas._nodes
+
+    def test_sugar_refuses_it_too(self):
+        for build in (lambda: Box(1, 3), lambda: Implies("p", TOP)):
+            with pytest.raises(ValueError, match="a formula's child is a formula"):
+                build()
+
+
 class TestDesugar:
     def test_box(self):
         assert desugar(Box(0, p0)) == Neg(Dia(0, Neg(p0)))

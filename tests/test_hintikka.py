@@ -22,6 +22,7 @@ from glpstar.formulas import (
 )
 from glpstar.hintikka import CanonicalEngine, ResourceLimitError
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
+from glpstar.oracle import SearchBudget, brute_force_countermodel
 from glpstar.parsing import parse_formula, render_model
 from conftest import gen_sorted_formula
 from reference import assert_truth_lemma, canonical_model, canonical_relation, membership
@@ -37,7 +38,7 @@ def closure_of(*formulas):
 def candidates(delta):
     """Every candidate row's formula set."""
     engine = CanonicalEngine(delta)
-    return frozenset(membership(engine, i) for i in range(engine.count))
+    return frozenset(membership(engine, delta, i) for i in range(engine.count))
 
 
 class TestHintikkaCandidates:
@@ -84,15 +85,9 @@ class TestHintikkaCandidates:
                         if isinstance(inner, Dia) and member.index < inner.index:
                             assert Dia(member.index, inner.child) in world
 
-    def test_requires_adequate_input(self):
-        # decide passes only adequate closures; the engine still refuses a
-        # set where a diamond body lacks its twin at some level
-        delta = closure_of(Dia(0, Dia(1, p0)))
-        with pytest.raises(AssertionError, match="missing a level twin"):
-            CanonicalEngine(delta - {Dia(0, p0)})
-
     def test_requires_the_atoms_a_diamond_forces(self):
-        # adequacy is not re-checked: growth stops on the missing variable and names it
+        # subformula closure is not re-checked: growth stops on the missing
+        # variable and names it
         with pytest.raises(KeyError, match=r"Var\(name='p', sort=0\)"):
             CanonicalEngine({Dia(0, Var("p", 0))})
 
@@ -192,22 +187,24 @@ class TestEnumeration:
 
     def test_need_bits_match_body_membership(self):
         rng = random.Random(50)
-        engines = [engine for _, engine in random_engines(rng, 30, range(2, 3000))]
-        engines += [CanonicalEngine(closure_of(target)) for names, count, _, _ in WIDE_MASKS
-                    for target in wide_targets(names, count)]
-        for engine in engines:
+        targets = [f for f, _ in random_engines(rng, 30, range(2, 3000))]
+        targets += [target for names, count, _, _ in WIDE_MASKS for target in wide_targets(names, count)]
+        for target in targets:
+            delta = closure_of(target)
+            engine = CanonicalEngine(delta)
             need = engine.need
             for row in range(0, engine.count, 1 + engine.count // 600):
-                members = membership(engine, row)
+                members = membership(engine, delta, row)
                 assert [int(need[row]) >> b & 1 == 1 for b in range(len(engine.bodies))] \
                     == [body in members for body in engine.bodies]
 
     def test_truth_column_equals_membership(self):
         f = parse_formula("<0>(p & q) | ~(p & q) | <1>p")
-        engine = CanonicalEngine(closure_of(f))
+        delta = closure_of(f)
+        engine = CanonicalEngine(delta)
         for formula in (f, And(Var("p", OMEGA), Var("q", OMEGA))):  # a goal and a body
             column = engine.truth_column(formula)
-            assert column.tolist() == [formula in membership(engine, i) for i in range(engine.count)]
+            assert column.tolist() == [formula in membership(engine, delta, i) for i in range(engine.count)]
 
     def test_sparse_33_atom_closure_decides(self):
         # 33 atoms: 2^33 assignments, of which 768 are candidates
@@ -339,7 +336,7 @@ class TestCoverageKernels:
             eliminated += rounds != []
             # re-entry: a full elimination after refute's early stop, and a
             # second elimination after the fixpoint
-            resumed = CanonicalEngine(engine.delta)
+            resumed = CanonicalEngine(closure_of(f))
             resumed.refute(modified_negation(f))
             stopped += resumed.rounds != rounds
             resumed.eliminate()
@@ -478,7 +475,7 @@ class TestCanonicalRelation:
             engine = CanonicalEngine(delta)
             if engine.count > 40:
                 continue
-            members = [membership(engine, i) for i in range(engine.count)]
+            members = [membership(engine, delta, i) for i in range(engine.count)]
             for i, x in enumerate(members):
                 for j, y in enumerate(members):
                     for n in engine.levels:
@@ -486,7 +483,7 @@ class TestCanonicalRelation:
             checked += 1
 
 
-def reference_witness_closure(engine, root):
+def reference_witness_closure(engine, delta, root):
     """The witness closure over formula sets, breadth first from the root.
 
     A diamond <n>b of a chosen row x, by ascending level and then body,
@@ -498,12 +495,12 @@ def reference_witness_closure(engine, root):
 
     def member(i):
         if i not in sets:
-            sets[i] = membership(engine, i)
+            sets[i] = membership(engine, delta, i)
         return sets[i]
 
     def witnesses(x, dia, rows):
         return [y for y in rows
-                if dia.child in member(y) and canonical_relation(engine.delta, member(x), member(y), dia.index)]
+                if dia.child in member(y) and canonical_relation(delta, member(x), member(y), dia.index)]
 
     alive = [int(r) for r in np.flatnonzero(engine.alive)]
     chosen = [root]
@@ -522,14 +519,15 @@ class TestWitnessClosure:
         """The witness closure of decide's engine from its refuting row,
         checked against the reference; None for a theorem or a large table."""
         target = reduction_target(system, formula)
-        engine = CanonicalEngine(adequate_closure({target}))
+        delta = adequate_closure({target})
+        engine = CanonicalEngine(delta)
         if max_candidates is not None and engine.count > max_candidates:
             return None
         root = engine.refute(modified_negation(target))
         if root is None:
             return None
         got = engine.witness_closure(root)
-        assert got == reference_witness_closure(engine, root)
+        assert got == reference_witness_closure(engine, delta, root)
         return got
 
     def test_generated_formulas(self):
@@ -568,7 +566,7 @@ class TestWitnessClosure:
 class TestBuildCanonical:
     def test_all_survive_on_simple_closure(self):
         delta = closure_of(Dia(1, p0))
-        model, memberships = canonical_model(CanonicalEngine(delta))
+        model, memberships = canonical_model(CanonicalEngine(delta), delta)
         assert len(model.worlds) == 4
         # every diamond world has an edge to a body world without the diamond
         for w, mem in memberships.items():
@@ -582,13 +580,13 @@ class TestBuildCanonical:
                 )
 
     def test_trivial_delta(self):
-        model, _ = canonical_model(CanonicalEngine({TOP, Neg(TOP)}))
+        model, _ = canonical_model(CanonicalEngine({TOP, Neg(TOP)}), {TOP, Neg(TOP)})
         assert len(model.worlds) == 1
         assert model.relations == {}
 
     def test_unwitnessable_diamond_dies(self):
         delta = closure_of(Dia(0, BOT))
-        model, memberships = canonical_model(CanonicalEngine(delta))
+        model, memberships = canonical_model(CanonicalEngine(delta), delta)
         assert all(Dia(0, BOT) not in mem for mem in memberships.values())
         assert len(model.worlds) == 1
 
@@ -597,14 +595,33 @@ class TestBuildCanonical:
         for _ in range(20):
             f = gen_sorted_formula(rng, depth=2, mods=(0, 1, 2))
             delta = closure_of(f)
-            model, memberships = canonical_model(CanonicalEngine(delta))
+            model, memberships = canonical_model(CanonicalEngine(delta), delta)
             assert_truth_lemma(model, memberships, delta)
             assert check_jstar_frame(model) == []
             assert check_strong_persistence(model) == []
 
     def test_truth_lemma_via_model_check(self):
         delta = closure_of(Dia(1, p0))
-        model, memberships = canonical_model(CanonicalEngine(delta))
+        model, memberships = canonical_model(CanonicalEngine(delta), delta)
         for w, mem in memberships.items():
             for member in delta:
                 assert model_check(model, w, member) == (member in mem)
+
+
+class TestLiteralReading:
+    """J* formulas on which the literal same-level reading of condition (2)
+    of the canonical relation (req at level n = need | d at level n alone)
+    builds a countermodel whose frame breaks R_m o R_n within R_m, so
+    ``decide`` raises "countermodel frame is invalid". The widened reading
+    decides both, and the oracle agrees without truncation."""
+
+    @pytest.mark.parametrize("text, worlds", [
+        ("~<2>(T | (~p:2 | T)) | <2>~<3>T", None),  # a theorem
+        ("~<2>(<3>p | <1>p)", 3),
+    ])
+    def test_pinned(self, text, worlds):
+        f = parse_formula(text)
+        v = decide("jstar", f)
+        assert (None if v.theorem else len(v.countermodel.worlds)) == worlds
+        searched = brute_force_countermodel(f, SearchBudget(max_worlds=4))
+        assert (searched.found, searched.truncated) == (not v.theorem, False)

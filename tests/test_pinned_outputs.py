@@ -21,7 +21,7 @@ from conftest import gen_sorted_formula
 
 # a cap low enough that some of the sample is refused, so the limit's fields count too
 CANDIDATE_CAP = 400
-DECIDE_DIGEST = "4f4c6f2716f867729c67a600a6693375d2cedb75636e5a50859bdb2b90b3b7b9"
+DECIDE_DIGEST = "3006b4f8b15a377ecf6c29eb6e6fc369cd4106943d0c2a30f17268b1b2d963ad"
 ORACLE_DIGEST = "10aec50251b16d10914d9b288aaedd0c081fbbef25f6eb9fc2e081f98f0ff1dd"
 
 
