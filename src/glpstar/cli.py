@@ -158,13 +158,12 @@ def _cmd_decide(args) -> int:
             verdict = decide(system, formula, via=args.via, candidate_cap=args.candidate_cap)
         except ValueError as exc:
             raise _UsageError(str(exc)) from exc
-        except (ResourceLimitError, RecursionError) as exc:
+        except ResourceLimitError as exc:
             if len(formulas) == 1:
                 raise
             # a batch goes on: the limit is this formula's outcome
-            limit = _as_resource_limit(exc)
-            print(f"resource limit: {limit}", file=sys.stderr)
-            results.append((formula, limit))
+            print(f"resource limit: {exc}", file=sys.stderr)
+            results.append((formula, exc))
             worst = EXIT_RESOURCE
             continue
         results.append((formula, verdict))
@@ -291,13 +290,9 @@ def _cmd_closure(args) -> int:
     formula = _read_formula(args.formula)
     delta = adequate_closure({formula})
     levels = sorted(modal_levels(delta))
-    payload = {
-        "command": "closure",
-        "formulas": render_formula_set(delta).splitlines(),
-        "levels": levels,
-    }
-    lines = render_formula_set(delta).splitlines()
-    lines.append("levels: " + (" ".join(map(str, levels)) if levels else "(none)"))
+    members = render_formula_set(delta).splitlines()
+    payload = {"command": "closure", "formulas": members, "levels": levels}
+    lines = members + ["levels: " + (" ".join(map(str, levels)) if levels else "(none)")]
     _emit(args, payload, lines)
     return EXIT_YES
 
@@ -443,17 +438,8 @@ def run(argv: Optional[list[str]] = None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ResourceLimitError, RecursionError) as exc:
-        return _resource_limit(args, _as_resource_limit(exc))
-
-
-def _as_resource_limit(exc: Exception) -> ResourceLimitError:
-    # formula traversals and the parser are iterative, but ordering a
-    # level's diamonds by sort key compares nested tuples, which recurses
-    # once per nesting level inside the interpreter
-    if isinstance(exc, RecursionError):
-        return ResourceLimitError("formula nesting too deep to traverse")
-    return exc
+    except ResourceLimitError as exc:
+        return _resource_limit(args, exc)
 
 
 def _limit_fields(exc: ResourceLimitError) -> dict:

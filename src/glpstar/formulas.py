@@ -5,7 +5,8 @@ that same node, so structurally equal formulas are identical objects and
 ``==`` and ``hash`` are the identity ones, O(1) at any depth. Construction
 is thread-safe: two threads building equal formulas get one node. Nodes are
 immutable; ``copy`` and ``pickle`` round-trip to the interned node. Each
-node computes its sort key, size and sort once, from its children's.
+node computes its size and sort once, from its children's. Nodes carry no
+order: a caller that needs one takes the order of a walk.
 
 The connectives are T, F, variables, negation, conjunction, disjunction
 and the indexed diamonds <n>; these are the only node classes. The boxes
@@ -84,17 +85,17 @@ class Formula:
     """Base class; use the concrete node classes below.
 
     A node's fields are named in ``__match_args__``. Each node also carries
-    its structural sort key, its node count and its sort, computed once from
-    its children's values when the node is first built.
+    its node count and its sort, computed once from its children's values
+    when the node is first built.
     """
 
-    __slots__ = ("_key", "_size", "_sort", "__weakref__")
+    __slots__ = ("_size", "_sort", "__weakref__")
     __match_args__: tuple[str, ...] = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         # slot setters, which bypass __setattr__, for fields then derived values
-        names = (*cls.__match_args__, "_key", "_size", "_sort")
+        names = (*cls.__match_args__, "_size", "_sort")
         cls._setters = tuple(getattr(cls, name).__set__ for name in names)
 
     def __setattr__(self, name, value):
@@ -125,10 +126,15 @@ def _intern(cls: type, fields: tuple) -> Formula:
     ``setdefault``, which looks the key up again: when another thread
     inserted an equal node first, that one is returned and ours is dropped,
     so equal formulas are one node. ``cls._derive`` maps the fields to the
-    node's (sort key, size, sort).
+    node's (size, sort). A field that cannot be hashed breaks its rule, so
+    ``_derive`` raises that rule's error for it.
     """
     key = (cls, *fields)
-    node = _nodes.get(key)
+    try:
+        node = _nodes.get(key)
+    except TypeError:
+        cls._derive(*fields)
+        raise
     if node is None:
         node = object.__new__(cls)
         for setter, value in zip(cls._setters, (*fields, *cls._derive(*fields))):
@@ -154,7 +160,7 @@ class Top(Formula):
 
     @staticmethod
     def _derive():
-        return (0,), 1, 0
+        return 1, 0
 
 
 class Bot(Formula):
@@ -165,7 +171,7 @@ class Bot(Formula):
 
     @staticmethod
     def _derive():
-        return (1,), 1, 0
+        return 1, 0
 
 
 class Var(Formula):
@@ -179,10 +185,11 @@ class Var(Formula):
 
     @staticmethod
     def _derive(name, sort):
-        # only a new node gets here, so an invalid name is never interned
-        if not is_variable_name(name):
+        # only a new node gets here, so an invalid name is never interned;
+        # the name cache hashes its argument, so a non-string is refused first
+        if not isinstance(name, str) or not is_variable_name(name):
             raise ValueError(f"{name!r} is not a variable name")
-        return (2, name, sort), 1, sort
+        return 1, sort
 
 
 class Neg(Formula):
@@ -195,7 +202,7 @@ class Neg(Formula):
     @staticmethod
     def _derive(child):
         try:
-            return (3, child._key), 1 + child._size, child._sort + 1
+            return 1 + child._size, child._sort + 1
         except AttributeError:
             raise _not_a_formula(child) from None
 
@@ -210,7 +217,7 @@ class And(Formula):
     @staticmethod
     def _derive(left, right):
         try:
-            return (4, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
+            return 1 + left._size + right._size, max(left._sort, right._sort)
         except AttributeError:
             raise _not_a_formula(left, right) from None
 
@@ -225,7 +232,7 @@ class Or(Formula):
     @staticmethod
     def _derive(left, right):
         try:
-            return (5, left._key, right._key), 1 + left._size + right._size, max(left._sort, right._sort)
+            return 1 + left._size + right._size, max(left._sort, right._sort)
         except AttributeError:
             raise _not_a_formula(left, right) from None
 
@@ -243,7 +250,7 @@ class Dia(Formula):
     @staticmethod
     def _derive(index, child):
         try:
-            return (6, index, child._key), 1 + child._size, index
+            return 1 + child._size, index
         except AttributeError:
             raise _not_a_formula(child) from None
 
@@ -371,25 +378,26 @@ def require_one_sort_per_name(variables: Iterable[tuple[str, Sort]]) -> None:
             raise ValueError(f"variable {name!r} used with sorts {low} and {high}")
 
 
-def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> set[Formula]:
+def _bodies(delta: Iterable[Formula], levels: frozenset[int]) -> list[Formula]:
     """The formulas an adequate set holds under a diamond at every present level.
 
     These are the bodies of its diamonds, its variables p of finite sort s
     when some present level is at least s, and their negations ~p when
     some present level exceeds s, built here, so that a set closed under
-    subformulas gives the bodies of its adequate closure.
+    subformulas gives the bodies of its adequate closure. They come in the
+    order in which ``delta`` first meets them.
     """
     top = max(levels, default=-1)
-    bodies = set()
+    bodies: dict[Formula, None] = {}  # insertion-ordered
     for f in delta:
         cls = type(f)
         if cls is Dia:
-            bodies.add(f.child)
+            bodies[f.child] = None
         elif cls is Var and f.sort <= top:
-            bodies.add(f)
+            bodies[f] = None
             if f.sort < top:
-                bodies.add(Neg(f))
-    return bodies
+                bodies[Neg(f)] = None
+    return list(bodies)
 
 
 def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
@@ -437,15 +445,6 @@ def to_omega_sorted(formula: Formula) -> Formula:
 def formula_size(formula: Formula) -> int:
     """Node count of the tree, shared subtrees counted once per occurrence."""
     return formula._size
-
-
-def sort_key(formula: Formula):
-    """Total structural order on formulas, for deterministic enumeration.
-
-    Nodes compare by kind (T, F, variable, ~, &, |, <n>), then by
-    name and sort or by index, then by their children's keys.
-    """
-    return formula._key
 
 
 def conjoin(conjuncts: list[Formula]) -> Formula:

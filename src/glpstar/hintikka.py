@@ -12,11 +12,19 @@ diamond forces mentions only earlier atoms. The engine grows the candidates
 one atom at a time with numpy, appending the rows where the next atom may be
 true, so it only ever builds consistent assignments: work is at most atoms
 times candidates, not 2^atoms. A row is a uint64 word with diamond <n>b, for
-the b-th body in key order, at bit low_offset[n] + b and the variables above
+the b-th body, at bit low_offset[n] + b and the variables above
 every diamond, so a level's diamond mask is one shift and mask of it. Growth
 also carries each row's need mask, whose bit b says that body b holds: each
 body is folded once, at the first diamond over it, so the sigma test reads a
 need bit, the transit test a word bit, and after growth only the goal is folded.
+
+The layout follows the order of the given formulas: the variables take
+their bits by name, the bodies theirs in the order in which the formulas
+first meet them (:func:`formulas._bodies`), and the diamonds of one size
+grow by level, then by bit. So ``decide``'s layout, over its compiled
+target's nodes, is a function of the target alone; a set gives a valid
+layout in an arbitrary order. Any order of the atoms gives the same
+canonical model.
 
 Per candidate the engine keeps the need mask, and per level the diamond
 mask, the mask a witness demand imposes on a predecessor, and a class id for
@@ -58,7 +66,6 @@ from .formulas import (
     formula_size,
     modal_levels,
     require_one_sort_per_name,
-    sort_key,
     sort_of,
 )
 
@@ -95,14 +102,14 @@ class CanonicalEngine:
         self.levels = sorted(levels)
         self.cap = candidate_cap
 
-        # Variable keys are shallow: the name, then the sort (omega last).
+        # Variables by name, then sort (omega last).
         variables = sorted({f for f in formulas if isinstance(f, Var)}, key=lambda v: (v.name, v.sort))
         require_one_sort_per_name((v.name, v.sort) for v in variables)
         self.variables = variables
 
         # The diamonds are the grid, so a body has one bit for all levels.
         # The limits are checked on the grid's size before any grid diamond
-        # is built or ordered: a diamond's sort key is as deep as the diamond.
+        # is built, so a refused set builds none of its levels x bodies nodes.
         bodies = _bodies(formulas, levels)
         width, atom_count = len(bodies), len(variables) + len(levels) * len(bodies)
         limits = {"atoms": atom_count, "cap": candidate_cap}
@@ -110,11 +117,11 @@ class CanonicalEngine:
             raise ResourceLimitError(f"{width} diamonds at each level exceed 32", **limits)
         if atom_count > 63:
             raise ResourceLimitError(f"{atom_count} atoms exceed the 63-bit index budget", **limits)
-        diamonds = sorted((Dia(n, body) for n in levels for body in bodies),
-                          key=lambda d: (formula_size(d), sort_key(d)))
+        # a body's bit is its place; diamonds grow by size, level, then bit
+        self.bodies = bodies
+        grid = sorted((formula_size(body), n, b) for b, body in enumerate(bodies) for n in self.levels)
+        diamonds = [Dia(n, bodies[b]) for _, n, b in grid]
         self.atoms: list[Formula] = variables + diamonds
-        # a body's bit follows the order of the bodies' keys
-        self.bodies = sorted(bodies, key=sort_key)
         self.low_offset = {n: k * width for k, n in enumerate(self.levels)}
         self.body_bit = {body: b for b, body in enumerate(self.bodies)}
         self.bit = {v: len(self.levels) * width + k for k, v in enumerate(variables)}

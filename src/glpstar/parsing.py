@@ -53,7 +53,6 @@ from .formulas import (
     Var,
     children_first,
     is_variable_name,
-    sort_key,
     walk,
 )
 from .kripke import KripkeModel, is_world_name
@@ -297,12 +296,17 @@ def render_formula(formula: Formula) -> str:
     precedence is below the one its position needs. ``&`` and ``|`` group
     to the left, so the right side needs one more.
     """
-    text: dict[Formula, str] = {}
+    return _render_into(formula, {})
+
+
+def _render_into(formula: Formula, text: dict[Formula, str]) -> str:
+    """The formula's text, entering that of every node it adds to ``text``,
+    a table of node texts that is read and extended."""
 
     def operand(f: Formula, prec: int) -> str:
         return f"({text[f]})" if _PREC[type(f)] < prec else text[f]
 
-    for f in children_first(walk(formula)):
+    for f in children_first(walk(formula, text)):
         cls = type(f)
         if cls is Var:
             out = f.name if f.sort is OMEGA else f"{f.name}:{f.sort}"
@@ -476,5 +480,10 @@ def export_dot(model: KripkeModel, highlight: Optional[str] = None) -> str:
 
 
 def render_formula_set(formulas) -> str:
-    """Deterministic listing of a formula set, one per line, in structural order."""
-    return "\n".join(render_formula(f) for f in sorted(formulas, key=sort_key))
+    """Deterministic listing of a formula set, one per line, in text order.
+
+    The members share one table of node texts, so each distinct node is
+    rendered once however many members hold it.
+    """
+    text: dict[Formula, str] = {}
+    return "\n".join(sorted(_render_into(f, text) for f in formulas))

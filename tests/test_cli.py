@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import glpstar
-from glpstar import oracle
+from glpstar import formulas, oracle, parsing
 from glpstar.cli import run
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
 from glpstar.parsing import parse_formula, parse_model, render_formula
@@ -138,22 +138,21 @@ class TestDecideCommand:
         assert code == 1
         assert out.startswith("non-theorem")
 
-    def test_deep_formula_is_a_resource_limit(self, capsys, tmp_path):
-        # ordering a level's diamonds by sort key compares nested tuples,
-        # which recurses once per nesting level the two keys share
+    def test_deep_formula_decides(self, capsys, tmp_path):
+        # two diamonds over 3000-deep bodies: nothing compares or orders
+        # formulas by their structure, so no step recurses with the depth
         chain = "~" * 3000
         code, out, err = invoke(capsys, "decide", "--system", "glpstar",
                                 f"<0>{chain}p & <0>{chain}q")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("resource limit:") and err.count("\n") == 1
-        # in a batch it is that formula's outcome
+        assert code == 1
+        assert out.startswith("non-theorem\n")
+        assert err == ""
         path = tmp_path / "batch.formulas"
-        path.write_text(f"p -> p\n<0>{chain}p & <0>{chain}q\n<0>T\n")
+        path.write_text(f"~({chain}p & ~{chain}p)\n<0>{chain}p & <0>{chain}q\n<0>T\n")
         code, out, err = invoke(capsys, "decide", "--system", "glpstar", f"@{path}")
-        assert code == 3
-        assert [line.split("  ")[0] for line in out.splitlines()] == ["theorem", "resource limit", "non-theorem"]
-        assert err == "resource limit: formula nesting too deep to traverse\n"
+        assert code == 1
+        assert [line.split("  ")[0] for line in out.splitlines()] == ["theorem", "non-theorem", "non-theorem"]
+        assert err == ""
 
     def test_sparse_33_atom_closure_decides(self, capsys):
         code, out, _ = invoke(capsys, "decide", "--system", "glpstar", "<0><3>(q:0 & F) & <1><2><1>F")
@@ -186,6 +185,45 @@ class TestDecideCommand:
         assert err == ""
 
 
+class TestDeepFormulas:
+    """Formulas 3000 deep, far past the interpreter's recursion limit,
+    through every command that reads a formula."""
+
+    CHAIN = "~" * 3000
+    FORMULA = f"<0>{CHAIN}p & <0>{CHAIN}q"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["decide", "--system", "jstar"], 1),
+        (["decide", "--system", "glp", "--format", "json"], 1),
+        (["decide", "--system", "glpsstar"], 1),
+        (["reduce", "--kind", "nplus"], 0),
+        (["reduce", "--kind", "h"], 0),
+        (["reduce", "--kind", "rthetaplus"], 0),
+        (["sort"], 0),
+        (["closure"], 0),
+        (["oracle", "--max-worlds", "2"], 1),
+    ], ids=lambda value: "-".join(value) if isinstance(value, list) else None)
+    def test_each_command_ends_in_its_outcome(self, capsys, argv, expected):
+        code, out, err = invoke(capsys, *argv, self.FORMULA)
+        assert code == expected
+        assert err == "" and out
+
+    def test_closure_renders_each_node_once(self, capsys, monkeypatch):
+        # every member's text is read off one table: a member is not rendered afresh
+        walked = []
+
+        def walk(formula, memo=()):
+            nodes = formulas.walk(formula, memo)
+            walked.extend(nodes)
+            return nodes
+
+        monkeypatch.setattr(parsing, "walk", walk)
+        code, out, _ = invoke(capsys, "closure", self.FORMULA)
+        members = out.splitlines()[:-1]
+        assert code == 0 and members == sorted(members)
+        assert len(walked) == len(set(walked)) == len(members)
+
+
 class TestOtherCommands:
     def test_sort(self, capsys):
         code, out, _ = invoke(capsys, "sort", "~p:2")
@@ -201,6 +239,7 @@ class TestOtherCommands:
         lines = out.strip().splitlines()
         assert len(lines) == 9  # eight members plus the level line
         assert lines[-1] == "levels: 1"
+        assert lines[:-1] == sorted(lines[:-1])
 
     def test_reduce(self, capsys):
         code, out, _ = invoke(capsys, "reduce", "--kind", "m", "<2>p & <0>q")

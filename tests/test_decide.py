@@ -1,9 +1,12 @@
 import importlib
 import itertools
+import os
 import pkgutil
 import random
+import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import glpstar
@@ -300,16 +303,30 @@ class TestWorms:
 
 class TestEngineInput:
     """``decide`` builds its engine from the compiled target's nodes. The
-    engine reads the atoms off them, so it must equal, atom for atom and row
-    for row, the engine built from the target's adequate closure."""
+    engine reads the atoms off them, so it must hold the same atoms and the
+    same rows as the engine built from the target's adequate closure. The
+    closure is a set, so its engine lays them out in another order: the two
+    are compared as sets, each row as the set of atoms true in it."""
 
     @staticmethod
-    def assert_same_engine(target):
+    def rows(engine, atoms):
+        """Each row's set of true atoms, as a mask over the given atom list."""
+        out = np.zeros(engine.count, dtype=np.uint64)
+        for k, atom in enumerate(atoms):
+            out |= (engine.words >> np.uint64(engine.bit[atom]) & np.uint64(1)) << np.uint64(k)
+        return set(out.tolist())
+
+    @classmethod
+    def assert_same_engine(cls, target):
         from_nodes = CanonicalEngine(compile_formula(target).nodes)
         from_closure = CanonicalEngine(adequate_closure({target}))
-        for name in ("levels", "atoms", "bit", "bodies", "count"):
-            assert getattr(from_nodes, name) == getattr(from_closure, name), name
-        assert from_nodes.words.tolist() == from_closure.words.tolist()
+        assert from_nodes.levels == from_closure.levels
+        for name in ("atoms", "bodies"):
+            assert len(set(getattr(from_nodes, name))) == len(getattr(from_nodes, name))
+            assert set(getattr(from_nodes, name)) == set(getattr(from_closure, name)), name
+        rows = cls.rows(from_nodes, from_nodes.atoms)
+        assert from_nodes.count == from_closure.count == len(rows)
+        assert rows == cls.rows(from_closure, from_nodes.atoms)
 
     def test_seeded_targets_of_every_system(self):
         rng = random.Random(57)
@@ -324,3 +341,50 @@ class TestEngineInput:
         cases += [(system, Neg(_worm([0] * n))) for system in SystemId for n in range(9)]
         for system, f in cases:
             self.assert_same_engine(reduction_target(system, f))
+
+    def test_layout_is_a_function_of_the_target(self):
+        # the same atoms at the same bits in two processes whose string
+        # hashes, and so whose node sets' iteration orders, differ
+        script = (
+            "import random\n"
+            "from glpstar.decide import SystemId, reduction_target\n"
+            "from glpstar.hintikka import CanonicalEngine\n"
+            "from glpstar.kripke import compile_formula\n"
+            "from glpstar.parsing import render_formula\n"
+            "from conftest import gen_sorted_formula\n"
+            "rng = random.Random(58)\n"
+            "for k in range(40):\n"
+            "    f = gen_sorted_formula(rng, depth=3, max_vars=3, mods=(0, 1, 2))\n"
+            "    engine = CanonicalEngine(compile_formula(reduction_target(list(SystemId)[k % 4], f)).nodes)\n"
+            "    print([(render_formula(a), engine.bit[a]) for a in engine.atoms])\n"
+        )
+        tests = os.path.dirname(__file__)
+        path = os.pathsep.join((os.path.dirname(os.path.dirname(glpstar.__file__)), tests))
+        outputs = [subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, check=True,
+                                  env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=seed)).stdout
+                   for seed in ("0", "1")]
+        assert outputs[0] == outputs[1] and outputs[0].count("\n") == 40
+
+
+class TestCompileCache:
+    """``decide`` compiles its target once, and a non-theorem's countermodel
+    check finds that program in the cache."""
+
+    def test_two_calls(self):
+        compile_formula.cache_clear()
+        assert decide("jstar", parse_formula("<1>p -> <1>p"))
+        assert not decide("jstar", parse_formula("<1>p -> <0>p"))
+        info = compile_formula.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+    def test_one_miss_per_call_and_one_hit_per_non_theorem(self):
+        rng = random.Random(59)
+        verdicts = set()
+        for k in range(80):
+            f = gen_sorted_formula(rng, depth=rng.choice((2, 3)), max_vars=2)
+            compile_formula.cache_clear()
+            theorem = decide(list(SystemId)[k % 4], f).theorem
+            info = compile_formula.cache_info()
+            assert (info.misses, info.hits) == (1, 0 if theorem else 1)
+            verdicts.add(theorem)
+        assert verdicts == {True, False}

@@ -17,7 +17,6 @@ from glpstar.formulas import (
     Var,
     adequate_closure,
     modified_negation,
-    sort_key,
     sort_of,
 )
 from glpstar.hintikka import CanonicalEngine, ResourceLimitError
@@ -175,11 +174,10 @@ class TestEnumeration:
         (" | ".join(f"p{i}:0" for i in range(64)), "64 atoms exceed the 63-bit index budget", 64),
     ], ids=["width", "positions", "atoms"])
     def test_limits_refuse_before_sorting(self, monkeypatch, text, message, atoms):
-        # a diamond's sort key is as deep as the diamond, so the limits are
-        # checked on the set sizes before any key is taken
+        # the grid has levels x bodies diamonds, so the limits are checked on
+        # the set sizes before the grid is ordered and any of it is built
         hintikka, calls = sys.modules["glpstar.hintikka"], []
-        key = hintikka.sort_key
-        monkeypatch.setattr(hintikka, "sort_key", lambda f: calls.append(f) or key(f))
+        monkeypatch.setattr(hintikka, "Dia", lambda n, body: calls.append((n, body)) or Dia(n, body))
         with pytest.raises(ResourceLimitError, match=message) as err:
             decide("jstar", parse_formula(text))
         assert calls == []
@@ -505,7 +503,8 @@ def reference_witness_closure(engine, delta, root):
     alive = [int(r) for r in np.flatnonzero(engine.alive)]
     chosen = [root]
     for x in chosen:
-        dias = sorted((f for f in member(x) if isinstance(f, Dia)), key=lambda d: (d.index, sort_key(d.child)))
+        dias = sorted((f for f in member(x) if isinstance(f, Dia)),
+                      key=lambda d: (d.index, engine.body_bit[d.child]))
         for dia in dias:
             if not witnesses(x, dia, chosen):
                 chosen.append(min(witnesses(x, dia, alive),

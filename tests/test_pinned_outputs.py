@@ -21,7 +21,7 @@ from conftest import gen_sorted_formula
 
 # a cap low enough that some of the sample is refused, so the limit's fields count too
 CANDIDATE_CAP = 400
-DECIDE_DIGEST = "3006b4f8b15a377ecf6c29eb6e6fc369cd4106943d0c2a30f17268b1b2d963ad"
+DECIDE_DIGEST = "fedd58765f887639fdc750960b2ca4490137944eff75e4a1176512de3607afea"
 ORACLE_DIGEST = "10aec50251b16d10914d9b288aaedd0c081fbbef25f6eb9fc2e081f98f0ff1dd"
 
 

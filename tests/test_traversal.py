@@ -28,7 +28,6 @@ from glpstar.formulas import (
     Or,
     Top,
     Var,
-    adequate_closure,
     children_first,
     desugar,
     diamond_subformulas,
@@ -281,20 +280,26 @@ def ref_minimize(model, target):
 
 
 def non_theorems(count=200, seed=65):
-    """Non-theorems across the four systems: random formulas, and formulas
-    ~<a>x | <b>T with a < b, whose extracted countermodels often shrink."""
+    """Non-theorems across the four systems: random formulas, formulas
+    ~<a>x | <b>T with a < b, and formulas ~<a>x | ~<a>(x & r) with r not
+    in x, whose extracted countermodels often shrink: in the last kind
+    the witness of <a>x, chosen first, holds r false, and the witness of
+    <a>(x & r) witnesses <a>x too."""
     rng = random.Random(seed)
     systems = list(SystemId)
     out = []
     for attempt in range(4 * count):
         if len(out) == count:
             break
-        if attempt % 2:
+        if attempt % 3 == 0:
             f = gen_sorted_formula(rng, depth=rng.randint(2, 4), max_vars=2)
         else:
             a, b = sorted(rng.sample([0, 1, 2], 2))
             x = gen_sorted_formula(rng, depth=rng.randint(1, 2), max_vars=2)
-            f = Or(Neg(Dia(a, x)), Dia(b, TOP))
+            if attempt % 3 == 1:
+                f = Or(Neg(Dia(a, x)), Dia(b, TOP))
+            else:  # x is over p and q
+                f = Or(Neg(Dia(a, x)), Neg(Dia(a, And(x, Var("r")))))
         system = systems[attempt % 4]
         if not decide(system, f).theorem:
             out.append((system, f))
@@ -309,7 +314,7 @@ class TestCountermodels:
             verdict = decide(system, f)
             # the engine's witness closure from decide's root, not minimized
             target = verdict.falsified
-            engine = CanonicalEngine(adequate_closure({target}))
+            engine = CanonicalEngine(compile_formula(target).nodes)
             root = engine.refute(modified_negation(target))
             unminimized = model_over(engine, engine.witness_closure(root))
             expected = ref_minimize(unminimized, target)
