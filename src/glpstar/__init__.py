@@ -42,7 +42,6 @@ from .parsing import (
 )
 from .kripke import (
     KripkeModel,
-    MissingVariableWarning,
     Violation,
     adjoin_root,
     check_jstar_frame,

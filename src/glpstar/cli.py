@@ -2,14 +2,17 @@
 
 Exit status contract: 0 affirmative (theorem / valid / accepted / nothing
 found), 1 negative (non-theorem / invalid / rejected / countermodel found),
-2 usage or input error, 3 resource limit. Formula arguments are read from
-the command line, or from a file when prefixed with '@' (one formula per
-line, '#' comments; only `decide` takes more than one). `--format json`
-emits one JSON object instead of text; for a resource limit it carries the
-message and the closure's atom count, the candidate count reached and the
-candidate cap (null where unknown). A `decide` batch gives each formula its
-own outcome, a resource limit included, and exits with the worst outcome's
-code (3 over 1 over 0).
+2 usage or input error, 3 resource limit. Outside that contract, a crash
+(an exception no command handles) prints its traceback and exits 4.
+Formula arguments are read from the command line, or from a file when
+prefixed with '@' (one formula per line, '#' comments; only `decide` takes
+more than one). Each command builds its outcome once, as an exit code, a
+payload and text lines; `--format json` prints the payload as one JSON
+object instead of the lines. `decide` gives each formula one entry: its
+verdict, or for a resource limit the message, the closure's atom count, the
+candidate count reached and the candidate cap (null where unknown), in the
+same shape for a single formula and in a batch. A batch exits with the
+worst entry's code (3 over 1 over 0).
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from typing import Optional
 
 from .decide import SystemId, decide
 from .formulas import Formula, adequate_closure, modal_levels, sort_of
 from .hintikka import DEFAULT_CANDIDATE_CAP, ResourceLimitError
-from .kripke import check_jstar_frame, check_strong_persistence, model_check, valid_in_model
+from .kripke import KripkeModel, check_jstar_frame, check_strong_persistence, model_check, valid_in_model
 from .oracle import SearchBudget, brute_force_countermodel
 from .parsing import (
     ParseError,
@@ -52,6 +56,9 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_CRASH = 4
+
+_Outcome = tuple[int, dict, list[str]]  # a command's exit code, JSON payload and text lines
 
 
 class _UsageError(Exception):
@@ -122,12 +129,13 @@ def _model_json(model) -> dict:
     }
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    if args.format == "json":
-        _out(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines:
-            _out(line)
+def _json_value(value):
+    """The JSON form of a formula or a model in a payload."""
+    if isinstance(value, Formula):
+        return render_formula(value)
+    if isinstance(value, KripkeModel):
+        return _model_json(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _out(text: str) -> None:
@@ -146,76 +154,60 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def _cmd_decide(args) -> int:
+_VERDICT_EXIT = {"theorem": EXIT_YES, "non-theorem": EXIT_NO, "resource limit": EXIT_RESOURCE}
+
+
+def _outcome(system: SystemId, formula: Formula, args) -> dict:
+    """The entry of one formula: its verdict, or the resource limit it hit."""
+    try:
+        verdict = decide(system, formula, via=args.via, candidate_cap=args.candidate_cap)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from exc
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return {"formula": formula, "verdict": "resource limit", "message": str(exc),
+                "atoms": exc.atoms, "candidates": exc.candidates, "cap": exc.cap}
+    stats = verdict.stats
+    if args.verbose:
+        print(
+            f"# {stats.atom_count} atoms, {stats.candidates} candidates; survivors per round: "
+            f"{stats.rounds if stats.rounds else '[no eliminations]'}",
+            file=sys.stderr,
+        )
+    return {
+        "formula": formula,
+        "verdict": "theorem" if verdict.theorem else "non-theorem",
+        "countermodel": verdict.countermodel,
+        "falsified": verdict.falsified,
+        "stats": {"atoms": stats.atom_count, "candidates": stats.candidates, "rounds": stats.rounds},
+    }
+
+
+def _cmd_decide(args) -> _Outcome:
     formulas = _read_formulas(args.formula)
     if len(formulas) > 1 and (args.countermodel or args.dot):
         raise _UsageError("--countermodel/--dot need a single formula argument")
     system = SystemId.parse(args.system)
-    worst = EXIT_YES
-    results = []
-    for formula in formulas:
-        try:
-            verdict = decide(system, formula, via=args.via, candidate_cap=args.candidate_cap)
-        except ValueError as exc:
-            raise _UsageError(str(exc)) from exc
-        except ResourceLimitError as exc:
-            if len(formulas) == 1:
-                raise
-            # a batch goes on: the limit is this formula's outcome
-            print(f"resource limit: {exc}", file=sys.stderr)
-            results.append((formula, exc))
-            worst = EXIT_RESOURCE
-            continue
-        results.append((formula, verdict))
-        if not verdict.theorem:
-            worst = max(worst, EXIT_NO)
-        if args.verbose:
-            stats = verdict.stats
-            print(
-                f"# {stats.atom_count} atoms, {stats.candidates} candidates; survivors per round: "
-                f"{stats.rounds if stats.rounds else '[no eliminations]'}",
-                file=sys.stderr,
-            )
-    single = results[0][1] if len(results) == 1 else None
-    if single is not None and not single.theorem:
+    entries = [_outcome(system, formula, args) for formula in formulas]
+    code = max(_VERDICT_EXIT[entry["verdict"]] for entry in entries)
+    if len(entries) > 1:
+        lines = [f"{e['verdict']}  {render_formula(e['formula'])}" for e in entries]
+        return code, {"command": "decide", "system": system.value, "results": entries}, lines
+    entry = entries[0]
+    model = entry.get("countermodel")
+    # a single formula's limit is reported on stderr only
+    lines = [] if code == EXIT_RESOURCE else [entry["verdict"]]
+    if model is not None:
         if args.countermodel:
-            _write_text(args.countermodel, render_model(single.countermodel))
+            _write_text(args.countermodel, render_model(model))
+        else:
+            lines.append(render_model(model).rstrip("\n"))
         if args.dot:
-            _write_text(args.dot, export_dot(single.countermodel, highlight=single.countermodel.root))
-    if len(results) == 1:
-        formula, verdict = results[0]
-        payload = {
-            "command": "decide",
-            "system": system.value,
-            "formula": render_formula(formula),
-            "verdict": "theorem" if verdict.theorem else "non-theorem",
-            "countermodel": _model_json(verdict.countermodel) if verdict.countermodel else None,
-            "falsified": render_formula(verdict.falsified) if verdict.falsified else None,
-            "stats": {
-                "atoms": verdict.stats.atom_count,
-                "candidates": verdict.stats.candidates,
-                "rounds": verdict.stats.rounds,
-            },
-        }
-        lines = ["theorem" if verdict.theorem else "non-theorem"]
-        if not verdict.theorem and not args.countermodel:
-            lines.append(render_model(verdict.countermodel).rstrip("\n"))
-        _emit(args, payload, lines)
-    else:
-        entries = []
-        for f, outcome in results:
-            entry = {"formula": render_formula(f)}
-            if isinstance(outcome, ResourceLimitError):
-                entry.update(verdict="resource limit", **_limit_fields(outcome))
-            else:
-                entry["verdict"] = "theorem" if outcome.theorem else "non-theorem"
-            entries.append(entry)
-        payload = {"command": "decide", "system": system.value, "results": entries}
-        _emit(args, payload, [f"{e['verdict']}  {e['formula']}" for e in entries])
-    return worst
+            _write_text(args.dot, export_dot(model, highlight=model.root))
+    return code, {"command": "decide", "system": system.value, **entry}, lines
 
 
-def _cmd_reduce(args) -> int:
+def _cmd_reduce(args) -> _Outcome:
     if args.theta is not None and args.kind not in ("rtheta", "rthetaplus"):
         raise _UsageError(f"--theta applies to the rtheta and rthetaplus kinds, not {args.kind}")
     formula = _read_formula(args.formula)
@@ -238,14 +230,13 @@ def _cmd_reduce(args) -> int:
         "rthetaplus": lambda: r_theta_plus(formula, theta),
     }
     out = builders[args.kind]()
-    payload = {"command": "reduce", "kind": args.kind, "formula": render_formula(out)}
+    payload = {"command": "reduce", "kind": args.kind, "formula": out}
     if theta is not None:
         payload["theta"] = theta
-    _emit(args, payload, [render_formula(out)])
-    return EXIT_YES
+    return EXIT_YES, payload, [render_formula(out)]
 
 
-def _cmd_modelcheck(args) -> int:
+def _cmd_modelcheck(args) -> _Outcome:
     model = _read_model(args.model)
     formula = _read_formula(args.formula)
     try:
@@ -257,15 +248,14 @@ def _cmd_modelcheck(args) -> int:
         raise _UsageError(exc.args[0]) from exc
     payload = {
         "command": "modelcheck",
-        "formula": render_formula(formula),
+        "formula": formula,
         "world": args.world,
         "result": result,
     }
-    _emit(args, payload, ["true" if result else "false"])
-    return EXIT_YES if result else EXIT_NO
+    return (EXIT_YES if result else EXIT_NO), payload, ["true" if result else "false"]
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args) -> _Outcome:
     model = _read_model(args.model)
     frame_violations = check_jstar_frame(model)
     persistence_violations = check_strong_persistence(model)
@@ -282,30 +272,26 @@ def _cmd_validate(args) -> int:
     else:
         lines.extend(f"frame: {v}" for v in frame_violations)
         lines.extend(f"persistence: {v}" for v in persistence_violations)
-    _emit(args, payload, lines)
-    return EXIT_YES if ok else EXIT_NO
+    return (EXIT_YES if ok else EXIT_NO), payload, lines
 
 
-def _cmd_closure(args) -> int:
+def _cmd_closure(args) -> _Outcome:
     formula = _read_formula(args.formula)
     delta = adequate_closure({formula})
     levels = sorted(modal_levels(delta))
     members = render_formula_set(delta).splitlines()
     payload = {"command": "closure", "formulas": members, "levels": levels}
     lines = members + ["levels: " + (" ".join(map(str, levels)) if levels else "(none)")]
-    _emit(args, payload, lines)
-    return EXIT_YES
+    return EXIT_YES, payload, lines
 
 
-def _cmd_sort(args) -> int:
+def _cmd_sort(args) -> _Outcome:
     formula = _read_formula(args.formula)
     s = sort_of(formula)
-    payload = {"command": "sort", "sort": str(s)}
-    _emit(args, payload, [str(s)])
-    return EXIT_YES
+    return EXIT_YES, {"command": "sort", "sort": str(s)}, [str(s)]
 
 
-def _cmd_checkproof(args) -> int:
+def _cmd_checkproof(args) -> _Outcome:
     text = _read_text(args.prooffile)
     try:
         proof = parse_proof(text)
@@ -323,11 +309,10 @@ def _cmd_checkproof(args) -> int:
         lines = ["accepted"]
     else:
         lines = [f"rejected at line {result.line}: {result.reason}"]
-    _emit(args, payload, lines)
-    return EXIT_YES if result.accepted else EXIT_NO
+    return (EXIT_YES if result.accepted else EXIT_NO), payload, lines
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args) -> _Outcome:
     formula = _read_formula(args.formula)
     try:
         budget = SearchBudget(max_worlds=args.max_worlds, max_models=args.max_models)
@@ -336,12 +321,12 @@ def _cmd_oracle(args) -> int:
     result = brute_force_countermodel(formula, budget)
     payload = {
         "command": "oracle",
-        "formula": render_formula(formula),
+        "formula": formula,
         "found": result.found,
         "truncated": result.truncated,
         "models_examined": result.models_examined,
         "by_worlds": [count._asdict() for count in result.by_worlds],
-        "countermodel": _model_json(result.model) if result.found else None,
+        "countermodel": result.model,
         "world": result.world,
     }
     if result.found:
@@ -352,8 +337,7 @@ def _cmd_oracle(args) -> int:
     else:
         note = "search truncated by budget" if result.truncated else "search exhausted the budgeted space"
         lines = [f"no countermodel found ({note}; this is not a validity proof)"]
-    _emit(args, payload, lines)
-    return EXIT_NO if result.found else EXIT_YES
+    return (EXIT_NO if result.found else EXIT_YES), payload, lines
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -434,29 +418,24 @@ def run(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_YES
     try:
-        return args.run(args)
+        code, payload, lines = args.run(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ResourceLimitError as exc:
-        return _resource_limit(args, exc)
-
-
-def _limit_fields(exc: ResourceLimitError) -> dict:
-    return {"message": str(exc), "atoms": exc.atoms, "candidates": exc.candidates, "cap": exc.cap}
-
-
-def _resource_limit(args, exc: ResourceLimitError) -> int:
-    """One stderr line, and under --format json the structured cause on stdout."""
-    print(f"resource limit: {exc}", file=sys.stderr)
     if args.format == "json":
-        _out(json.dumps({"command": args.command, "error": "resource limit", **_limit_fields(exc)},
-                        indent=2, sort_keys=True))
-    return EXIT_RESOURCE
+        lines = [json.dumps(payload, indent=2, sort_keys=True, default=_json_value)]
+    for line in lines:
+        _out(line)
+    return code
 
 
 def main() -> None:
-    code = run()
+    """``run`` on the process arguments; a crash prints its traceback and exits 4."""
+    try:
+        code = run()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_CRASH
     try:
         sys.stdout.flush()
     except BrokenPipeError:

@@ -105,8 +105,24 @@ class Formula:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
-        return f"{type(self).__name__}({fields})"
+        # a stack of nodes and text pieces, so a deep formula does not
+        # recurse; a table of node texts would hold each chain's every suffix
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if not isinstance(item, Formula):
+                out.append(item)
+                continue
+            pieces = [f"{type(item).__name__}("]
+            for k, name in enumerate(item.__match_args__):
+                value = getattr(item, name)
+                pieces += [f"{', ' if k else ''}{name}=", value if isinstance(value, Formula) else repr(value)]
+            stack += reversed([*pieces, ")"])
+        return "".join(out)
+
+    def __deepcopy__(self, memo):
+        return self  # an interned immutable node is its own copy
 
     def __reduce__(self):
         # copy and pickle rebuild through the constructor, which interns

@@ -16,7 +16,6 @@ the oracle feeds it the bitmasks it enumerates.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -42,10 +41,6 @@ CONDITION_II = "condition-ii"
 CONDITION_III = "condition-iii"
 PERSISTENCE_I = "persistence-i"
 PERSISTENCE_II = "persistence-ii"
-
-
-class MissingVariableWarning(UserWarning):
-    """A formula variable is absent from the model's valuation (treated false)."""
 
 
 @dataclass(frozen=True)
@@ -312,7 +307,7 @@ class Evaluator:
     """Extensions over a model, as world bitmasks (bit i is world i).
 
     A formula variable is read from the valuation by name; a name that the
-    model declares with another sort is refused with a ValueError.
+    model lacks, or declares with another sort, is refused with a ValueError.
     """
 
     def __init__(self, model: KripkeModel):
@@ -325,7 +320,6 @@ class Evaluator:
             for x, y in rel:
                 masks[self.index[x]] |= 1 << self.index[y]
             self.succ[n] = masks
-        self._warned: set[str] = set()
 
     def _members(self, var: Var) -> int:
         name = var.name
@@ -335,14 +329,7 @@ class Evaluator:
                              f"and sort {sort} in the model")
         members = self.model.valuation.get(name)
         if members is None:
-            if name not in self._warned:
-                self._warned.add(name)
-                warnings.warn(
-                    f"variable {name!r} not in valuation; treated as false everywhere",
-                    MissingVariableWarning,
-                    stacklevel=4,
-                )
-            return 0
+            raise ValueError(f"variable {name!r} is not in the model's valuation")
         mask = 0
         for w in members:
             mask |= 1 << self.index[w]
@@ -350,12 +337,7 @@ class Evaluator:
 
     def extension(self, formula: Formula) -> int:
         program = compile_formula(formula)
-        # a plain loop: before Python 3.12 a comprehension is a frame of its
-        # own, and the warning's stacklevel counts the frames to the caller
-        # of model_check, valid_in_model or holds
-        values = []
-        for v in program.variables:
-            values.append(self._members(v))
+        values = [self._members(v) for v in program.variables]
         return evaluate(program.code, self.full, self.succ, values)[-1]
 
     def holds(self, world: str, formula: Formula) -> bool:

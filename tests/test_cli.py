@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import glpstar
-from glpstar import formulas, oracle, parsing
+from glpstar import cli, formulas, oracle, parsing
 from glpstar.cli import run
 from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
 from glpstar.parsing import parse_formula, parse_model, render_formula
@@ -103,7 +103,8 @@ class TestDecideCommand:
         assert code == 3
         assert err.startswith("resource limit:")
         payload = json.loads(out)
-        assert payload["command"] == "decide" and payload["error"] == "resource limit"
+        assert payload["command"] == "decide" and payload["verdict"] == "resource limit"
+        assert (payload["system"], payload["formula"]) == ("glpstar", "<0>p & <1>q")
         assert payload["cap"] == 5
         assert payload["candidates"] > 5
         assert payload["atoms"] == 8
@@ -224,6 +225,11 @@ class TestDeepFormulas:
         assert len(walked) == len(set(walked)) == len(members)
 
 
+def _decide_text(payload):
+    """A single formula's text starts with its verdict; a limit prints none."""
+    return [] if payload["verdict"] == "resource limit" else [payload["verdict"]]
+
+
 class TestOtherCommands:
     def test_sort(self, capsys):
         code, out, _ = invoke(capsys, "sort", "~p:2")
@@ -308,6 +314,8 @@ class TestOtherCommands:
             (("--world", "zz", "p"), "unknown world 'zz'"),
             (("--world", "a", "<0>p:0 -> p:0"), "variable 'p' has sort 0 in the formula and sort w in the model"),
             (("<0>p:0 -> p:0",), "variable 'p' has sort 0 in the formula and sort w in the model"),
+            (("--world", "a", "p & q"), "variable 'q' is not in the model's valuation"),
+            (("--format", "json", "p & q"), "variable 'q' is not in the model's valuation"),
         ):
             code, out, err = invoke(capsys, "modelcheck", "--model", str(path), *argv)
             assert (code, out, err) == (2, "", f"error: {message}\n")
@@ -433,13 +441,57 @@ class TestOtherCommands:
             {"worlds": 1, "frames": 1, "models": 1},
         ]
 
-    def test_json_agreement_with_text(self, capsys):
-        code_t, out_t, _ = invoke(capsys, "decide", "--system", "glpsstar", "<0>T")
-        code_j, out_j, _ = invoke(
-            capsys, "decide", "--system", "glpsstar", "--format", "json", "<0>T"
-        )
-        assert code_t == code_j == 0
-        assert json.loads(out_j)["verdict"] == out_t.strip()
+    @pytest.mark.parametrize("argv, text_of", [
+        (["decide", "--system", "glpsstar", "<0>T"], _decide_text),
+        (["decide", "--system", "jstar", "<1>p -> <0>p"], _decide_text),
+        (["decide", "--system", "glpstar", "--candidate-cap", "2", "<0>p & <1>q"], _decide_text),
+        (["decide", "--system", "jstar", "@BATCH"],
+         lambda p: [f"{e['verdict']}  {e['formula']}" for e in p["results"]]),
+        (["reduce", "--kind", "h", "<1>p"], lambda p: [p["formula"]]),
+        (["sort", "~p:2"], lambda p: [p["sort"]]),
+        (["closure", "<1><0>p"], lambda p: p["formulas"] + ["levels: " + " ".join(map(str, p["levels"]))]),
+        (["modelcheck", "--model", "MODEL", "<1>p"], lambda p: [str(p["result"]).lower()]),
+        (["validate", "--model", "BAD_MODEL"],
+         lambda p: [f"frame: {v}" for v in p["frame_violations"]]
+         + [f"persistence: {v}" for v in p["persistence_violations"]]),
+        (["checkproof", "PROOF"], lambda p: ["accepted"] if p["accepted"] else []),
+        (["oracle", "--max-worlds", "2", "<0>p"],
+         lambda p: [f"countermodel found (falsified at {p['world']})"] if p["found"] else []),
+    ], ids=lambda value: "-".join(value) if isinstance(value, list) else "")
+    def test_json_agreement_with_text(self, capsys, tmp_path, argv, text_of):
+        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16))  # 80 atoms: a limit line
+        files = {"BATCH": f"p -> p\n{wide}\n<0>T\n", "MODEL": "worlds a b\nrel 1: a b\nval p:w = {b}\n",
+                 "BAD_MODEL": "worlds a b\nrel 0: a a\nval p:0 = {b}\n",
+                 "PROOF": "system glpsstar\ngoal <0>T\n1. T -> <0>T ; ax refl\n2. T ; ax taut\n3. <0>T ; mp 2 1\n"}
+        paths = {}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+            paths[name] = str(tmp_path / name)
+        paths["@BATCH"] = "@" + paths["BATCH"]
+        argv = [paths.get(a, a) for a in argv]
+        code_t, out_t, err_t = invoke(capsys, *argv)
+        code_j, out_j, err_j = invoke(capsys, *argv, "--format", "json")
+        assert (code_t, err_t) == (code_j, err_j)
+        payload = json.loads(out_j)
+        assert payload["command"] == argv[0]
+        # the text holds what the payload holds: its first lines, or nothing
+        expected = text_of(payload)
+        assert out_t.splitlines()[:len(expected)] == expected and bool(out_t) == bool(expected)
+
+    def test_crash_exits_4_with_its_traceback(self, capsys, monkeypatch):
+        def crash(*args, **kwargs):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(cli, "decide", crash)
+        argv = ["decide", "--system", "jstar", "p"]
+        with pytest.raises(RuntimeError):
+            run(argv)  # run raises, so tests see a crash
+        monkeypatch.setattr(sys, "argv", ["glpstar", *argv])
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main()
+        assert exit_info.value.code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("Traceback") and err.endswith("RuntimeError: boom\n")
 
     def test_usage_error_unknown_command(self, capsys):
         assert run(["frobnicate"]) == 2

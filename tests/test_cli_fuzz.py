@@ -69,8 +69,6 @@ def formula_calls(rng: random.Random, formula: str, model_path: str) -> list[lis
     ]
 
 
-# a mutated name is missing from the model: modelcheck warns, and goes on
-@pytest.mark.filterwarnings("ignore::glpstar.kripke.MissingVariableWarning")
 def test_one_token_mutations_keep_the_exit_contract(tmp_path, capsys):
     rng = random.Random(37)
     formulas, models, proofs = valid_inputs(rng)
@@ -94,7 +92,6 @@ def test_one_token_mutations_keep_the_exit_contract(tmp_path, capsys):
     assert {0, 1, 2} <= set(codes)
 
 
-@pytest.mark.filterwarnings("ignore::glpstar.kripke.MissingVariableWarning")
 @pytest.mark.parametrize("text", ["", " ", "@", "-", "--", "~", "<0>", "p:", "(" * 50])
 def test_degenerate_formula_arguments(capsys, text):
     for argv in formula_calls(random.Random(0), text, "missing.model"):

@@ -1,5 +1,4 @@
 import random
-import warnings
 
 import pytest
 
@@ -30,7 +29,6 @@ from glpstar.kripke import (
     TRANSITIVITY,
     Evaluator,
     KripkeModel,
-    MissingVariableWarning,
     adjoin_root,
     check_jstar_frame,
     check_strong_persistence,
@@ -178,17 +176,11 @@ class TestModelCheck:
         with pytest.raises(KeyError):
             model_check(self.m, "zz", TOP)
 
-    def test_absent_variable_false_with_warning(self):
-        with pytest.warns(MissingVariableWarning):
-            assert model_check(self.m, "a", Var("ghost")) is False
-
-    def test_missing_variable_warning_names_the_caller(self):
+    def test_absent_variable_refused(self):
         for check in (lambda: model_check(self.m, "a", Var("ghost")),
                       lambda: valid_in_model(self.m, Var("ghost"))):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+            with pytest.raises(ValueError, match="variable 'ghost' is not in the model's valuation"):
                 check()
-            assert [(w.category, w.filename) for w in caught] == [(MissingVariableWarning, __file__)]
 
     def test_validity(self):
         assert valid_in_model(self.m, TOP) is True

@@ -8,6 +8,7 @@ implications too. The deep tests build formulas 10^4 levels deep, far past
 the interpreter's recursion limit.
 """
 
+import copy
 import itertools
 import random
 import sys
@@ -423,6 +424,12 @@ class TestDeepFormulas:
         _assert_children_first(expected, children_first(expected))
         assert walk(f, dia_leaves=True) == expected
         assert walk(f, {f.left}) == [f, Var("q")]
+
+    def test_repr_and_deepcopy(self):
+        # 3000 levels, past the recursion limit; each used to recurse per level
+        f = parse_formula("~" * 3000 + "p")
+        assert repr(f) == "Neg(child=" * 3000 + "Var(name='p', sort=w)" + ")" * 3000
+        assert copy.deepcopy(f) is f
 
     def test_evaluator_and_tautology(self):
         m = KripkeModel(("a", "b"), {0: {("a", "b")}}, {"p": {"b"}}, {"p": OMEGA})
