@@ -356,7 +356,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--via", choices=["mplus", "nplus"], default="mplus")
     p.add_argument("--countermodel", metavar="OUT.model")
     p.add_argument("--dot", metavar="OUT.dot")
-    p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP)
+    p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP,
+                   help="candidate rows the engine may build; past it, a countermodel of at "
+                        "most two worlds still gives a non-theorem (with 0 candidates), "
+                        "and otherwise the formula ends in a resource limit")
     p.add_argument("--verbose", action="store_true", help="stream elimination statistics")
     p.add_argument("formula", metavar="FORMULA|@FILE")
     add_format(p)

@@ -125,8 +125,28 @@ class Formula:
         return self  # an interned immutable node is its own copy
 
     def __reduce__(self):
-        # copy and pickle rebuild through the constructor, which interns
-        return type(self), tuple(getattr(self, name) for name in self.__match_args__)
+        # copy and pickle rebuild through the constructors, which intern, from
+        # a flat children-first encoding, so a deep formula does not recurse
+        nodes = children_first(walk(self))
+        place = {f: k for k, f in enumerate(nodes)}
+        return _rebuild, (tuple(
+            (type(f), *(place[v] if isinstance(v, Formula) else v
+                        for v in (getattr(f, name) for name in f.__match_args__)))
+            for f in nodes),)
+
+
+def _rebuild(encoding: tuple) -> Formula:
+    """The last node of a children-first encoding: one ``(class, *fields)``
+    per node, each formula field given as the position of its node. A field
+    is a formula exactly when it is named ``child``, ``left`` or ``right``."""
+    nodes: list[Formula] = []
+    for cls, *fields in encoding:
+        nodes.append(cls(*(nodes[v] if name in _CHILD_FIELDS else v
+                           for name, v in zip(cls.__match_args__, fields))))
+    return nodes[-1]
+
+
+_CHILD_FIELDS = frozenset({"child", "left", "right"})
 
 
 # Live nodes by (class, *fields). An entry lives as long as its node; the key

@@ -386,7 +386,9 @@ def cross_validate(formula: Formula, system, budget: Optional[SearchBudget] = No
 
     A disagreement (validated refutation of a claimed theorem, or a small
     claimed countermodel the exhaustive search cannot reproduce) is always a
-    bug in one of the two engines.
+    bug in one of the two engines. A non-theorem that ``decide`` settled
+    past its candidate cap (``stats.candidates == 0``) came from this
+    oracle's own search, so it is reported inconclusive.
     """
     from .decide import SystemId, decide, reduction_target
 
@@ -399,7 +401,9 @@ def cross_validate(formula: Formula, system, budget: Optional[SearchBudget] = No
     searched_modalities = (
         set(budget.modalities) if budget.modalities is not None else compile_formula(target).modalities
     )
-    if verdict.theorem:
+    if not verdict.theorem and verdict.stats.candidates == 0:
+        status = "inconclusive"
+    elif verdict.theorem:
         if search.found:
             status = "disagreement"
         elif search.truncated:

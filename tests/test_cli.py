@@ -88,31 +88,46 @@ class TestDecideCommand:
         assert code == 0 and out.strip()
 
     def test_resource_limit_exit(self, capsys):
+        # a theorem past the cap: no small model refutes it
         code, _, err = invoke(
             capsys, "decide", "--system", "glpstar", "--candidate-cap", "2",
-            "<0>p & <1>q",
+            "<0>p & <1>q -> <0>p",
         )
         assert code == 3
         assert "resource" in err
 
     def test_resource_limit_json(self, capsys):
+        formula = "<0>p & <1>q -> <0>p"
         code, out, err = invoke(
-            capsys, "decide", "--system", "glpstar", "--candidate-cap", "5",
-            "--format", "json", "<0>p & <1>q",
+            capsys, "decide", "--system", "glpstar", "--candidate-cap", "2",
+            "--format", "json", formula,
         )
         assert code == 3
         assert err.startswith("resource limit:")
         payload = json.loads(out)
         assert payload["command"] == "decide" and payload["verdict"] == "resource limit"
-        assert (payload["system"], payload["formula"]) == ("glpstar", "<0>p & <1>q")
-        assert payload["cap"] == 5
-        assert payload["candidates"] > 5
+        assert (payload["system"], payload["formula"]) == ("glpstar", render_formula(parse_formula(formula)))
+        assert payload["cap"] == 2
+        assert payload["candidates"] > 2
         assert payload["atoms"] == 8
-        assert "cap 5" in payload["message"]
+        assert "cap 2" in payload["message"]
+
+    def test_past_the_cap_a_small_countermodel_decides(self, capsys):
+        code, out, err = invoke(capsys, "decide", "--system", "glpstar", "--candidate-cap", "2",
+                                "<0>p & <1>q")
+        assert (code, out.splitlines()[0], err) == (1, "non-theorem", "")
+        code, out, _ = invoke(capsys, "decide", "--system", "glpstar", "--candidate-cap", "2",
+                              "--format", "json", "<0>p & <1>q")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["verdict"] == "non-theorem"
+        assert payload["stats"] == {"atoms": 8, "candidates": 0, "rounds": []}
+        assert payload["countermodel"]["worlds"] == ["w0"]
 
     def test_batch_goes_on_past_a_resource_limit(self, capsys, tmp_path):
-        # 16 bodies at 4 levels and 16 variables: 80 atoms, refused before enumerating
-        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16))
+        # 16 bodies at 4 levels and 16 variables: 80 atoms, refused before
+        # enumerating; as the premise of a theorem, no small model refutes it
+        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16)) + " -> <0>v0"
         path = tmp_path / "batch.formulas"
         path.write_text(f"p -> p\n{wide}\n<0>T\n")
         code, out, err = invoke(capsys, "decide", "--system", "jstar", f"@{path}")
@@ -445,6 +460,7 @@ class TestOtherCommands:
         (["decide", "--system", "glpsstar", "<0>T"], _decide_text),
         (["decide", "--system", "jstar", "<1>p -> <0>p"], _decide_text),
         (["decide", "--system", "glpstar", "--candidate-cap", "2", "<0>p & <1>q"], _decide_text),
+        (["decide", "--system", "glpstar", "--candidate-cap", "2", "<0>p & <1>q -> <0>p"], _decide_text),
         (["decide", "--system", "jstar", "@BATCH"],
          lambda p: [f"{e['verdict']}  {e['formula']}" for e in p["results"]]),
         (["reduce", "--kind", "h", "<1>p"], lambda p: [p["formula"]]),
@@ -459,7 +475,7 @@ class TestOtherCommands:
          lambda p: [f"countermodel found (falsified at {p['world']})"] if p["found"] else []),
     ], ids=lambda value: "-".join(value) if isinstance(value, list) else "")
     def test_json_agreement_with_text(self, capsys, tmp_path, argv, text_of):
-        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16))  # 80 atoms: a limit line
+        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16)) + " -> <0>v0"  # 80 atoms: a limit line
         files = {"BATCH": f"p -> p\n{wide}\n<0>T\n", "MODEL": "worlds a b\nrel 1: a b\nval p:w = {b}\n",
                  "BAD_MODEL": "worlds a b\nrel 0: a a\nval p:0 = {b}\n",
                  "PROOF": "system glpsstar\ngoal <0>T\n1. T -> <0>T ; ax refl\n2. T ; ax taut\n3. <0>T ; mp 2 1\n"}

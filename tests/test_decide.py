@@ -5,12 +5,13 @@ import pkgutil
 import random
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 
 import glpstar
-from glpstar.decide import SystemId, decide, reduction_target
+from glpstar.decide import SystemId, _check_countermodel, decide, reduction_target
 from glpstar.formulas import (
     OMEGA,
     And,
@@ -23,7 +24,7 @@ from glpstar.formulas import (
     adequate_closure,
     desugar,
 )
-from glpstar.hintikka import CanonicalEngine, ResourceLimitError
+from glpstar.hintikka import DEFAULT_CANDIDATE_CAP, CanonicalEngine, ResourceLimitError
 from glpstar.kripke import (
     check_jstar_frame,
     check_strong_persistence,
@@ -136,8 +137,9 @@ class TestStats:
         assert v.stats.delta_size > 0
 
     def test_candidate_cap_raises(self):
+        # a theorem: past the cap, no small model refutes it
         with pytest.raises(ResourceLimitError):
-            verdict("glpstar", "<0>p & <1>q & <2>(p & q)", candidate_cap=4)
+            verdict("glpstar", "<0>p & <1>q & <2>(p & q) -> <2>p", candidate_cap=4)
 
     @pytest.mark.parametrize("cap", [0, -5])
     def test_nonpositive_cap_is_value_error(self, cap):
@@ -146,6 +148,64 @@ class TestStats:
             verdict("jstar", "p", candidate_cap=cap)
         with pytest.raises(ValueError, match="candidate cap"):
             CanonicalEngine(adequate_closure({TOP}), cap)
+
+
+WIDE = " & ".join(f"<{k % 4}>v{k}" for k in range(16))  # 80 atoms
+VARIABLES_64 = " | ".join(f"p{i}:0" for i in range(64))
+
+
+def engine_limit(system, text, cap):
+    """The limit the engine alone hits on the call's reduction target."""
+    target = reduction_target(SystemId.parse(system), parse_formula(text))
+    with pytest.raises(ResourceLimitError) as err:
+        CanonicalEngine(compile_formula(target).nodes, cap)
+    return err.value
+
+
+class TestPastTheCap:
+    @pytest.mark.parametrize("system, text, cap, table_decides", [
+        ("glpstar", "<0>p & <1>q", 2, True),
+        ("glpstar", "<0>p & <1>q & <2>(p & q)", 4, True),
+        ("jstar", WIDE, DEFAULT_CANDIDATE_CAP, False),
+        ("jstar", VARIABLES_64, DEFAULT_CANDIDATE_CAP, False),
+        ("glpstar", "<0><3>(q:0 & F) & <1><2><1>F", 767, True),
+    ], ids=["two-levels", "three-levels", "80-atoms", "64-variables", "33-atoms"])
+    def test_small_countermodel_decides(self, system, text, cap, table_decides):
+        limit = engine_limit(system, text, cap)
+        v = verdict(system, text, candidate_cap=cap)
+        assert not v.theorem
+        assert v.falsified == reduction_target(SystemId.parse(system), parse_formula(text))
+        assert len(v.countermodel.worlds) <= 2
+        _check_countermodel(v.countermodel, v.falsified)
+        assert (v.stats.atom_count, v.stats.delta_size, v.stats.candidates, v.stats.rounds) \
+            == (limit.atoms, limit.atoms, 0, [])
+        assert v.stats.target_size == len(compile_formula(v.falsified).nodes)
+        if table_decides:
+            assert not verdict(system, text).theorem
+
+    @pytest.mark.parametrize("system, text, cap", [
+        ("glpstar", "<0>p & <1>q -> <0>p", 2),
+        ("glpstar", "~<0><0>T", 1),  # its smallest countermodel has 3 worlds
+        ("jstar", WIDE + " -> <0>v0", DEFAULT_CANDIDATE_CAP),
+    ], ids=["theorem", "three-worlds", "wide-theorem"])
+    def test_no_small_countermodel_raises_the_engine_limit(self, system, text, cap):
+        limit = engine_limit(system, text, cap)
+        with pytest.raises(ResourceLimitError) as err:
+            verdict(system, text, candidate_cap=cap)
+        assert (str(err.value), err.value.atoms, err.value.candidates, err.value.cap) \
+            == (str(limit), limit.atoms, limit.candidates, limit.cap)
+
+    def test_wide_theorem_ends_in_its_limit_quickly(self):
+        # 2^64 one-world valuations: the model budget stops the search
+        start = time.process_time()
+        with pytest.raises(ResourceLimitError, match="64 atoms exceed the 63-bit index budget"):
+            verdict("jstar", VARIABLES_64 + " | ~p0:0")
+        assert time.process_time() - start < 0.5
+
+    def test_cross_validation_does_not_count_the_oracle_against_itself(self):
+        report = cross_validate(parse_formula(WIDE), "jstar", SearchBudget(max_worlds=2))
+        assert report.verdict.stats.candidates == 0 and report.search.found
+        assert report.status == "inconclusive"
 
 
 class TestReductionRoutes:

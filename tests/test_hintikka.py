@@ -20,7 +20,7 @@ from glpstar.formulas import (
     sort_of,
 )
 from glpstar.hintikka import CanonicalEngine, ResourceLimitError
-from glpstar.kripke import check_jstar_frame, check_strong_persistence, model_check
+from glpstar.kripke import check_jstar_frame, check_strong_persistence, compile_formula, model_check
 from glpstar.oracle import SearchBudget, brute_force_countermodel
 from glpstar.parsing import parse_formula, render_model
 from conftest import gen_sorted_formula
@@ -171,7 +171,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("text, message, atoms", [
         ("~" + "<0>" * 300 + "p:0 | p:0", "300 diamonds at each level exceed 32", 301),
         ("~" + "<0>" * 21 + "p:0 | <1>T | <2>T", "70 atoms exceed the 63-bit index budget", 70),
-        (" | ".join(f"p{i}:0" for i in range(64)), "64 atoms exceed the 63-bit index budget", 64),
+        # a theorem, so no small countermodel decides it past the limit
+        (" | ".join(f"p{i}:0" for i in range(64)) + " | ~p0:0", "64 atoms exceed the 63-bit index budget", 64),
     ], ids=["width", "positions", "atoms"])
     def test_limits_refuse_before_sorting(self, monkeypatch, text, message, atoms):
         # the grid has levels x bodies diamonds, so the limits are checked on
@@ -185,7 +186,7 @@ class TestEnumeration:
 
     def test_need_bits_match_body_membership(self):
         rng = random.Random(50)
-        targets = [f for f, _ in random_engines(rng, 30, range(2, 3000))]
+        targets = [f for f, _, _ in random_engines(rng, 30, range(2, 3000))]
         targets += [target for names, count, _, _ in WIDE_MASKS for target in wide_targets(names, count)]
         for target in targets:
             delta = closure_of(target)
@@ -214,10 +215,15 @@ class TestEnumeration:
         assert check_jstar_frame(model) == []
         assert check_strong_persistence(model) == []
         assert not model_check(model, model.root, v.falsified)
-        decide("glpstar", f, candidate_cap=768)
+        nodes = compile_formula(v.falsified).nodes
+        CanonicalEngine(nodes, 768)
         with pytest.raises(ResourceLimitError) as err:
-            decide("glpstar", f, candidate_cap=767)
+            CanonicalEngine(nodes, 767)
         assert (err.value.atoms, err.value.candidates, err.value.cap) == (33, 768, 767)
+        # past the cap, a one-world countermodel decides it
+        small = decide("glpstar", f, candidate_cap=767)
+        assert not small.theorem and len(small.countermodel.worlds) == 1
+        assert (small.stats.atom_count, small.stats.candidates) == (33, 0)
 
 
 def reference_uncovered(cls_id, d, req, need):
@@ -269,16 +275,20 @@ def reference_eliminate(engine):
 
 def random_engines(rng, count, rows):
     """Engines over the closures of random targets, half of them Loeb
-    instances <n>g -> <n>(g & ~<n>g), with a candidate count in ``rows``."""
+    instances <n>g -> <n>(g & ~<n>g), with a candidate count in ``rows``,
+    as (target, closure, engine). The engine lays out its rows in the
+    closure's iteration order, so a second engine with the same layout needs
+    that same closure, not an equal one built later."""
     engines = []
     while len(engines) < count:
         f = gen_sorted_formula(rng, depth=4, mods=(0, 1, 2))
         if rng.random() < 0.5:
             n, g = rng.choice((0, 1, 2)), gen_sorted_formula(rng, depth=3, mods=(0, 1, 2))
             f = Or(Neg(Dia(n, g)), Dia(n, And(g, Neg(Dia(n, g)))))
-        engine = CanonicalEngine(closure_of(f))
+        delta = closure_of(f)
+        engine = CanonicalEngine(delta)
         if engine.levels and engine.count in rows:
-            engines.append((f, engine))
+            engines.append((f, delta, engine))
     return engines
 
 
@@ -289,7 +299,7 @@ class TestCoverageKernels:
             monkeypatch.setattr(CanonicalEngine, "_LATTICE_LIMIT", 1)
         rng = random.Random(45)
         compared = uncovered = deduplicated = 0
-        for _, engine in random_engines(rng, 50, range(100, 3000)):
+        for _, _, engine in random_engines(rng, 50, range(100, 3000)):
             width = len(engine.bodies)
             for n in engine.levels:
                 classes = engine.classes[n]
@@ -321,7 +331,7 @@ class TestCoverageKernels:
         monkeypatch.setattr(CanonicalEngine, "_uncovered", classmethod(counted))
         rng = random.Random(47)
         reference_checks = engine_checks = theorems = eliminated = stopped = 0
-        for f, engine in random_engines(rng, 60, range(1000)):
+        for f, delta, engine in random_engines(rng, 60, range(1000)):
             rounds, alive, checks = reference_eliminate(engine)
             before = len(calls)
             engine.eliminate()
@@ -334,7 +344,7 @@ class TestCoverageKernels:
             eliminated += rounds != []
             # re-entry: a full elimination after refute's early stop, and a
             # second elimination after the fixpoint
-            resumed = CanonicalEngine(closure_of(f))
+            resumed = CanonicalEngine(delta)
             resumed.refute(modified_negation(f))
             stopped += resumed.rounds != rounds
             resumed.eliminate()

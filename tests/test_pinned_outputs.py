@@ -14,6 +14,7 @@ import hashlib
 import random
 
 from glpstar.decide import SystemId, decide
+from glpstar.formulas import Formula
 from glpstar.hintikka import ResourceLimitError
 from glpstar.oracle import SearchBudget, brute_force_countermodel
 from glpstar.parsing import render_formula, render_model
@@ -21,16 +22,20 @@ from conftest import gen_sorted_formula
 
 # a cap low enough that some of the sample is refused, so the limit's fields count too
 CANDIDATE_CAP = 400
-DECIDE_DIGEST = "fedd58765f887639fdc750960b2ca4490137944eff75e4a1176512de3607afea"
+DECIDE_DIGEST = "22bd0d8f58909a8b3d98bfb37032f72fa4d9cc669c4fb53d58a3fd279074a7c1"
 ORACLE_DIGEST = "10aec50251b16d10914d9b288aaedd0c081fbbef25f6eb9fc2e081f98f0ff1dd"
 
 
-def _decide_records() -> list[str]:
+def _decide_sample() -> list[tuple[SystemId, Formula]]:
     rng = random.Random(1601)
+    return [(list(SystemId)[k % 4],
+             gen_sorted_formula(rng, depth=rng.choice([2, 3, 4]), max_vars=3, mods=(0, 1, 2)))
+            for k in range(800)]
+
+
+def _decide_records() -> list[str]:
     records = []
-    for k in range(800):
-        f = gen_sorted_formula(rng, depth=rng.choice([2, 3, 4]), max_vars=3, mods=(0, 1, 2))
-        system = list(SystemId)[k % 4]
+    for system, f in _decide_sample():
         try:
             v = decide(system, f, candidate_cap=CANDIDATE_CAP)
         except ResourceLimitError as exc:
@@ -65,6 +70,22 @@ def test_decide_outputs_pinned():
     kinds = {r.split(" ", 1)[0] for r in records}
     assert kinds == {"True", "False", "limit"}
     assert _digest(records) == DECIDE_DIGEST
+
+
+def test_past_the_cap_verdicts_hold_at_the_default_cap():
+    # each call that the search past the cap decides is a non-theorem that
+    # the full table finds too
+    checked = 0
+    for system, f in _decide_sample():
+        try:
+            v = decide(system, f, candidate_cap=CANDIDATE_CAP)
+        except ResourceLimitError:
+            continue
+        if v.stats.candidates == 0:
+            assert not v.theorem and len(v.countermodel.worlds) <= 2
+            assert not decide(system, f).theorem
+            checked += 1
+    assert checked == 36
 
 
 def test_oracle_outcomes_pinned():

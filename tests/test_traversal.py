@@ -10,6 +10,7 @@ the interpreter's recursion limit.
 
 import copy
 import itertools
+import pickle
 import random
 import sys
 
@@ -430,6 +431,13 @@ class TestDeepFormulas:
         f = parse_formula("~" * 3000 + "p")
         assert repr(f) == "Neg(child=" * 3000 + "Var(name='p', sort=w)" + ")" * 3000
         assert copy.deepcopy(f) is f
+
+    def test_pickle_and_copy(self):
+        # 3000 levels: the pickler used to recurse through each node's children
+        for f in (parse_formula("~" * 3000 + "p"), parse_formula("<1>(" * 3000 + "p" + " & q:2)" * 3000)):
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+                assert pickle.loads(pickle.dumps(f, protocol)) is f
+            assert copy.copy(f) is f
 
     def test_evaluator_and_tautology(self):
         m = KripkeModel(("a", "b"), {0: {("a", "b")}}, {"p": {"b"}}, {"p": OMEGA})
