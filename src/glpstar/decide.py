@@ -60,7 +60,7 @@ from .kripke import (
     model_check,
     model_from_masks,
 )
-from .oracle import SearchBudget, brute_force_countermodel
+from . import oracle
 from .reductions import h_formula, m_plus, n_plus
 
 
@@ -105,7 +105,7 @@ class Verdict:
 
 
 # the search past the cap (see the module docstring)
-PAST_CAP_BUDGET = SearchBudget(max_worlds=2, max_models=1_000)
+PAST_CAP_BUDGET = oracle.SearchBudget(max_worlds=2, max_models=1_000)
 
 _PREMISES = {"mplus": m_plus, "nplus": n_plus}
 
@@ -141,7 +141,7 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
     try:
         engine = CanonicalEngine(program.nodes, candidate_cap)
     except ResourceLimitError as limit:
-        search = brute_force_countermodel(target, PAST_CAP_BUDGET)
+        search = oracle.brute_force_countermodel(target, PAST_CAP_BUDGET)
         if not search.found:
             raise
         return Verdict(theorem=False, countermodel=search.model, falsified=target,

@@ -121,24 +121,27 @@ class Formula:
             stack += reversed([*pieces, ")"])
         return "".join(out)
 
-    def __deepcopy__(self, memo):
+    def __copy__(self):
         return self  # an interned immutable node is its own copy
 
+    def __deepcopy__(self, memo):
+        return self
+
     def __reduce__(self):
-        # copy and pickle rebuild through the constructors, which intern, from
-        # a flat children-first encoding, so a deep formula does not recurse
+        # pickle rebuilds through the constructors, which intern, from a flat
+        # children-first encoding, so a deep formula does not recurse
         nodes = children_first(walk(self))
         place = {f: k for k, f in enumerate(nodes)}
         return _rebuild, (tuple(
-            (type(f), *(place[v] if isinstance(v, Formula) else v
-                        for v in (getattr(f, name) for name in f.__match_args__)))
+            (type(f), *(place[getattr(f, name)] if name in _CHILD_FIELDS else getattr(f, name)
+                        for name in f.__match_args__))
             for f in nodes),)
 
 
 def _rebuild(encoding: tuple) -> Formula:
     """The last node of a children-first encoding: one ``(class, *fields)``
     per node, each formula field given as the position of its node. A field
-    is a formula exactly when it is named ``child``, ``left`` or ``right``."""
+    holds a formula exactly when it is named in ``_CHILD_FIELDS``."""
     nodes: list[Formula] = []
     for cls, *fields in encoding:
         nodes.append(cls(*(nodes[v] if name in _CHILD_FIELDS else v

@@ -281,6 +281,8 @@ class ModelEnumeration:
 
         A rooted frame's row 0 bits, over all levels, cover ``rest``: the
         last level draws only the groups that cover what is still unseen.
+        The levels are walked depth first on an explicit stack, so a frame
+        of many levels does not recurse.
         """
         levels = self.levels
         if not levels:
@@ -291,27 +293,37 @@ class ModelEnumeration:
         low = (1 << k) - 1
         last = len(levels) - 1
 
-        def extend(chosen: list[int], allowed: int, seen: int) -> Iterator[tuple[int, ...]]:
+        def options(depth: int, allowed: int, seen: int) -> Iterator[int]:
             unseen = rest & ~seen
             if unseen & ~allowed:
-                return
-            more = len(chosen) < last
-            need = 0 if more else unseen
-            candidates = sorted(
+                return iter(())
+            need = unseen if depth == last else 0
+            return iter(sorted(
                 mask
                 for row0, group in groups.items()
                 if need & ~row0 == 0 and row0 & ~allowed == 0
                 for mask in group if mask & ~allowed == 0
-            )
-            for mask in candidates:
-                chosen.append(mask)
-                if more:
-                    yield from extend(chosen, allowed & _allowed(mask, k), seen | mask & low)
-                else:
-                    yield tuple(chosen)
-                chosen.pop()
+            ))
 
-        yield from extend([], (1 << (k * k)) - 1, 0)
+        chosen: list[int] = []  # the masks of the levels below the top of the stack
+        full = (1 << (k * k)) - 1
+        stack = [(options(0, full, 0), full, 0)]  # per level begun: its masks, allowed, seen
+        while stack:
+            masks, allowed, seen = stack[-1]
+            if len(chosen) == last:
+                for mask in masks:
+                    yield (*chosen, mask)
+                mask = None
+            else:
+                mask = next(masks, None)
+            if mask is None:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+            else:
+                chosen.append(mask)
+                below, seen = allowed & _allowed(mask, k), seen | mask & low
+                stack.append((options(len(chosen), below, seen), below, seen))
 
     def materialize(self, k: int, succ: Mapping[int, list[int]], val_masks: tuple[int, ...],
                     root: Optional[int] = None) -> KripkeModel:

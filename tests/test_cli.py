@@ -124,6 +124,11 @@ class TestDecideCommand:
         assert payload["stats"] == {"atoms": 8, "candidates": 0, "rounds": []}
         assert payload["countermodel"]["worlds"] == ["w0"]
 
+    def test_past_the_cap_many_levels_exit_cleanly(self, capsys):
+        text = " & ".join(f"<{n}>T" for n in range(1000))
+        code, out, err = invoke(capsys, "decide", "--system", "jstar", text)
+        assert (code, out.splitlines()[0], err) == (1, "non-theorem", "")
+
     def test_batch_goes_on_past_a_resource_limit(self, capsys, tmp_path):
         # 16 bodies at 4 levels and 16 variables: 80 atoms, refused before
         # enumerating; as the premise of a theorem, no small model refutes it

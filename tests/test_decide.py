@@ -152,6 +152,7 @@ class TestStats:
 
 WIDE = " & ".join(f"<{k % 4}>v{k}" for k in range(16))  # 80 atoms
 VARIABLES_64 = " | ".join(f"p{i}:0" for i in range(64))
+DEEP_LEVELS = " & ".join(f"<{n}>T" for n in range(1000))  # 1000 atoms
 
 
 def engine_limit(system, text, cap):
@@ -201,6 +202,14 @@ class TestPastTheCap:
         with pytest.raises(ResourceLimitError, match="64 atoms exceed the 63-bit index budget"):
             verdict("jstar", VARIABLES_64 + " | ~p0:0")
         assert time.process_time() - start < 0.5
+
+    def test_many_levels_decide_in_one_world(self):
+        # the search walks one frame level at a time, so it reaches its
+        # first frame without recursing
+        v = verdict("jstar", DEEP_LEVELS)
+        assert not v.theorem and v.stats.candidates == 0
+        assert len(v.countermodel.worlds) == 1
+        _check_countermodel(v.countermodel, v.falsified)
 
     def test_cross_validation_does_not_count_the_oracle_against_itself(self):
         report = cross_validate(parse_formula(WIDE), "jstar", SearchBudget(max_worlds=2))

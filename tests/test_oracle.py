@@ -158,6 +158,15 @@ class TestFramesAndValuations:
         assert len(frames) == 33571
         assert all(a < b for a, b in zip(frames, frames[1:]))
 
+    def test_many_levels_do_not_recurse(self):
+        # 1200 levels, past the recursion limit: one frame level per stack entry
+        levels = range(1200)
+        assert list(enumerate_models([], levels)._frames(1)) == [(0,) * 1200]
+        rooted = oracle.ModelEnumeration([], levels, rooted=True)
+        # w0 sees w1 (bit 1) at one level; no other level can hold a pair
+        assert list(rooted._frames(2)) == [tuple(2 if n == level else 0 for n in levels)
+                                           for level in reversed(levels)]
+
 
 class TestSearchBudget:
     def test_world_limit(self):

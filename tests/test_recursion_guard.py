@@ -17,7 +17,6 @@ import glpstar
 # module.qualified name -> what bounds the recursion depth
 ALLOWED = {
     "oracle._strict_orders": "the world count of the search",
-    "oracle.ModelEnumeration._frames.extend": "the number of modalities",
 }
 
 
