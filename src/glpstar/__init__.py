@@ -5,6 +5,8 @@ monotonicity (glpstar), the sorted truth extension (glpsstar), and the
 classical one-sorted logic (glp) via the omega-sorted embedding.
 """
 
+from types import ModuleType as _ModuleType
+
 from .formulas import (
     BOT,
     OMEGA,
@@ -47,7 +49,6 @@ from .kripke import (
     check_jstar_frame,
     check_strong_persistence,
     find_roots,
-    generated_submodel,
     model_check,
     valid_in_model,
 )
@@ -62,13 +63,8 @@ from .reductions import (
     r_theta_plus,
 )
 from .hintikka import DEFAULT_CANDIDATE_CAP, ResourceLimitError
-from .decide import SystemId, Verdict, decide, reduction_target
-from .oracle import (
-    SearchBudget,
-    brute_force_countermodel,
-    cross_validate,
-    enumerate_models,
-)
+from .decide import SystemId, Verdict, cross_validate, decide, reduction_target
+from .oracle import SearchBudget, brute_force_countermodel, enumerate_models
 from .proofs import (
     Axiom,
     CheckResult,
@@ -83,5 +79,7 @@ from .proofs import (
     parse_proof,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the names imported above; the submodules they come from are not exported
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]
 __version__ = "0.1.0"

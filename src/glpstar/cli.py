@@ -169,11 +169,11 @@ def _outcome(system: SystemId, formula: Formula, args) -> dict:
                 "atoms": exc.atoms, "candidates": exc.candidates, "cap": exc.cap}
     stats = verdict.stats
     if args.verbose:
-        print(
-            f"# {stats.atom_count} atoms, {stats.candidates} candidates; survivors per round: "
-            f"{stats.rounds if stats.rounds else '[no eliminations]'}",
-            file=sys.stderr,
-        )
+        # no table has 0 rows: 0 candidates marks a verdict from the search past the cap
+        route = (f"{stats.candidates} candidates; survivors per round: "
+                 f"{stats.rounds if stats.rounds else '[no eliminations]'}" if stats.candidates
+                 else "no table: refuted past the candidate cap by a model of at most two worlds")
+        print(f"# {stats.atom_count} atoms, {route}", file=sys.stderr)
     return {
         "formula": formula,
         "verdict": "theorem" if verdict.theorem else "non-theorem",

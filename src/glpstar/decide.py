@@ -35,6 +35,9 @@ calls of the enum-heavy benchmark pool, two worlds decide 77 for at most
 0.5 ms of search each; three worlds decide two more for up to 11 ms each
 (2-core x86-64 VM). The model budget bounds the search on wide targets,
 whose one-world valuations alone number 2^variables.
+
+:func:`cross_validate` checks a verdict against the oracle's exhaustive
+search over the same target, within a budget the caller gives.
 """
 
 from __future__ import annotations
@@ -160,6 +163,45 @@ def decide(system: SystemId, formula: Formula, *, via: str = "mplus",
                              {v.name: v.sort for v in engine.variables}, 0)
     _check_countermodel(model, target)
     return Verdict(theorem=False, countermodel=model, falsified=target, stats=stats)
+
+
+@dataclass
+class CrossValidationReport:
+    system: SystemId
+    formula: Formula
+    target: Formula
+    verdict: Verdict
+    search: oracle.SearchResult
+    status: str  # agreement | disagreement | inconclusive
+
+
+def cross_validate(formula: Formula, system: SystemId,
+                   budget: Optional[oracle.SearchBudget] = None) -> CrossValidationReport:
+    """Run the decision procedure against the brute-force refuter.
+
+    A disagreement (validated refutation of a claimed theorem, or a small
+    claimed countermodel the exhaustive search cannot reproduce) is always a
+    bug in one of the two engines. A non-theorem that ``decide`` settled
+    past its candidate cap (``stats.candidates == 0``) came from the
+    oracle's own search, so it is reported inconclusive.
+    """
+    if isinstance(system, str):
+        system = SystemId.parse(system)
+    budget = budget or oracle.SearchBudget()
+    target = reduction_target(system, formula)
+    verdict = decide(system, formula)
+    search = oracle.brute_force_countermodel(target, budget)
+    if verdict.theorem:
+        status = "disagreement" if search.found else "inconclusive" if search.truncated else "agreement"
+    elif verdict.stats.candidates == 0:
+        status = "inconclusive"
+    elif search.found:
+        status = "agreement"
+    elif search.truncated or len(verdict.countermodel.worlds) > budget.max_worlds:
+        status = "inconclusive"
+    else:
+        status = "disagreement"
+    return CrossValidationReport(system, formula, target, verdict, search, status)
 
 
 def _minimize_countermodel(count: int, succ: dict[int, list[int]], extension: dict[str, int],

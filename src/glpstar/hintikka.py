@@ -360,8 +360,6 @@ class CanonicalEngine:
         """Canonical edge at level n from row i to row j, by packed masks: one
         class, req of j within d of i, and d differing. ``j`` may also be an
         index array or a slice, for a bool column over those rows."""
-        if n not in self.low_offset:
-            return False
         d, cls_id = self.col[("d", n)], self.col[("class", n)]
         return (cls_id[j] == cls_id[i]) & (self.col[("req", n)][j] & ~d[i] == 0) & (d[j] != d[i])
 

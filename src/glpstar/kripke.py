@@ -348,10 +348,7 @@ class Evaluator:
 
 def model_check(model: KripkeModel, world: str, formula: Formula) -> bool:
     """Truth of a formula at a world."""
-    ev = Evaluator(model)
-    if world not in ev.index:
-        raise KeyError(f"unknown world {world!r}")
-    return bool(ev.extension(formula) >> ev.index[world] & 1)
+    return Evaluator(model).holds(world, formula)
 
 
 def valid_in_model(model: KripkeModel, formula: Formula) -> bool:
@@ -403,32 +400,4 @@ def adjoin_root(model: KripkeModel) -> KripkeModel:
         valuation=valuation,
         sorts=model.sorts,
         root=fresh,
-    )
-
-
-def generated_submodel(model: KripkeModel, world: str) -> KripkeModel:
-    """Restriction to the worlds reachable from the given world (inclusive)."""
-    if world not in model.worlds:
-        raise KeyError(f"unknown world {world!r}")
-    reached = {world}
-    frontier = [world]
-    while frontier:
-        w = frontier.pop()
-        for rel in model.relations.values():
-            for x, y in rel:
-                if x == w and y not in reached:
-                    reached.add(y)
-                    frontier.append(y)
-    worlds = tuple(w for w in model.worlds if w in reached)
-    relations = {
-        n: frozenset((x, y) for x, y in rel if x in reached and y in reached)
-        for n, rel in model.relations.items()
-    }
-    valuation = {name: frozenset(m & reached) for name, m in model.valuation.items()}
-    return KripkeModel(
-        worlds=worlds,
-        relations=relations,
-        valuation=valuation,
-        sorts=model.sorts,
-        root=world,
     )

@@ -1,4 +1,4 @@
-"""Exhaustive finite-model search: refuter and cross-validator.
+"""Exhaustive finite-model search: the refuter and the model enumerator.
 
 Models are enumerated by world count, then by the relation bitmaps in
 ascending order (lowest modality outermost), then by valuation bitmaps.
@@ -39,7 +39,8 @@ The model budget is checked before a world count's frame table or a frame's
 valuations are built.
 
 Absence of a countermodel within the budget proves nothing; this module
-never claims theoremhood.
+never claims theoremhood. :func:`decide.cross_validate` sets its search
+against ``decide``.
 """
 
 from __future__ import annotations
@@ -69,14 +70,9 @@ MAX_WORLDS = 6
 
 @dataclass(frozen=True)
 class SearchBudget:
-    """Bounds of a model search: worlds (1 to MAX_WORLDS), modalities, models.
-
-    ``modalities`` are the levels whose relations are enumerated (by default
-    those of the formula searched); ``max_models`` caps the models examined.
-    """
+    """Bounds of a model search: worlds (1 to MAX_WORLDS) and models examined."""
 
     max_worlds: int = 4
-    modalities: Optional[tuple[int, ...]] = None
     max_models: int = 10_000_000
 
     def __post_init__(self):
@@ -363,8 +359,7 @@ def brute_force_countermodel(formula: Formula, budget: Optional[SearchBudget] = 
     """
     budget = budget or SearchBudget()
     program = compile_formula(formula)
-    modalities = budget.modalities if budget.modalities is not None else program.modalities
-    enumeration = ModelEnumeration(program.variables, modalities, budget, rooted=True)
+    enumeration = ModelEnumeration(program.variables, program.modalities, budget, rooted=True)
     code = program.code
     for k, succ, val_masks in enumeration.masks():
         if not evaluate(code, (1 << k) - 1, succ, val_masks)[-1] & 1:
@@ -377,60 +372,3 @@ def brute_force_countermodel(formula: Formula, budget: Optional[SearchBudget] = 
                                 enumeration.models_examined, enumeration.by_worlds)
     return SearchResult(None, None, enumeration.truncated,
                         enumeration.models_examined, enumeration.by_worlds)
-
-
-@dataclass
-class CrossValidationReport:
-    system: object
-    formula: Formula
-    target: Formula
-    verdict: object
-    search: SearchResult
-    status: str  # agreement | disagreement | inconclusive
-
-    @property
-    def agreement(self) -> bool:
-        return self.status == "agreement"
-
-
-def cross_validate(formula: Formula, system, budget: Optional[SearchBudget] = None) -> CrossValidationReport:
-    """Run the decision procedure against the brute-force refuter.
-
-    A disagreement (validated refutation of a claimed theorem, or a small
-    claimed countermodel the exhaustive search cannot reproduce) is always a
-    bug in one of the two engines. A non-theorem that ``decide`` settled
-    past its candidate cap (``stats.candidates == 0``) came from this
-    oracle's own search, so it is reported inconclusive.
-    """
-    from .decide import SystemId, decide, reduction_target
-
-    if isinstance(system, str):
-        system = SystemId.parse(system)
-    budget = budget or SearchBudget()
-    target = reduction_target(system, formula)
-    verdict = decide(system, formula)
-    search = brute_force_countermodel(target, budget)
-    searched_modalities = (
-        set(budget.modalities) if budget.modalities is not None else compile_formula(target).modalities
-    )
-    if not verdict.theorem and verdict.stats.candidates == 0:
-        status = "inconclusive"
-    elif verdict.theorem:
-        if search.found:
-            status = "disagreement"
-        elif search.truncated:
-            status = "inconclusive"
-        else:
-            status = "agreement"
-    else:
-        if search.found:
-            status = "agreement"
-        else:
-            cm = verdict.countermodel
-            fits = (
-                len(cm.worlds) <= budget.max_worlds
-                and set(cm.relations) <= searched_modalities
-                and not search.truncated
-            )
-            status = "disagreement" if fits else "inconclusive"
-    return CrossValidationReport(system, formula, target, verdict, search, status)

@@ -7,7 +7,7 @@ lines. The random suites are seeded, so reruns are reproducible.
 import random
 import time
 
-from glpstar.decide import SystemId, decide, reduction_target
+from glpstar.decide import SystemId, cross_validate, decide, reduction_target
 from glpstar.formulas import (
     OMEGA,
     And,
@@ -31,7 +31,7 @@ from glpstar.kripke import (
     model_check,
     valid_in_model,
 )
-from glpstar.oracle import SearchBudget, cross_validate
+from glpstar.oracle import SearchBudget
 from glpstar.parsing import parse_formula, render_formula
 from glpstar.proofs import ProofLine, ProofObject, check_proof, corpus_proofs, parse_proof
 from glpstar.reductions import n_plus, r_theta_plus, occurring_modalities

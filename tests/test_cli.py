@@ -187,6 +187,13 @@ class TestDecideCommand:
         assert code == 0
         assert err.startswith("# 5 atoms, 32 candidates; ")
 
+    def test_verbose_names_the_search_past_the_cap(self, capsys):
+        code, _, err = invoke(
+            capsys, "decide", "--system", "glpstar", "--candidate-cap", "2", "--verbose", "<0>p & <1>q"
+        )
+        assert code == 1
+        assert err == "# 8 atoms, no table: refuted past the candidate cap by a model of at most two worlds\n"
+
     @pytest.mark.parametrize("args, expected", [
         (["--system", "glp", "<1>T -> <0>T"], 0),
         (["--system", "glp", "--format", "json", "<0>T -> <1>T"], 1),

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import glpstar
-from glpstar.decide import SystemId, _check_countermodel, decide, reduction_target
+from glpstar.decide import SystemId, _check_countermodel, cross_validate, decide, reduction_target
 from glpstar.formulas import (
     OMEGA,
     And,
@@ -32,7 +32,7 @@ from glpstar.kripke import (
     find_roots,
     model_check,
 )
-from glpstar.oracle import SearchBudget, cross_validate
+from glpstar.oracle import SearchBudget
 from glpstar.parsing import parse_formula
 from glpstar.reductions import n_plus, r_theta_plus, occurring_modalities
 from conftest import gen_sorted_formula

@@ -34,7 +34,6 @@ from glpstar.kripke import (
     check_strong_persistence,
     compile_formula,
     find_roots,
-    generated_submodel,
     is_world_name,
     model_check,
     valid_in_model,
@@ -382,14 +381,3 @@ class TestModifiedNegationSemantics:
                 f = desugar(gen_formula_over(rng, pool))
                 for w in m.worlds:
                     assert model_check(m, w, modified_negation(f)) != model_check(m, w, f)
-
-
-class TestGeneratedSubmodel:
-    def test_restricts_and_roots(self):
-        m = KripkeModel(
-            ("a", "b", "c"), {0: {("a", "b")}}, {"p": {"c"}}, {"p": OMEGA}
-        )
-        sub = generated_submodel(m, "a")
-        assert set(sub.worlds) == {"a", "b"}
-        assert sub.root == "a"
-        assert sub.valuation["p"] == frozenset()

@@ -1,10 +1,11 @@
 import random
+import sys
 from itertools import product
 
 import pytest
 
 from glpstar import kripke, oracle
-from glpstar.decide import SystemId, decide
+from glpstar.decide import Verdict, cross_validate
 from glpstar.formulas import OMEGA, TOP, Dia, Neg, Or, Var, variables_of
 from glpstar.kripke import (
     Evaluator,
@@ -15,9 +16,9 @@ from glpstar.kripke import (
 )
 from glpstar.oracle import (
     SearchBudget,
+    SearchResult,
     WorldCount,
     brute_force_countermodel,
-    cross_validate,
     enumerate_models,
 )
 from glpstar.parsing import parse_formula
@@ -57,11 +58,9 @@ def reference_search(formula, budget):
     """The search done on materialized models: the first model in which w0
     sees every world at some level and refutes the formula, counting only
     such models against the budget."""
-    modalities = (budget.modalities if budget.modalities is not None
-                  else sorted(occurring_modalities(formula)))
-    every = SearchBudget(max_worlds=budget.max_worlds, modalities=budget.modalities)
+    every = SearchBudget(max_worlds=budget.max_worlds)
     examined = 0
-    for model in enumerate_models(variables_of(formula), modalities, every):
+    for model in enumerate_models(variables_of(formula), occurring_modalities(formula), every):
         if not is_rooted(model):
             continue
         if examined == budget.max_models:
@@ -76,9 +75,7 @@ def reference_search(formula, budget):
 
 def unrooted_search(formula, budget):
     """The first refuted world of the first model, among every model."""
-    modalities = (budget.modalities if budget.modalities is not None
-                  else sorted(occurring_modalities(formula)))
-    enum = enumerate_models(variables_of(formula), modalities, budget)
+    enum = enumerate_models(variables_of(formula), occurring_modalities(formula), budget)
     for model in enum:
         ev = Evaluator(model)
         ext = ev.extension(formula)
@@ -267,6 +264,33 @@ class TestCrossValidate:
         assert rep.status == "agreement"
         assert not rep.verdict.theorem
 
+    def test_countermodel_larger_than_the_search_is_inconclusive(self):
+        rep = cross_validate(parse_formula("~<0><0>T"), "jstar", SearchBudget(max_worlds=2))
+        assert len(rep.verdict.countermodel.worlds) == 3
+        assert not rep.search.found and not rep.search.truncated
+        assert rep.status == "inconclusive"
+
+    def test_theorem_with_truncated_search_is_inconclusive(self):
+        rep = cross_validate(parse_formula("<0>p:0 -> p:0"), "jstar",
+                             SearchBudget(max_worlds=3, max_models=1))
+        assert rep.verdict.theorem and rep.search.truncated and not rep.search.found
+        assert rep.status == "inconclusive"
+
+    def test_refuted_theorem_is_a_disagreement(self, monkeypatch):
+        # cross_validate looks decide up in its module; glpstar.decide is the function
+        module = sys.modules["glpstar.decide"]
+        monkeypatch.setattr(module, "decide", lambda system, formula: Verdict(theorem=True))
+        rep = cross_validate(parse_formula("<1>p -> <0>p"), "jstar", SearchBudget(max_worlds=3))
+        assert rep.search.found
+        assert rep.status == "disagreement"
+
+    def test_unmatched_small_countermodel_is_a_disagreement(self, monkeypatch):
+        monkeypatch.setattr(oracle, "brute_force_countermodel",
+                            lambda formula, budget: SearchResult(None, None, False, 0))
+        rep = cross_validate(parse_formula("<1>p -> <0>p"), "jstar", SearchBudget(max_worlds=3))
+        assert len(rep.verdict.countermodel.worlds) <= 3
+        assert rep.status == "disagreement"
+
     def test_random_batch_never_disagrees(self):
         rng = random.Random(62)
         budget = SearchBudget(max_worlds=3)
@@ -313,8 +337,8 @@ class TestMaskSearch:
     BUDGETS = [
         SearchBudget(max_worlds=3),
         SearchBudget(max_worlds=4, max_models=150),
-        SearchBudget(max_worlds=3, modalities=(0, 1)),
-        SearchBudget(max_worlds=4, modalities=(1,), max_models=40),
+        SearchBudget(max_worlds=4, max_models=3),
+        SearchBudget(max_worlds=3, max_models=2),
         SearchBudget(max_worlds=4, max_models=7),
     ]
 
@@ -354,7 +378,7 @@ class TestMaskSearch:
         # on untruncated searches the rooted search finds a countermodel
         # exactly when some model has one, and one with as few worlds
         rng = random.Random(65)
-        budgets = [SearchBudget(max_worlds=3), SearchBudget(max_worlds=3, modalities=(1, 2))]
+        budgets = [SearchBudget(max_worlds=3), SearchBudget(max_worlds=2)]
         found = larger = 0
         for i in range(300):
             while True:
