@@ -169,17 +169,21 @@ def _outcome(system: SystemId, formula: Formula, args) -> dict:
                 "atoms": exc.atoms, "candidates": exc.candidates, "cap": exc.cap}
     stats = verdict.stats
     if args.verbose:
-        # no table has 0 rows: 0 candidates marks a verdict from the search past the cap
-        route = (f"{stats.candidates} candidates; survivors per round: "
-                 f"{stats.rounds if stats.rounds else '[no eliminations]'}" if stats.candidates
-                 else "no table: refuted past the candidate cap by a model of at most two worlds")
+        if stats.path == "bounded":
+            route = "no table: refuted past the candidate cap by a model of at most two worlds"
+        else:
+            route = (f"{stats.candidates} candidates; survivors per round: "
+                     f"{stats.rounds if stats.rounds else '[no eliminations]'}")
+            if stats.path == "polarity":
+                route += " (past the candidate cap: the table of the polarity-reduced, folded target)"
         print(f"# {stats.atom_count} atoms, {route}", file=sys.stderr)
     return {
         "formula": formula,
         "verdict": "theorem" if verdict.theorem else "non-theorem",
         "countermodel": verdict.countermodel,
         "falsified": verdict.falsified,
-        "stats": {"atoms": stats.atom_count, "candidates": stats.candidates, "rounds": stats.rounds},
+        "stats": {"atoms": stats.atom_count, "candidates": stats.candidates, "rounds": stats.rounds,
+                  "path": stats.path},
     }
 
 
@@ -358,9 +362,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dot", metavar="OUT.dot")
     p.add_argument("--candidate-cap", type=int, default=DEFAULT_CANDIDATE_CAP,
                    help="candidate rows the engine may build; past it, a countermodel of at "
-                        "most two worlds still gives a non-theorem (with 0 candidates), "
-                        "and otherwise the formula ends in a resource limit")
-    p.add_argument("--verbose", action="store_true", help="stream elimination statistics")
+                        "most two worlds still gives a non-theorem (path \"bounded\"), then "
+                        "the table of the target with each one-polarity variable made a "
+                        "constant, folded, may decide (path \"polarity\"), and otherwise the "
+                        "formula ends in a resource limit")
+    p.add_argument("--verbose", action="store_true",
+                   help="print the deciding table's atoms, candidates and survivors per round, "
+                        "or the route past the cap, on stderr")
     p.add_argument("formula", metavar="FORMULA|@FILE")
     add_format(p)
     p.set_defaults(run=_cmd_decide)

@@ -30,7 +30,7 @@ import weakref
 from dataclasses import FrozenInstanceError
 from functools import lru_cache
 from operator import attrgetter
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 
 class _Omega(float):
@@ -463,19 +463,74 @@ def adequate_closure(gamma: Iterable[Formula]) -> frozenset[Formula]:
     return frozenset(delta)
 
 
-def to_omega_sorted(formula: Formula) -> Formula:
-    """Replace every variable's sort by omega, keeping the shape."""
+def substitute(formula: Formula, leaf: Callable[[Var], Formula]) -> Formula:
+    """Replace every variable v by ``leaf(v)``, keeping the shape."""
     out: dict[Formula, Formula] = {}
     for f in children_first(walk(formula)):
         cls = type(f)
         if cls is Var:
-            out[f] = Var(f.name, OMEGA)
+            out[f] = leaf(f)
         elif cls is Neg:
             out[f] = Neg(out[f.child])
         elif cls is Dia:
             out[f] = Dia(f.index, out[f.child])
         elif cls in _BINARY:
             out[f] = cls(out[f.left], out[f.right])
+        else:
+            out[f] = f
+    return out[formula]
+
+
+def to_omega_sorted(formula: Formula) -> Formula:
+    """Replace every variable's sort by omega, keeping the shape."""
+    return substitute(formula, lambda v: Var(v.name, OMEGA))
+
+
+def polarity_constants(formula: Formula) -> dict[str, Formula]:
+    """The variable names of one polarity, each with the constant that may
+    replace it: F for a name every occurrence of which lies under an even
+    number of negations, T for one under an odd number at every occurrence.
+
+    Parities flow from each node to its children, parents first: the
+    reverse of :func:`children_first`, since a parent is larger than its
+    children. A shared node collects the parities of all its occurrences.
+    """
+    parity = {formula: 1}  # bit 0: some occurrence is positive, bit 1: negative
+    names: dict[str, int] = {}
+    for f in reversed(children_first(walk(formula))):
+        p, cls = parity[f], type(f)
+        if cls is Var:
+            names[f.name] = names.get(f.name, 0) | p
+        elif cls is Neg:
+            parity[f.child] = parity.get(f.child, 0) | (p & 1) << 1 | p >> 1
+        elif cls is Dia:
+            parity[f.child] = parity.get(f.child, 0) | p
+        elif cls in _BINARY:
+            for child in (f.left, f.right):
+                parity[child] = parity.get(child, 0) | p
+    return {name: BOT if p == 1 else TOP for name, p in names.items() if p != 3}
+
+
+def fold_constants(formula: Formula) -> Formula:
+    """The formula simplified children first by the K-valid equivalences
+    ~T = F, ~F = T, ~~x = x, T & x = x, F & x = F, T | x = T, F | x = x and
+    <n>F = F. Nodes are interned, so a formula with nothing to fold comes
+    back as the same node."""
+    out: dict[Formula, Formula] = {}
+    for f in children_first(walk(formula)):
+        cls = type(f)
+        if cls is Neg:
+            child = out[f.child]
+            out[f] = (BOT if child is TOP else TOP if child is BOT
+                      else child.child if type(child) is Neg else Neg(child))
+        elif cls in _BINARY:
+            left, right = out[f.left], out[f.right]
+            absorbing, unit = (BOT, TOP) if cls is And else (TOP, BOT)
+            out[f] = (absorbing if absorbing in (left, right) else right if left is unit
+                      else left if right is unit else cls(left, right))
+        elif cls is Dia:
+            child = out[f.child]
+            out[f] = BOT if child is BOT else Dia(f.index, child)
         else:
             out[f] = f
     return out[formula]

@@ -9,6 +9,8 @@ versions must match exactly.
 model. From an engine's own calls, ``membership`` reads a candidate row's
 formula set within a given closure, ``canonical_model`` builds that model,
 and ``model_over`` any model over candidate rows.
+``reference_polarity`` and ``reference_fold`` are the polarity substitution
+and the constant folding as plain recursions over the formula tree.
 """
 
 import string
@@ -17,7 +19,7 @@ from typing import Iterable, Optional
 import numpy as np
 
 from glpstar.formulas import (
-    OMEGA, TOP, And, Dia, Formula, Neg, Or, Sort, _bodies, fold_boolean, modal_levels,
+    BOT, OMEGA, TOP, And, Dia, Formula, Neg, Or, Sort, Var, _bodies, fold_boolean, modal_levels,
     modified_negation,
 )
 from glpstar.kripke import (
@@ -243,4 +245,64 @@ def reference_check_jstar_frame(model: KripkeModel) -> list[Violation]:
                 for y2, z in sorted(rel_n):
                     if y2 == y and (x, z) not in rel_m:
                         out.append(Violation(CONDITION_III, (m, n), (x, y, z)))
+    return out
+
+
+def reference_polarity(formula: Formula) -> tuple[Formula, dict[str, Formula]]:
+    """The formula with each variable name of one polarity replaced, and the
+    replacements by name: F for a name that occurs only under an even number
+    of negations, T for one that occurs only under an odd number."""
+    parities: dict[str, set[int]] = {}
+
+    def visit(f: Formula, negations: int) -> None:
+        if isinstance(f, Var):
+            parities.setdefault(f.name, set()).add(negations % 2)
+        elif isinstance(f, Neg):
+            visit(f.child, negations + 1)
+        elif isinstance(f, Dia):
+            visit(f.child, negations)
+        elif isinstance(f, (And, Or)):
+            visit(f.left, negations)
+            visit(f.right, negations)
+
+    def replace(f: Formula) -> Formula:
+        if isinstance(f, Var):
+            return constants.get(f.name, f)
+        if isinstance(f, Neg):
+            return Neg(replace(f.child))
+        if isinstance(f, Dia):
+            return Dia(f.index, replace(f.child))
+        if isinstance(f, (And, Or)):
+            return type(f)(replace(f.left), replace(f.right))
+        return f
+
+    visit(formula, 0)
+    constants = {name: BOT if seen == {0} else TOP for name, seen in parities.items() if len(seen) == 1}
+    return replace(formula), constants
+
+
+def reference_fold(formula: Formula, memo: Optional[dict] = None) -> Formula:
+    """The formula rewritten bottom up by ~T = F, ~F = T, ~~x = x,
+    T & x = x, F & x = F, T | x = T, F | x = x and <n>F = F."""
+    memo = {} if memo is None else memo
+    if formula in memo:
+        return memo[formula]
+    f = formula
+    if isinstance(f, Neg):
+        child = reference_fold(f.child, memo)
+        if child in (TOP, BOT):
+            out = BOT if child == TOP else TOP
+        else:
+            out = child.child if isinstance(child, Neg) else Neg(child)
+    elif isinstance(f, (And, Or)):
+        parts = [reference_fold(f.left, memo), reference_fold(f.right, memo)]
+        absorbing, unit = (BOT, TOP) if isinstance(f, And) else (TOP, BOT)
+        rest = [part for part in parts if part != unit]
+        out = absorbing if absorbing in parts else type(f)(*rest) if len(rest) == 2 else rest[0] if rest else unit
+    elif isinstance(f, Dia):
+        child = reference_fold(f.child, memo)
+        out = BOT if child == BOT else Dia(f.index, child)
+    else:
+        out = f
+    memo[formula] = out
     return out

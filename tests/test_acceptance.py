@@ -20,8 +20,6 @@ from glpstar.formulas import (
     adequate_closure,
     desugar,
     sort_of,
-    subformulas,
-    to_omega_sorted,
 )
 from glpstar.hintikka import CanonicalEngine
 from glpstar.kripke import (
@@ -29,7 +27,6 @@ from glpstar.kripke import (
     check_jstar_frame,
     check_strong_persistence,
     model_check,
-    valid_in_model,
 )
 from glpstar.oracle import SearchBudget
 from glpstar.parsing import parse_formula, render_formula

@@ -56,8 +56,8 @@ class TestDecideCommand:
         payload = json.loads(out)
         assert payload["verdict"] == "non-theorem"
         assert payload["countermodel"]["worlds"] == ["w0"]
-        assert payload["stats"]["candidates"] > 0
-        assert sorted(payload["stats"]) == ["atoms", "candidates", "rounds"]
+        assert payload["stats"]["candidates"] > 0 and payload["stats"]["path"] == "table"
+        assert sorted(payload["stats"]) == ["atoms", "candidates", "path", "rounds"]
 
     def test_formula_file(self, capsys, tmp_path):
         path = tmp_path / "batch.formulas"
@@ -121,7 +121,7 @@ class TestDecideCommand:
         assert code == 1
         payload = json.loads(out)
         assert payload["verdict"] == "non-theorem"
-        assert payload["stats"] == {"atoms": 8, "candidates": 0, "rounds": []}
+        assert payload["stats"] == {"atoms": 8, "candidates": 0, "rounds": [], "path": "bounded"}
         assert payload["countermodel"]["worlds"] == ["w0"]
 
     def test_past_the_cap_many_levels_exit_cleanly(self, capsys):
@@ -131,8 +131,10 @@ class TestDecideCommand:
 
     def test_batch_goes_on_past_a_resource_limit(self, capsys, tmp_path):
         # 16 bodies at 4 levels and 16 variables: 80 atoms, refused before
-        # enumerating; as the premise of a theorem, no small model refutes it
-        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16)) + " -> <0>v0"
+        # enumerating; as premise and conclusion of a theorem, no small model
+        # refutes it, and every variable occurs in both polarities
+        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16))
+        wide = f"{wide} -> {wide}"
         path = tmp_path / "batch.formulas"
         path.write_text(f"p -> p\n{wide}\n<0>T\n")
         code, out, err = invoke(capsys, "decide", "--system", "jstar", f"@{path}")
@@ -193,6 +195,14 @@ class TestDecideCommand:
         )
         assert code == 1
         assert err == "# 8 atoms, no table: refuted past the candidate cap by a model of at most two worlds\n"
+
+    def test_verbose_names_the_polarity_route(self, capsys):
+        # q:2 and p:1 each occur in one polarity; the reduced target folds to T
+        code, out, err = invoke(capsys, "decide", "--system", "glpstar", "--candidate-cap", "2", "--verbose",
+                                "~(<1>(q:2 & p:1) & ~(T | p:1)) | <3><2>F")
+        assert (code, out) == (0, "theorem\n")
+        assert err == ("# 0 atoms, 1 candidates; survivors per round: [no eliminations] "
+                       "(past the candidate cap: the table of the polarity-reduced, folded target)\n")
 
     @pytest.mark.parametrize("args, expected", [
         (["--system", "glp", "<1>T -> <0>T"], 0),
@@ -487,7 +497,8 @@ class TestOtherCommands:
          lambda p: [f"countermodel found (falsified at {p['world']})"] if p["found"] else []),
     ], ids=lambda value: "-".join(value) if isinstance(value, list) else "")
     def test_json_agreement_with_text(self, capsys, tmp_path, argv, text_of):
-        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16)) + " -> <0>v0"  # 80 atoms: a limit line
+        wide = " & ".join(f"<{k % 4}>v{k}" for k in range(16))
+        wide = f"{wide} -> {wide}"  # 80 atoms: a limit line
         files = {"BATCH": f"p -> p\n{wide}\n<0>T\n", "MODEL": "worlds a b\nrel 1: a b\nval p:w = {b}\n",
                  "BAD_MODEL": "worlds a b\nrel 0: a a\nval p:0 = {b}\n",
                  "PROOF": "system glpsstar\ngoal <0>T\n1. T -> <0>T ; ax refl\n2. T ; ax taut\n3. <0>T ; mp 2 1\n"}

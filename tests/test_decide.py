@@ -23,9 +23,13 @@ from glpstar.formulas import (
     Var,
     adequate_closure,
     desugar,
+    fold_constants,
+    polarity_constants,
+    variables_of,
 )
 from glpstar.hintikka import DEFAULT_CANDIDATE_CAP, CanonicalEngine, ResourceLimitError
 from glpstar.kripke import (
+    KripkeModel,
     check_jstar_frame,
     check_strong_persistence,
     compile_formula,
@@ -35,8 +39,8 @@ from glpstar.kripke import (
 from glpstar.oracle import SearchBudget
 from glpstar.parsing import parse_formula
 from glpstar.reductions import n_plus, r_theta_plus, occurring_modalities
-from conftest import gen_sorted_formula
-from reference import assert_truth_lemma, canonical_model
+from conftest import gen_formula, gen_sorted_formula
+from reference import assert_truth_lemma, canonical_model, reference_fold, reference_polarity
 
 
 def verdict(system, text, **kw):
@@ -178,8 +182,8 @@ class TestPastTheCap:
         assert v.falsified == reduction_target(SystemId.parse(system), parse_formula(text))
         assert len(v.countermodel.worlds) <= 2
         _check_countermodel(v.countermodel, v.falsified)
-        assert (v.stats.atom_count, v.stats.delta_size, v.stats.candidates, v.stats.rounds) \
-            == (limit.atoms, limit.atoms, 0, [])
+        assert (v.stats.atom_count, v.stats.delta_size, v.stats.candidates, v.stats.rounds, v.stats.path) \
+            == (limit.atoms, limit.atoms, 0, [], "bounded")
         assert v.stats.target_size == len(compile_formula(v.falsified).nodes)
         if table_decides:
             assert not verdict(system, text).theorem
@@ -187,7 +191,7 @@ class TestPastTheCap:
     @pytest.mark.parametrize("system, text, cap", [
         ("glpstar", "<0>p & <1>q -> <0>p", 2),
         ("glpstar", "~<0><0>T", 1),  # its smallest countermodel has 3 worlds
-        ("jstar", WIDE + " -> <0>v0", DEFAULT_CANDIDATE_CAP),
+        ("jstar", f"{WIDE} -> {WIDE}", DEFAULT_CANDIDATE_CAP),
     ], ids=["theorem", "three-worlds", "wide-theorem"])
     def test_no_small_countermodel_raises_the_engine_limit(self, system, text, cap):
         limit = engine_limit(system, text, cap)
@@ -200,21 +204,105 @@ class TestPastTheCap:
         # 2^64 one-world valuations: the model budget stops the search
         start = time.process_time()
         with pytest.raises(ResourceLimitError, match="64 atoms exceed the 63-bit index budget"):
-            verdict("jstar", VARIABLES_64 + " | ~p0:0")
+            verdict("jstar", f"{VARIABLES_64} | ~({VARIABLES_64.replace('|', '&')})")
         assert time.process_time() - start < 0.5
 
     def test_many_levels_decide_in_one_world(self):
         # the search walks one frame level at a time, so it reaches its
         # first frame without recursing
         v = verdict("jstar", DEEP_LEVELS)
-        assert not v.theorem and v.stats.candidates == 0
+        assert not v.theorem and v.stats.path == "bounded"
         assert len(v.countermodel.worlds) == 1
         _check_countermodel(v.countermodel, v.falsified)
 
+    def test_polarity_theorem_past_the_cap(self):
+        # q:2 occurs only negatively and p:1 only positively; the reduced
+        # target folds to T, whose table has one row
+        v = verdict("glpstar", "~(<1>(q:2 & p:1) & ~(T | p:1)) | <3><2>F", candidate_cap=2)
+        assert v.theorem
+        assert (v.stats.path, v.stats.target_size, v.stats.atom_count, v.stats.candidates) \
+            == ("polarity", 1, 0, 1)
+
+    def test_polarity_countermodel_names_every_variable(self):
+        # p:0 and q:1 both occur only negatively: each holds at every world
+        text = "~<0><3>(p:0 & p:0) | <1>~<1>q:1"
+        with pytest.raises(ResourceLimitError):
+            CanonicalEngine(compile_formula(reduction_target(SystemId.GLPSTAR, parse_formula(text))).nodes)
+        v = verdict("glpstar", text)
+        assert not v.theorem and v.stats.path == "polarity" and v.stats.candidates > 0
+        assert v.falsified == reduction_target(SystemId.GLPSTAR, parse_formula(text))
+        assert v.stats.target_size < len(compile_formula(v.falsified).nodes)
+        assert len(v.countermodel.worlds) == 4
+        assert v.countermodel.valuation == {name: frozenset(v.countermodel.worlds) for name in ("p", "q")}
+        assert v.countermodel.sorts == {"p": 0, "q": 1}
+        _check_countermodel(v.countermodel, v.falsified)
+
+    @pytest.mark.parametrize("system, text, cap, engines, message", [
+        # nothing to substitute or fold: the target's own table is not built twice
+        ("jstar", DEEP_LEVELS + " -> <0>T", DEFAULT_CANDIDATE_CAP, 1, "1000 atoms exceed the 63-bit index budget"),
+        # q becomes T, and the reduced target passes the cap too: the first limit is raised
+        ("glpstar", "<0>p & <1>q -> <0>p", 2, 2, "candidate count exceeds the cap 2"),
+    ], ids=["many-levels", "reduced-also-capped"])
+    def test_past_the_cap_theorem_builds_at_most_two_engines(self, monkeypatch, system, text, cap, engines,
+                                                             message):
+        build = CanonicalEngine.__init__
+        built = []
+
+        def counted(self, *args):
+            built.append(self)
+            build(self, *args)
+
+        monkeypatch.setattr(CanonicalEngine, "__init__", counted)
+        with pytest.raises(ResourceLimitError) as err:
+            verdict(system, text, candidate_cap=cap)
+        assert (len(built), str(err.value)) == (engines, message)
+
     def test_cross_validation_does_not_count_the_oracle_against_itself(self):
         report = cross_validate(parse_formula(WIDE), "jstar", SearchBudget(max_worlds=2))
-        assert report.verdict.stats.candidates == 0 and report.search.found
+        assert report.verdict.stats.path == "bounded" and report.search.found
         assert report.status == "inconclusive"
+
+
+class TestPolarityLaw:
+    """A variable name that occurs in one polarity only can become F
+    (positive) or T (negative) without changing the verdict, and the
+    reduced call's countermodel, with each replaced name holding at no world
+    (F) or at every world (T), refutes the original reduction target. So
+    does the countermodel of the folded reduced target, decided as J*: the
+    route ``decide`` takes past its candidate cap."""
+
+    @staticmethod
+    def extended(model, constants, target):
+        valuation, sorts = dict(model.valuation), dict(model.sorts)
+        for v in variables_of(target):
+            if v.name not in valuation:
+                valuation[v.name] = model.worlds if constants.get(v.name) == TOP else ()
+                sorts[v.name] = v.sort
+        return KripkeModel(model.worlds, model.relations, valuation, sorts, model.root)
+
+    @pytest.mark.parametrize("system", list(SystemId))
+    def test_polarity_keeps_the_verdict(self, system):
+        # implications between two formulas over one pool: about a third are theorems
+        rng = random.Random(60)
+        reduced_calls = non_theorems = 0
+        for _ in range(120):
+            pool = [Var(name, rng.choice((0, 1, 2, OMEGA))) for name in "pqr"]
+            f = Implies(*(gen_formula(rng, 3, pool, [0, 1, 2]) for _ in range(2)))
+            reduced, constants = reference_polarity(f)
+            assert polarity_constants(f) == constants
+            if not constants:
+                continue
+            reduced_calls += 1
+            target = reduction_target(system, f)
+            folded = fold_constants(reduction_target(system, reduced))
+            assert folded == reference_fold(reduction_target(system, reduced))
+            expected = decide(system, f)
+            for got in (decide(system, reduced), decide(SystemId.JSTAR, folded)):
+                assert got.theorem == expected.theorem
+                if not got.theorem:
+                    _check_countermodel(self.extended(got.countermodel, constants, target), target)
+            non_theorems += not expected.theorem
+        assert reduced_calls >= 90 and 20 <= non_theorems <= reduced_calls - 20
 
 
 class TestReductionRoutes:

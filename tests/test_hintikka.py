@@ -170,9 +170,12 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("text, message, atoms", [
         ("~" + "<0>" * 300 + "p:0 | p:0", "300 diamonds at each level exceed 32", 301),
-        ("~" + "<0>" * 21 + "p:0 | <1>T | <2>T", "70 atoms exceed the 63-bit index budget", 70),
-        # a theorem, so no small countermodel decides it past the limit
-        (" | ".join(f"p{i}:0" for i in range(64)) + " | ~p0:0", "64 atoms exceed the 63-bit index budget", 64),
+        # p:0 occurs in both polarities, so nothing decides it past the limit
+        ("~" + "<0>" * 21 + "p:0 | <1>T | <2>T | p:0", "70 atoms exceed the 63-bit index budget", 70),
+        # a theorem, so no small countermodel decides it past the limit, and
+        # every variable occurs in both polarities
+        (" | ".join(f"p{i}:0" for i in range(64)) + " | ~(" + " & ".join(f"p{i}:0" for i in range(64)) + ")",
+         "64 atoms exceed the 63-bit index budget", 64),
     ], ids=["width", "positions", "atoms"])
     def test_limits_refuse_before_sorting(self, monkeypatch, text, message, atoms):
         # the grid has levels x bodies diamonds, so the limits are checked on

@@ -4,7 +4,6 @@ import pytest
 
 from glpstar.decide import decide
 from glpstar.formulas import (
-    BOT,
     OMEGA,
     And,
     Bot,

@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import random
+from collections import Counter
 
-from glpstar.decide import SystemId, decide
+from glpstar.decide import SystemId, _check_countermodel, decide, reduction_target
 from glpstar.formulas import Formula
 from glpstar.hintikka import ResourceLimitError
 from glpstar.oracle import SearchBudget, brute_force_countermodel
@@ -22,7 +23,7 @@ from conftest import gen_sorted_formula
 
 # a cap low enough that some of the sample is refused, so the limit's fields count too
 CANDIDATE_CAP = 400
-DECIDE_DIGEST = "22bd0d8f58909a8b3d98bfb37032f72fa4d9cc669c4fb53d58a3fd279074a7c1"
+DECIDE_DIGEST = "e775e293f5c304dc85f7a9b131fc2d65068cef1aeb7a1440acf744eb4b082cda"
 ORACLE_DIGEST = "10aec50251b16d10914d9b288aaedd0c081fbbef25f6eb9fc2e081f98f0ff1dd"
 
 
@@ -73,19 +74,28 @@ def test_decide_outputs_pinned():
 
 
 def test_past_the_cap_verdicts_hold_at_the_default_cap():
-    # each call that the search past the cap decides is a non-theorem that
-    # the full table finds too
-    checked = 0
+    # each call decided past the cap gets the verdict that the full table
+    # gives: a bounded search finds a non-theorem in at most two worlds, and
+    # a polarity countermodel refutes the original reduction target
+    checked = Counter()
     for system, f in _decide_sample():
         try:
             v = decide(system, f, candidate_cap=CANDIDATE_CAP)
         except ResourceLimitError:
             continue
-        if v.stats.candidates == 0:
+        if v.stats.path == "table":
+            continue
+        if v.stats.path == "bounded":
             assert not v.theorem and len(v.countermodel.worlds) <= 2
-            assert not decide(system, f).theorem
-            checked += 1
-    assert checked == 36
+        else:
+            assert v.stats.path == "polarity" and v.stats.candidates >= 1
+        if not v.theorem:
+            assert v.falsified == reduction_target(system, f)
+            _check_countermodel(v.countermodel, v.falsified)
+        table = decide(system, f)
+        assert (table.theorem, table.stats.path) == (v.theorem, "table")
+        checked[v.stats.path, v.theorem] += 1
+    assert checked == {("bounded", False): 36, ("polarity", True): 4, ("polarity", False): 3}
 
 
 def test_oracle_outcomes_pinned():

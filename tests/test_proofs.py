@@ -6,10 +6,6 @@ from glpstar.decide import SystemId, decide
 from glpstar.formulas import And, Dia, Neg, Or, TOP, Var, desugar, subformulas
 from glpstar.parsing import parse_formula, render_formula
 from glpstar.proofs import (
-    Axiom,
-    DiaMono,
-    ModusPonens,
-    Necessitation,
     ProofError,
     ProofLine,
     ProofObject,

@@ -1,6 +1,6 @@
 import random
 
-from glpstar.formulas import OMEGA, And, Dia, Neg, Or, TOP, Var
+from glpstar.formulas import OMEGA, And, Dia, TOP, Var
 from glpstar.parsing import parse_formula, render_formula
 from glpstar.reductions import (
     h_formula,

@@ -33,7 +33,9 @@ from glpstar.formulas import (
     children_first,
     desugar,
     diamond_subformulas,
+    fold_constants,
     modified_negation,
+    polarity_constants,
     subformulas,
     to_omega_sorted,
     variables_of,
@@ -413,6 +415,13 @@ class TestDeepFormulas:
         dias = diamond_subformulas(f)
         assert len(dias) == DEEP // 2
         assert dias[0] == (DEEP // 2 - 1, f.child) and dias[-1] == (0, Neg(Var("p", 2)))
+
+    def test_polarity_and_folding(self):
+        # an even chain of negations: p is positive, and the pairs cancel
+        f = _chain(Neg, And(Var("p"), TOP))
+        assert polarity_constants(f) == {"p": BOT} and polarity_constants(Neg(f)) == {"p": TOP}
+        assert fold_constants(f) is Var("p")
+        assert fold_constants(_chain(lambda g: Dia(0, g), Or(BOT, BOT))) is BOT
 
     def test_walk_and_children_first(self):
         f = _chain(lambda g: And(Neg(g), Var("q")), Var("p"))
